@@ -33,11 +33,12 @@ from .exterior import (
     Chart,
     DiffForm,
     MultiVec,
+    contraction_matrix,
     coordinate_vector,
     ext_d,
     full_contract,
     interior,
-    merge_sign,
+    sort_index_tuple,
     vf_bracket,
 )
 from .scalar import RationalExpr, fraction_root
@@ -53,9 +54,6 @@ NONCONSTANT = "NonConstant"
 FLAT = "Flat"
 NONFLAT = "NonFlat"
 UNDETERMINED = "Undetermined"
-
-# number of non-degenerate 3-form types in dimension 6 (reference constant)
-TYPE_COUNT_DIM6_DEG3 = 3
 
 
 # ---------------------------------------------------------------------------
@@ -146,21 +144,6 @@ class NondegeneracyReport:
         return self.nondegenerate
 
 
-def _contraction_matrix(w: DiffForm):
-    """Rows: coefficient tuples of i_{e_v} w; columns: v = 1..dim."""
-    chart = w.chart
-    cols = []
-    tuples = set()
-    for v in range(1, chart.dim + 1):
-        cv = interior(coordinate_vector(chart, v), w)
-        cols.append(cv)
-        tuples.update(cv.coeffs)
-    rows = sorted(tuples)
-    zero = RationalExpr.const(chart.dim, 0)
-    matrix = [[cols[v].coeffs.get(t, zero) for v in range(chart.dim)] for t in rows]
-    return matrix
-
-
 def _contraction_matrix_at(w: DiffForm, pt) -> list:
     """Numeric contraction matrix at a point (rows: tuples, cols: basis)."""
     chart = w.chart
@@ -185,7 +168,7 @@ def nondegenerate(w: DiffForm, point: Optional[Sequence] = None) -> Nondegenerac
     if point is not None:
         matrix = _contraction_matrix_at(w, chart.check_point(point))
     else:
-        matrix = _contraction_matrix(w)
+        _rows, matrix = contraction_matrix(w)
     if not matrix:
         kernel_vecs = [coordinate_vector(chart, v) for v in range(1, chart.dim + 1)]
         return NondegeneracyReport(False, tuple(kernel_vecs))
@@ -414,7 +397,7 @@ def _pointwise_trace_sq(values: Dict[Tuple[int, int, int], Fraction]) -> Fractio
             for idx, cb in values.items():
                 if a in idx or b in idx:
                     continue
-                merged, sign = merge_sign((a, b), idx)
+                merged, sign = sort_index_tuple((a, b) + idx)
                 five[merged] = five.get(merged, Q(0)) + sign * ca * cb
         for j in range(1, 7):
             comp = tuple(k for k in all_idx if k != j)
@@ -468,7 +451,7 @@ def _is_decomposable(part: DiffForm) -> bool:
     """Pointwise decomposability: part ^ part = 0 and contraction rank 3."""
     if part.wedge(part):
         return False
-    matrix = _contraction_matrix(part)
+    _rows, matrix = contraction_matrix(part)
     if not matrix:
         return False
     return linalg.rank(matrix) == 3
@@ -565,8 +548,8 @@ def _split_product_float(w: DiffForm, J: EndField, lam: RationalExpr,
             total += cv * acc
         return total
 
-    Pminus = [[(1.0 if i == j else 0.0) - P[i][j] + (0.0 if i != j else 0.0)
-               for j in range(d)] for i in range(d)]
+    Pminus = [[(1.0 if i == j else 0.0) - P[i][j] for j in range(d)]
+              for i in range(d)]
     # P- = I - P
     parts = []
     for Pm in (P, Pminus):
@@ -607,7 +590,7 @@ def verify_product_decomposition(w: DiffForm, parts: Sequence[DiffForm]) -> bool
             return False
         if p.wedge(p):
             return False
-        matrix = _contraction_matrix(p)
+        _rows, matrix = contraction_matrix(p)
         if linalg.rank(matrix) != m:
             return False
     return True

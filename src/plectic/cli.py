@@ -82,12 +82,6 @@ from .scalar import RationalExpr, ScalarExpr
 
 Q = Fraction
 
-COMMANDS = (
-    "classify", "flat", "hamvf", "hdw-residual", "multiphase", "volterra",
-    "curve-check", "bracket", "lie-validate", "comoment", "obstruction",
-    "conserved", "move", "verify",
-)
-
 VERIFY_CHECKS = (
     "ring-laws", "exterior", "linfty-relation", "jacobiator",
     "involutive", "standard-subspace",
@@ -148,7 +142,7 @@ def parse_request(raw: bytes, command: Optional[str] = None,
     sign = opts.get("sign_convention", SIGN_HDW)
     _expect(sign in (SIGN_HDW, SIGN_FIN1), "$.options.sign_convention",
             f"must be '{SIGN_HDW}' or '{SIGN_FIN1}'")
-    parsed = PARSERS[command](payload)
+    parsed = COMMANDS[command][0](payload)
     return Request(command, payload, opts, parsed)
 
 
@@ -320,6 +314,8 @@ def _parse_verify(p):
         samples = p.get("samples", 25 if check == "ring-laws" else 10)
         _expect(isinstance(dim, int) and dim >= 1, "$.dim",
                 "must be a positive integer")
+        _expect(check == "ring-laws" or dim >= 2, "$.dim",
+                "must be at least 2 for the exterior check")
         _expect(isinstance(samples, int) and samples >= 1, "$.samples",
                 "must be a positive integer")
         out.update(dim=dim, samples=samples)
@@ -374,33 +370,9 @@ def _comoment_from_json(obj, algebra, n, chart_hint, path="$.maps") -> ComomentD
     return ComomentData(algebra, n, tuple(maps))
 
 
-PARSERS: Dict[str, Callable[[dict], dict]] = {
-    "classify": _parse_classify,
-    "flat": _parse_flat,
-    "hamvf": _parse_hamvf,
-    "hdw-residual": _parse_hdw_residual,
-    "multiphase": _parse_multiphase,
-    "volterra": _parse_volterra,
-    "curve-check": _parse_curve_check,
-    "bracket": _parse_bracket,
-    "lie-validate": _parse_lie_validate,
-    "comoment": _parse_comoment,
-    "obstruction": _parse_obstruction,
-    "conserved": _parse_conserved,
-    "move": _parse_move,
-    "verify": _parse_verify,
-}
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------------
-
-
-def _args(req: Request) -> dict:
-    if req.parsed is None:
-        req.parsed = PARSERS[req.command](req.payload)
-    return req.parsed
 
 
 def _float_str(x) -> str:
@@ -408,7 +380,7 @@ def _float_str(x) -> str:
 
 
 def _cmd_classify(req: Request):
-    a = _args(req)
+    a = req.parsed
     rep = classify6(a["omega"], a["point"])
     out = type_report_to_json(rep)
     if req.mode == "float":
@@ -422,12 +394,12 @@ def _cmd_classify(req: Request):
 
 
 def _cmd_flat(req: Request):
-    rep = flatness_report(_args(req)["omega"])
+    rep = flatness_report(req.parsed["omega"])
     return type_report_to_json(rep), EXIT_OK
 
 
 def _cmd_hamvf(req: Request):
-    a = _args(req)
+    a = req.parsed
     try:
         X = ham_vector_field(a["omega"], a["hamiltonian"], req.sign_convention)
     except NotHamiltonian as exc:
@@ -436,7 +408,7 @@ def _cmd_hamvf(req: Request):
 
 
 def _cmd_hdw_residual(req: Request):
-    a = _args(req)
+    a = req.parsed
     res = hdw_residual(a["omega"], a["field"], a["hamiltonian"],
                        req.sign_convention)
     ok = res.is_zero
@@ -445,7 +417,7 @@ def _cmd_hdw_residual(req: Request):
 
 
 def _cmd_multiphase(req: Request):
-    a = _args(req)
+    a = req.parsed
     model = multiphase_forms(a["n"], a["N"])
     nd = nondegenerate(model.omega)
     return {
@@ -459,7 +431,7 @@ def _cmd_multiphase(req: Request):
 
 
 def _cmd_volterra(req: Request):
-    a = _args(req)
+    a = req.parsed
     residuals = hamilton_volterra_residual(a["model"], a["hamiltonian"],
                                            a["section"])
     ok = all(r.is_zero for r in residuals)
@@ -470,7 +442,7 @@ def _cmd_volterra(req: Request):
 
 
 def _cmd_curve_check(req: Request):
-    a = _args(req)
+    a = req.parsed
     results = ham_curve_check(a["map"], a["gamma"], a["field"], a["points"])
     ok = all(results)
     return ({"results": results, "all": ok},
@@ -478,7 +450,7 @@ def _cmd_curve_check(req: Request):
 
 
 def _cmd_bracket(req: Request):
-    a = _args(req)
+    a = req.parsed
     w = a["omega"]
     obs = [make_observable(w, f) for f in a["args"]]
     result = l_k(w, obs)
@@ -486,7 +458,7 @@ def _cmd_bracket(req: Request):
 
 
 def _cmd_lie_validate(req: Request):
-    a = _args(req)
+    a = req.parsed
     if a["violation"] is not None:
         return {"valid": False, "detail": a["violation"]}, EXIT_FAILED_CHECK
     K = killing_form(a["algebra"])
@@ -509,7 +481,7 @@ def _comoment_to_json(cm: ComomentData) -> dict:
 
 
 def _cmd_comoment(req: Request):
-    a = _args(req)
+    a = req.parsed
     act, w = a["action"], a["omega"]
     if a["mode"] == "from-potential":
         cm = comoment_from_potential(act, a["potential"], w,
@@ -537,7 +509,7 @@ def _cmd_comoment(req: Request):
 
 
 def _cmd_obstruction(req: Request):
-    a = _args(req)
+    a = req.parsed
     rep = obstruction_cochain(a["action"], a["omega"], a["i"])
     out: Dict[str, Any] = {
         "i": rep.index,
@@ -559,7 +531,7 @@ def _cmd_obstruction(req: Request):
 
 
 def _cmd_conserved(req: Request):
-    a = _args(req)
+    a = req.parsed
     obs = make_observable(a["omega"], a["hamiltonian"])
     verdict = conserved_classify(a["omega"], obs, a["alpha"])
     L = lie_derivative(obs.ham_field, a["alpha"])
@@ -567,7 +539,7 @@ def _cmd_conserved(req: Request):
 
 
 def _cmd_move(req: Request):
-    a = _args(req)
+    a = req.parsed
     auto = move_points(a["src"], a["dst"], a["n"])
     table = []
     for s, d in zip(a["src"], a["dst"]):
@@ -631,7 +603,7 @@ def _verify_exterior(a, seed: int):
 
 
 def _cmd_verify(req: Request):
-    a = _args(req)
+    a = req.parsed
     check = a["check"]
     if check == "ring-laws":
         out = _verify_ring_laws(a, req.seed)
@@ -668,33 +640,38 @@ def _cmd_verify(req: Request):
     return out, code
 
 
-HANDLERS: Dict[str, Callable[[Request], Tuple[dict, int]]] = {
-    "classify": _cmd_classify,
-    "flat": _cmd_flat,
-    "hamvf": _cmd_hamvf,
-    "hdw-residual": _cmd_hdw_residual,
-    "multiphase": _cmd_multiphase,
-    "volterra": _cmd_volterra,
-    "curve-check": _cmd_curve_check,
-    "bracket": _cmd_bracket,
-    "lie-validate": _cmd_lie_validate,
-    "comoment": _cmd_comoment,
-    "obstruction": _cmd_obstruction,
-    "conserved": _cmd_conserved,
-    "move": _cmd_move,
-    "verify": _cmd_verify,
+# name -> (payload parser, handler), in the order the CLI lists them
+COMMANDS: Dict[str, Tuple[Callable[[dict], dict],
+                          Callable[[Request], Tuple[dict, int]]]] = {
+    "classify": (_parse_classify, _cmd_classify),
+    "flat": (_parse_flat, _cmd_flat),
+    "hamvf": (_parse_hamvf, _cmd_hamvf),
+    "hdw-residual": (_parse_hdw_residual, _cmd_hdw_residual),
+    "multiphase": (_parse_multiphase, _cmd_multiphase),
+    "volterra": (_parse_volterra, _cmd_volterra),
+    "curve-check": (_parse_curve_check, _cmd_curve_check),
+    "bracket": (_parse_bracket, _cmd_bracket),
+    "lie-validate": (_parse_lie_validate, _cmd_lie_validate),
+    "comoment": (_parse_comoment, _cmd_comoment),
+    "obstruction": (_parse_obstruction, _cmd_obstruction),
+    "conserved": (_parse_conserved, _cmd_conserved),
+    "move": (_parse_move, _cmd_move),
+    "verify": (_parse_verify, _cmd_verify),
 }
 
 
 def run(req: Request) -> Tuple[dict, int]:
     """Dispatch a validated request; returns (report, exit code)."""
     try:
-        return HANDLERS[req.command](req)
+        return COMMANDS[req.command][1](req)
     except SchemaError as exc:
         return ({"error": {"kind": "SchemaError", "detail": exc.violations}},
                 EXIT_ERROR)
     except PlecticError as exc:
         return {"error": {"kind": exc.kind, "detail": str(exc)}}, EXIT_ERROR
+    except Exception as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        return {"error": {"kind": "InternalError", "detail": detail}}, EXIT_ERROR
 
 
 def _render_text(obj, indent: int = 0) -> List[str]:

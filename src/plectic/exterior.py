@@ -107,22 +107,6 @@ def sort_index_tuple(idx: Sequence[int]) -> Tuple[Optional[IndexTuple], int]:
     return tuple(lst), sign
 
 
-def merge_sign(a: IndexTuple, b: IndexTuple) -> Tuple[Optional[IndexTuple], int]:
-    """Shuffle sign of concatenating two increasing tuples."""
-    if set(a) & set(b):
-        return None, 0
-    sign = 1
-    inversions = 0
-    for x in a:
-        for y in b:
-            if x > y:
-                inversions += 1
-    if inversions % 2:
-        sign = -1
-    merged = tuple(sorted(a + b))
-    return merged, sign
-
-
 class _Alternating:
     """Shared implementation of DiffForm and MultiVec."""
 
@@ -198,11 +182,7 @@ class _Alternating:
         out = dict(self.coeffs)
         for idx, c in other.coeffs.items():
             s = out.get(idx)
-            s = c if s is None else s + c
-            if s:
-                out[idx] = s
-            elif idx in out:
-                del out[idx]
+            out[idx] = c if s is None else s + c
         return type(self)(self.chart, self.degree, out)
 
     def __neg__(self):
@@ -253,18 +233,14 @@ class _Alternating:
         out: Dict[IndexTuple, RationalExpr] = {}
         for ia, ca in self.coeffs.items():
             for ib, cb in other.coeffs.items():
-                merged, sign = merge_sign(ia, ib)
+                merged, sign = sort_index_tuple(ia + ib)
                 if merged is None:
                     continue
                 term = ca * cb
                 if sign < 0:
                     term = -term
                 s = out.get(merged)
-                s = term if s is None else s + term
-                if s:
-                    out[merged] = s
-                elif merged in out:
-                    del out[merged]
+                out[merged] = term if s is None else s + term
         return type(self)(self.chart, deg, out)
 
     def eval_at(self, point: Sequence):
@@ -275,10 +251,6 @@ class _Alternating:
             {i: RationalExpr.const(self.chart.dim, c.eval(pt))
              for i, c in self.coeffs.items()},
         )
-
-    def map_coeffs(self, fn):
-        return type(self)(self.chart, self.degree,
-                          {i: fn(c) for i, c in self.coeffs.items()})
 
     def terms_str(self, basis_symbol: str) -> str:
         if self.is_zero:
@@ -318,10 +290,6 @@ def multivec(chart: Chart, degree: int, coeffs=None) -> MultiVec:
     return MultiVec(chart, degree, coeffs or {})
 
 
-def zero_form(chart: Chart, degree: int = 0) -> DiffForm:
-    return DiffForm(chart, degree, {})
-
-
 def function_form(chart: Chart, expr) -> DiffForm:
     """Degree-0 form from an expression (string, scalar or rational)."""
     return DiffForm(chart, 0, {(): _coerce_coeff(expr, chart.dim)})
@@ -337,14 +305,6 @@ def basis_one_form(chart: Chart, index: int) -> DiffForm:
 
 def wedge(a, b):
     return a.wedge(b)
-
-
-def wedge_all(factors: Sequence) -> DiffForm:
-    it = iter(factors)
-    out = next(it)
-    for f in it:
-        out = out.wedge(f)
-    return out
 
 
 def ext_d(a: DiffForm) -> DiffForm:
@@ -365,11 +325,7 @@ def ext_d(a: DiffForm) -> DiffForm:
             key, sign = sort_index_tuple((i,) + idx)
             term = dc if sign == 1 else -dc
             s = out.get(key)
-            s = term if s is None else s + term
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            out[key] = term if s is None else s + term
     return DiffForm(chart_, deg, out)
 
 
@@ -406,12 +362,24 @@ def interior(X: MultiVec, a: DiffForm) -> DiffForm:
             if sign < 0:
                 term = -term
             s = out.get(cur)
-            s = term if s is None else s + term
-            if s:
-                out[cur] = s
-            elif cur in out:
-                del out[cur]
+            out[cur] = term if s is None else s + term
     return DiffForm(a.chart, a.degree - X.degree, out)
+
+
+def contraction_matrix(w: DiffForm, extra_rows: Iterable[IndexTuple] = ()):
+    """Matrix of the contraction map v -> i_v w in the coordinate basis.
+
+    Column v holds i_{e_v} w; the rows are the sorted index tuples met in
+    those contractions and in ``extra_rows``.  Returns (row tuples, matrix).
+    """
+    ch = w.chart
+    cols = [interior(coordinate_vector(ch, v), w) for v in range(1, ch.dim + 1)]
+    tuples = set(extra_rows)
+    for c in cols:
+        tuples.update(c.coeffs)
+    rows = sorted(tuples)
+    zero = RationalExpr.const(ch.dim, 0)
+    return rows, [[c.coeffs.get(t, zero) for c in cols] for t in rows]
 
 
 def lie_derivative(X: MultiVec, a: DiffForm) -> DiffForm:

@@ -26,6 +26,7 @@ from .exterior import (
     MultiVec,
     SmoothMap,
     chart,
+    contraction_matrix,
     coordinate_vector,
     ext_d,
     interior,
@@ -62,13 +63,8 @@ def ham_vector_field(w: DiffForm, H: DiffForm,
     chart_ = w.chart
     dim = chart_.dim
     rhs_form = _rhs_form(w, H, sign_convention)
-    cols = [interior(coordinate_vector(chart_, v), w) for v in range(1, dim + 1)]
-    tuples = set(rhs_form.coeffs)
-    for c in cols:
-        tuples.update(c.coeffs)
-    rows = sorted(tuples)
+    rows, matrix = contraction_matrix(w, rhs_form.coeffs)
     zero = RationalExpr.const(dim, 0)
-    matrix = [[cols[v].coeffs.get(t, zero) for v in range(dim)] for t in rows]
     rhs = [rhs_form.coeffs.get(t, zero) for t in rows]
     if not rows:
         return MultiVec(chart_, 1, {})

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence
 
-from .classify import EndField, TypeReport
+from .classify import TypeReport
 from .errors import SchemaError
 from .exterior import Chart, DiffForm, MultiVec, SmoothMap, chart
 from .liesym import LieAction, LieAlgebraData
@@ -152,14 +152,6 @@ def form_from_json(obj, path: str = "form", expect_kind: Optional[str] = None,
         _fail(path, str(exc))
 
 
-def smooth_map_to_json(f: SmoothMap) -> dict:
-    return {
-        "source": chart_to_json(f.source),
-        "target": chart_to_json(f.target),
-        "components": [expr_to_str(c) for c in f.components],
-    }
-
-
 def smooth_map_from_json(obj, path: str = "map") -> SmoothMap:
     _expect(isinstance(obj, dict), path, "must be an object")
     src = chart_from_json(_get(obj, "source", path), f"{path}.source")
@@ -192,10 +184,6 @@ def point_from_json(obj, dim: int, path: str) -> List[Fraction]:
         else:
             _fail(f"{path}[{i}]", "must be an integer or rational string")
     return out
-
-
-def point_to_json(pt: Sequence[Fraction]) -> List[str]:
-    return [str(Q(v)) for v in pt]
 
 
 def gaussian_point_from_json(obj, n: int, path: str) -> List[GaussianRational]:
@@ -258,13 +246,6 @@ def algebra_from_json(obj, path: str = "algebra") -> LieAlgebraData:
         _fail(path, str(exc))
 
 
-def algebra_to_json(g: LieAlgebraData) -> dict:
-    return {
-        "dim": g.dim,
-        "c": [[[str(v) for v in vec] for vec in row] for row in g.c],
-    }
-
-
 def action_from_json(obj, path: str = "action") -> LieAction:
     _expect(isinstance(obj, dict), path, "must be an object")
     algebra = algebra_from_json(_get(obj, "algebra", path), f"{path}.algebra")
@@ -286,13 +267,6 @@ def action_from_json(obj, path: str = "action") -> LieAction:
 # -- reports -----------------------------------------------------------------
 
 
-def endfield_to_json(J: EndField) -> dict:
-    return {
-        "chart": chart_to_json(J.chart),
-        "matrix": [[expr_to_str(v) for v in row] for row in J.matrix],
-    }
-
-
 def type_report_to_json(rep: TypeReport) -> dict:
     out: Dict[str, Any] = {
         "type": rep.linear_type,
@@ -302,12 +276,7 @@ def type_report_to_json(rep: TypeReport) -> dict:
         "points": [[str(v) for v in pt] for pt in rep.points],
     }
     if rep.witness is not None:
-        if isinstance(rep.witness, (DiffForm, MultiVec)):
-            out["witness"] = form_to_json(rep.witness)
-        elif isinstance(rep.witness, EndField):
-            out["witness"] = endfield_to_json(rep.witness)
-        else:
-            out["witness"] = str(rep.witness)
+        out["witness"] = form_to_json(rep.witness)
     if rep.witness_kind:
         out["witness_kind"] = rep.witness_kind
     if rep.notes:

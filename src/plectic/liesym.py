@@ -42,9 +42,10 @@ from .exterior import (
     interior,
     lie_derivative,
     poincare_homotopy,
+    sort_index_tuple,
     vf_bracket,
 )
-from .linfty import Observable
+from .linfty import Observable, _bracket_sign
 
 Q = Fraction
 
@@ -214,12 +215,9 @@ def _insert_wedge(vec: Sequence[Fraction], rest: Tuple[int, ...], d: int):
         cv = vec[k - 1]
         if not cv:
             continue
-        if k in rest:
-            continue
-        merged = tuple(sorted((k,) + rest))
-        pos = merged.index(k)
-        sign = -1 if pos % 2 else 1
-        yield merged, cv * sign
+        merged, sign = sort_index_tuple((k,) + rest)
+        if merged is not None:
+            yield merged, cv * sign
 
 
 class CEOperators:
@@ -250,17 +248,6 @@ class CEOperators:
                         elif merged in out:
                             del out[merged]
         return out
-
-    def boundary_matrix(self, k: int) -> List[List[Fraction]]:
-        rows = self.basis(k - 1)
-        cols = self.basis(k)
-        idx = {t: r for r, t in enumerate(rows)}
-        matrix = [[Q(0)] * len(cols) for _ in rows]
-        for cidx, T in enumerate(cols):
-            img = self.boundary({T: Q(1)}, k)
-            for t, v in img.items():
-                matrix[idx[t]][cidx] = v
-        return matrix
 
     def co_differential(self, cochain: Chain, k: int) -> Chain:
         """d_CE: C^k -> C^{k+1}, (d phi)(x,y) = -phi([x,y]) on 1-cochains."""
@@ -468,18 +455,11 @@ class ComomentData:
 
     def evaluate(self, i: int, indices: Sequence[int]) -> DiffForm:
         """Antisymmetric evaluation on (possibly unsorted) basis indices."""
-        lst = list(indices)
-        if len(set(lst)) != len(lst):
+        key, sign = sort_index_tuple(indices)
+        if key is None:
             chart0 = next(iter(self.maps[0].values())).chart
             return DiffForm(chart0, self.n - i, {})
-        sign = 1
-        for a in range(1, len(lst)):
-            b = a
-            while b > 0 and lst[b - 1] > lst[b]:
-                lst[b - 1], lst[b] = lst[b], lst[b - 1]
-                sign = -sign
-                b -= 1
-        val = self.maps[i - 1][tuple(lst)]
+        val = self.maps[i - 1][key]
         return val if sign > 0 else -val
 
     def evaluate_leading_vector(self, i: int, vec: Sequence[Fraction],
@@ -533,12 +513,10 @@ class ComomentReport:
 
 def _f1_star_l(act: LieAction, w: DiffForm, T: Sequence[int]) -> DiffForm:
     """l_{i+1}(f1(xi_1),..,f1(xi_{i+1})) using the action fields."""
-    k = len(T)
     res = w
     for t in T:
         res = interior(act.generators[t - 1], res)
-    sign = -1 if (k * (k + 1) // 2) % 2 == 0 else 1
-    return res if sign > 0 else -res
+    return res if _bracket_sign(len(T)) > 0 else -res
 
 
 def comoment_verify(act: LieAction, w: DiffForm, cm: ComomentData) -> ComomentReport:

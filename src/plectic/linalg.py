@@ -158,14 +158,6 @@ def det(matrix: Sequence[Sequence]):
     return -result if sign_flip else result
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> List[list]:
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(1, len(b))), a[i][0] * b[0][j])
-         for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
 def mat_inverse(matrix: Sequence[Sequence]) -> Optional[List[list]]:
     """Exact inverse, or None when singular."""
     n = len(matrix)

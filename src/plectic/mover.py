@@ -215,9 +215,6 @@ class ShearStep:
         return comps
 
 
-Step = object  # LinearStep | ShearStep
-
-
 @dataclass(frozen=True)
 class PolyAuto:
     """Composition of elementary determinant-one steps (first step first)."""
@@ -429,14 +426,6 @@ def realify_scalar(expr: ScalarExpr) -> Tuple[ScalarExpr, ScalarExpr]:
     dim2 = 2 * n
     re_terms: dict = {}
     im_terms: dict = {}
-
-    def add(target, key, val):
-        cur = target.get(key, Q(0)) + val
-        if cur:
-            target[key] = cur
-        elif key in target:
-            del target[key]
-
     for exps, c in expr.terms.items():
         c = GR.ensure(c)
         # expand prod_j (x_{2j-1} + i x_{2j})^{e_j}
@@ -450,25 +439,17 @@ def realify_scalar(expr: ScalarExpr) -> Tuple[ScalarExpr, ScalarExpr]:
                     kx = list(key)
                     kx[2 * j] += 1
                     k1 = tuple(kx)
-                    prev = nxt.get(k1, GR(0)) + cv
-                    if prev:
-                        nxt[k1] = prev
-                    elif k1 in nxt:
-                        del nxt[k1]
+                    nxt[k1] = nxt.get(k1, GR(0)) + cv
                     ky = list(key)
                     ky[2 * j + 1] += 1
                     k2 = tuple(ky)
-                    prev = nxt.get(k2, GR(0)) + cv * GR(0, 1)
-                    if prev:
-                        nxt[k2] = prev
-                    elif k2 in nxt:
-                        del nxt[k2]
+                    nxt[k2] = nxt.get(k2, GR(0)) + cv * GR(0, 1)
                 partial = nxt
         for key, cv in partial.items():
             if cv.re:
-                add(re_terms, key, cv.re)
+                re_terms[key] = re_terms.get(key, Q(0)) + cv.re
             if cv.im:
-                add(im_terms, key, cv.im)
+                im_terms[key] = im_terms.get(key, Q(0)) + cv.im
     return ScalarExpr(dim2, re_terms), ScalarExpr(dim2, im_terms)
 
 
@@ -506,13 +487,6 @@ class RealifiedAuto:
         out = a
         for s in reversed(self.steps):
             out = pullback(s, out)
-        return out
-
-    def as_smooth_map(self) -> SmoothMap:
-        """Explicit symbolic composition (can be large for deep chains)."""
-        out = self.steps[0]
-        for s in self.steps[1:]:
-            out = s.compose(out)
         return out
 
 

@@ -152,18 +152,19 @@ def _integer_root(n: int, q: int) -> Optional[int]:
     """Exact q-th root of n >= 0, or None."""
     if n < 0:
         return None
-    if n in (0, 1):
-        return n
-    if q == 1:
+    if n < 2 or q == 1:
         return n
     if q == 2:
         r = math.isqrt(n)
-        return r if r * r == n else None
-    r = round(n ** (1.0 / q))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c**q == n:
-            return c
-    return None
+    else:
+        # integer Newton iteration from above converges to floor(n^(1/q))
+        r = 1 << -(-n.bit_length() // q)
+        while True:
+            s = ((q - 1) * r + n // r ** (q - 1)) // q
+            if s >= r:
+                break
+            r = s
+    return r if r**q == n else None
 
 
 def fraction_root(fr: Fraction, q: int) -> Optional[Fraction]:
@@ -320,9 +321,6 @@ class ScalarExpr:
                     out.add(i + 1)
         return out
 
-    def has_negative_exponent(self) -> bool:
-        return any(e < 0 for exps in self.terms for e in exps)
-
     def is_polynomial(self) -> bool:
         return all(
             e.denominator == 1 and e >= 0 for exps in self.terms for e in exps
@@ -353,11 +351,7 @@ class ScalarExpr:
         self._check(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            s = terms.get(k, ZERO) + c
-            if s:
-                terms[k] = s
-            elif k in terms:
-                del terms[k]
+            terms[k] = terms.get(k, ZERO) + c
         return ScalarExpr(self.dim, terms)
 
     def __neg__(self) -> "ScalarExpr":
@@ -372,11 +366,7 @@ class ScalarExpr:
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
                 k = tuple(a + b for a, b in zip(ka, kb))
-                s = out.get(k, ZERO) + ca * cb
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
+                out[k] = out.get(k, ZERO) + ca * cb
         return ScalarExpr(self.dim, out)
 
     def scale(self, c) -> "ScalarExpr":
@@ -422,11 +412,7 @@ class ScalarExpr:
             if not e:
                 continue
             k = exps[:i] + (e - 1,) + exps[i + 1:]
-            s = out.get(k, ZERO) + c * e
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+            out[k] = out.get(k, ZERO) + c * e
         return ScalarExpr(self.dim, out)
 
     def eval(self, point: Sequence, mode: str = "exact"):
@@ -595,10 +581,6 @@ class RationalExpr:
     @classmethod
     def variable(cls, dim: int, index: int, exponent=1) -> "RationalExpr":
         return cls(ScalarExpr.variable(dim, index, exponent))
-
-    @classmethod
-    def from_scalar(cls, s: ScalarExpr) -> "RationalExpr":
-        return cls(s)
 
     # -- predicates ---------------------------------------------------
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from plectic import cli
 from plectic.cli import (
     EXIT_ERROR,
     EXIT_FAILED_CHECK,
@@ -307,3 +312,50 @@ def test_envelope_parse_request():
     assert code == EXIT_OK and rep["ok"]
     with pytest.raises(SchemaError):
         parse_request(json.dumps({"command": "nope", "payload": {}}).encode())
+
+
+def run_cli(tmp_path, cmd, payload):
+    """The CLI in a fresh interpreter: (exit code, stdout, stderr)."""
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "plectic.cli", cmd, str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("x2,code,kind", [
+    (str(10**400), EXIT_ERROR, "IrrationalValue"),
+    (str(10**399), EXIT_OK, None),
+], ids=["10^400", "10^399"])
+def test_cube_root_coefficient_at_huge_point(tmp_path, x2, code, kind):
+    payload = {"omega": W_family("x2^(1/3)"), "point": ["1", x2, "0", "0", "0", "0"]}
+    got, out, err = run_cli(tmp_path, "classify", payload)
+    assert "Traceback" not in err
+    rep = json.loads(out)
+    assert got == code
+    if kind:
+        assert rep["error"]["kind"] == kind
+    else:
+        assert rep["type"] in ("ProductType", "ComplexType", "TangentType")
+
+
+def test_exterior_check_needs_two_dimensions(tmp_path):
+    with pytest.raises(SchemaError) as err:
+        go("verify", {"check": "exterior", "dim": 1})
+    assert any(v.startswith("$.dim") for v in err.value.violations)
+    got, out, err = run_cli(tmp_path, "verify", {"check": "exterior", "dim": 1})
+    assert got == EXIT_ERROR and "Traceback" not in err
+    assert json.loads(out)["error"]["kind"] == "SchemaError"
+
+
+def test_internal_fault_is_reported_as_json(monkeypatch):
+    def broken(req):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "flat", (cli.COMMANDS["flat"][0], broken))
+    rep, code = go("flat", {"omega": W_family("1")})
+    assert code == EXIT_ERROR
+    assert rep == {"error": {"kind": "InternalError", "detail": "ZeroDivisionError: boom"}}

@@ -1,0 +1,46 @@
+"""Every definition in the package has a caller or a test.
+
+A module-level function, class or constant, or a non-dunder method, whose
+name appears in ``src/``, ``tests/`` and ``perfbench/`` only where it is
+defined is dead API and fails this test.
+"""
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "plectic"
+SEARCHED = ("src", "tests", "perfbench")
+
+
+def _definitions(tree):
+    """(name, line) for each tracked definition of one module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, ast.ClassDef):
+            yield node.name, node.lineno
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and not t.id.startswith("__"):
+                    yield t.id, node.lineno
+
+
+def test_every_definition_is_referenced():
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(path.name, qual, line) for qual, line in _definitions(tree)]
+    def_count = Counter(qual.rsplit(".", 1)[-1] for _f, qual, _l in defined)
+    text = "\n".join(p.read_text(encoding="utf-8")
+                     for d in SEARCHED for p in sorted((ROOT / d).rglob("*.py")))
+    words = Counter(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
+    dead = sorted(f"{fname}:{line} {qual}" for fname, qual, line in defined
+                  if words[qual.rsplit(".", 1)[-1]] <= def_count[qual.rsplit(".", 1)[-1]])
+    assert not dead, "defined but never referenced:\n" + "\n".join(dead)

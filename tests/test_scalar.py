@@ -14,6 +14,7 @@ from plectic.scalar import (
     ScalarExpr,
     format_gaussian_point,
     format_rational,
+    fraction_pow,
     parse_expression,
     parse_gaussian,
 )
@@ -64,6 +65,18 @@ def test_evaluate_exact():
 def test_evaluate_irrational():
     with pytest.raises(IrrationalValue):
         expr("x2^(1/2)").eval([0, 2, 0])
+
+
+def test_exact_roots_of_large_integers():
+    # a float first guess misses roots beyond 2^53 and overflows past 10^308
+    r = 10**20 + 1
+    assert fraction_pow(Q(r**3), Q(1, 3)) == r
+    assert fraction_pow(Q(r**5, 7**10), Q(2, 5)) == Q(r**2, 7**4)
+    assert fraction_pow(Q(10**600), Q(1, 3)) == 10**200
+    with pytest.raises(IrrationalValue):
+        fraction_pow(Q(r**3 + 1), Q(1, 3))
+    with pytest.raises(IrrationalValue):
+        fraction_pow(Q(10**400), Q(1, 3))
 
 
 def test_evaluate_negative_fractional_power():
