@@ -25,6 +25,7 @@ from .errors import (
     IrrationalScale,
     NotAlmostComplex,
     NotClosed,
+    PlecticError,
     ShapeError,
     SingularVolume,
     WrongType,
@@ -111,7 +112,7 @@ def sign_on_chart(expr: RationalExpr, chart: Chart, samples: int = 48) -> SignRe
         ]
         try:
             v = expr.eval(point)
-        except Exception:
+        except PlecticError:
             continue
         if v > 0 and pos_w is None:
             pos_w = (tuple(point), v)
@@ -425,7 +426,7 @@ def _sqrt_rational_expr(expr: RationalExpr) -> RationalExpr:
     """Exact square root of a monomial quotient, or IrrationalScale."""
     try:
         return RationalExpr(expr.num.monomial_root(2), expr.den.monomial_root(2))
-    except Exception as exc:
+    except PlecticError as exc:
         raise IrrationalScale(f"no exact square root of {expr}: {exc}") from None
 
 
@@ -774,7 +775,7 @@ def _float_sample_point(w: DiffForm, chart: Chart):
              for i in range(1, chart.dim + 1)]
     try:
         w.eval_at(point)
-    except Exception:
+    except PlecticError:
         return None
     return point
 
@@ -810,7 +811,7 @@ def flatness_report(w: DiffForm) -> TypeReport:
                         f"{[str(v) for v in sample]} decomposes within 1e-9; "
                         "flatness not exactly certifiable"
                     )
-                except Exception:
+                except (PlecticError, ZeroDivisionError, OverflowError, ValueError):
                     pass
             return TypeReport(PRODUCT, "+", UNDETERMINED, notes=notes + extra)
         d1, d2 = ext_d(w1), ext_d(w2)

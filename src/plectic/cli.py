@@ -139,6 +139,8 @@ def parse_request(raw: bytes, command: Optional[str] = None,
     mode = opts.get("mode", "exact")
     _expect(mode in ("exact", "float"), "$.options.mode",
             "must be 'exact' or 'float'")
+    _expect(mode == "exact" or command == "classify", "$.options.mode",
+            "'float' is only supported by classify")
     sign = opts.get("sign_convention", SIGN_HDW)
     _expect(sign in (SIGN_HDW, SIGN_FIN1), "$.options.sign_convention",
             f"must be '{SIGN_HDW}' or '{SIGN_FIN1}'")

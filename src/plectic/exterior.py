@@ -25,6 +25,7 @@ from .errors import (
     DegreeError,
     DomainViolation,
     HomotopyPole,
+    PlecticError,
     ShapeError,
     SingularVolume,
 )
@@ -213,6 +214,8 @@ class _Alternating:
         return all(self.coeffs[i] == other.coeffs[i] for i in self.coeffs)
 
     def __hash__(self):
+        if self.is_zero:  # zero forms of every degree are equal
+            return hash((type(self).__name__, self.chart))
         return hash((type(self).__name__, self.chart, self.degree,
                      frozenset(self.coeffs)))
 
@@ -575,7 +578,7 @@ def poincare_homotopy(a: DiffForm) -> DiffForm:
     for idx, c in a.coeffs.items():
         try:
             scal = c.as_scalar()
-        except Exception as exc:
+        except PlecticError as exc:
             raise HomotopyPole(
                 f"coefficient {c} is not a monomial sum: {exc}"
             ) from None

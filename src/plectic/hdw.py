@@ -18,6 +18,7 @@ from .errors import (
     DegreeError,
     DegenerateForm,
     NotHamiltonian,
+    PlecticError,
     ShapeError,
 )
 from .exterior import (
@@ -261,5 +262,5 @@ def ham_curve_check_symbolic(psi: SmoothMap, gamma: MultiVec,
             if not (acc == target):
                 return False
         return True
-    except Exception:
+    except PlecticError:
         return None

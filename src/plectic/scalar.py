@@ -228,6 +228,24 @@ def grlex_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
 
 
+def _value_hash(num: Mapping, den: Mapping) -> int:
+    """Hash of num/den that depends only on its value.
+
+    Equal quotients have num den' == num' den, and leading (and trailing)
+    grlex terms multiply, so their ratios are the same in every form of a
+    value.  A constant hashes like its Fraction, as == demands.
+    """
+    if not num:
+        return hash(ZERO)
+    ends = []
+    for pick in (max, min):
+        kn, kd = pick(num, key=grlex_key), pick(den, key=grlex_key)
+        ends.append((tuple(a - b for a, b in zip(kn, kd)), num[kn] / den[kd]))
+    if ends[0] == ends[1] and not any(ends[0][0]):
+        return hash(ends[0][1])
+    return hash(tuple(ends))
+
+
 class ScalarExpr:
     """Normalized sum of monomials over ``dim`` positional variables."""
 
@@ -488,7 +506,7 @@ class ScalarExpr:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
+        return _value_hash(self.terms, {(0,) * self.dim: ONE})
 
     def __str__(self):
         return format_scalar(self)
@@ -590,10 +608,10 @@ class RationalExpr:
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num.terms
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.num.terms)
 
     @property
     def den_is_one(self) -> bool:
@@ -752,10 +770,7 @@ class RationalExpr:
         return (self.num * other.den - other.num * self.den).is_zero
 
     def __hash__(self):
-        # Canonical enough for caching: hash the folded scalar when cheap.
-        if self.den_is_one:
-            return hash(self.num)
-        return hash((self.num, self.den))
+        return _value_hash(self.num.terms, self.den.terms)
 
     def __str__(self):
         return format_rational(self)

@@ -413,6 +413,17 @@ def test_sign_on_chart_monomial_rule():
     assert s2.sign == "mixed" and len(s2.witnesses) == 2
 
 
+def test_sign_on_chart_lets_faults_through(monkeypatch):
+    # only deliberate errors (a vanishing denominator, ...) skip a sample; a
+    # fault in the arithmetic must surface instead of reading as a sign
+    def broken(self, point, mode="exact"):
+        raise TypeError("injected fault")
+
+    monkeypatch.setattr(RationalExpr, "eval", broken)
+    with pytest.raises(TypeError, match="injected fault"):
+        sign_on_chart(parse_expression("x1 - x2", 6), chart(6))
+
+
 # -- standard subspaces ---------------------------------------------------------------
 
 

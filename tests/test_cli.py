@@ -359,3 +359,19 @@ def test_internal_fault_is_reported_as_json(monkeypatch):
     rep, code = go("flat", {"omega": W_family("1")})
     assert code == EXIT_ERROR
     assert rep == {"error": {"kind": "InternalError", "detail": "ZeroDivisionError: boom"}}
+
+
+@pytest.mark.parametrize("cmd", list(cli.COMMANDS))
+def test_float_mode_only_for_classify(tmp_path, capsys, cmd):
+    path = tmp_path / "payload.json"
+    if cmd == "classify":
+        path.write_text(json.dumps({"omega": W6_product(), "point": ["1"] * 6}))
+        assert main(["--mode", "float", cmd, str(path)]) == EXIT_OK
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["mode"] == "float" and "trace_of_J_squared" in rep
+        return
+    path.write_text("{}")
+    assert main(["--mode", "float", cmd, str(path)]) == EXIT_ERROR
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["error"]["kind"] == "SchemaError"
+    assert [v for v in rep["error"]["detail"] if v.startswith("$.options.mode")]

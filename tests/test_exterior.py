@@ -379,3 +379,14 @@ def test_fractional_exponent_needs_positivity_flag():
     plain = chart(6)
     with pytest.raises(DomainViolation):
         form(plain, 1, {(1,): parse_expression("x2^(1/2)", 6)})
+
+
+def test_zero_forms_of_any_degree_hash_equal():
+    # regression: zero forms of degrees 1 and 2 compared equal, hashed apart
+    z1, z2 = form(C3, 1, {}), form(C3, 2, {})
+    assert z1 == z2
+    assert hash(z1) == hash(z2)
+    assert len({z1, z2, form(C3, 1, {(1,): 1}) - form(C3, 1, {(1,): 1})}) == 1
+    a = form(C3, 1, {(1,): parse_expression("x1^2/x1", 3)})
+    b = form(C3, 1, {(1,): parse_expression("x1", 3)})
+    assert a == b and hash(a) == hash(b)

@@ -1,0 +1,273 @@
+"""Differential tests of the elimination kernel in ``plectic.linalg``.
+
+The same constant matrices go through the kernel as Fractions, as constant
+RationalExprs and as GaussianRationals; every answer must agree across the
+three rings and with sympy's exact ``rref``/``nullspace``.  Symbolic
+right-hand sides and symbolic matrices are checked by substituting the
+answer back (A x == b, A k == 0) and against sympy over the fraction field.
+"""
+import random
+from fractions import Fraction as Q
+
+import pytest
+
+from plectic import linalg
+from plectic.scalar import GaussianRational, RationalExpr, parse_expression
+from util import rand_fraction, rand_poly
+
+sympy = pytest.importorskip("sympy")
+
+DIM = 2  # chart of the RationalExpr entries
+RINGS = {
+    "fraction": lambda v: v,
+    "rational_expr": lambda v: RationalExpr.const(DIM, v),
+    "gaussian": lambda v: GaussianRational(v),
+}
+
+
+def to_q(v):
+    """A constant of any of the three rings as a Fraction."""
+    if isinstance(v, RationalExpr):
+        v = v.constant_value()
+    if isinstance(v, GaussianRational):
+        assert v.im == 0
+        v = v.re
+    assert isinstance(v, Q)
+    return v
+
+
+def in_ring(ring, matrix):
+    return [[RINGS[ring](v) for v in row] for row in matrix]
+
+
+def dense(rows, pivots, cols):
+    """The reduced rows of ``eliminate`` as a dense Fraction matrix."""
+    out = [[to_q(row[j]) if j in row else Q(0) for j in range(cols)] for row in rows]
+    for r, c in enumerate(pivots):
+        assert c not in rows[r]
+        out[r][c] = Q(1)
+    return out
+
+
+def sym(matrix):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                         for row in matrix])
+
+
+def from_sym(m):
+    return [[Q(int(v.p), int(v.q)) for v in m.row(i)] for i in range(m.rows)]
+
+
+def rand_matrix(rng, rows, cols, rank=None):
+    """A seeded Fraction matrix, of the given rank when one is asked for."""
+    if rank is None:
+        return [[rand_fraction(rng) for _ in range(cols)] for _ in range(rows)]
+    left = [[rand_fraction(rng) for _ in range(rank)] for _ in range(rows)]
+    right = [[rand_fraction(rng) for _ in range(cols)] for _ in range(rank)]
+    return [[sum((left[i][k] * right[k][j] for k in range(rank)), Q(0))
+             for j in range(cols)] for i in range(rows)]
+
+
+def cases():
+    rng = random.Random(20181)
+    out = [
+        ("zero", [[Q(0)] * 4 for _ in range(3)]),
+        ("identity", [[Q(int(i == j)) for j in range(4)] for i in range(4)]),
+        ("one_row", [[Q(0), Q(2), Q(-1)]]),
+        ("one_col", [[Q(0)], [Q(3)], [Q(1, 2)]]),
+        ("row_swaps", [[Q(v) for v in row] for row in
+                       ((0, 1, 2, 3), (1, 0, 1, 5), (2, 1, 0, 1), (1, 1, 1, 0))]),
+    ]
+    for k, (rows, cols) in enumerate([(3, 3), (4, 4), (5, 5), (3, 5), (6, 4), (2, 7)]):
+        out.append((f"full{k}", rand_matrix(rng, rows, cols)))
+    for k, (rows, cols, r) in enumerate([(4, 4, 2), (5, 3, 1), (3, 6, 2), (6, 6, 4), (5, 5, 0)]):
+        out.append((f"rank{r}_{k}", rand_matrix(rng, rows, cols, rank=r)))
+    sparse = [[Q(0)] * 7 for _ in range(9)]
+    for _ in range(12):
+        sparse[rng.randrange(9)][rng.randrange(7)] = rand_fraction(rng) or Q(1)
+    out.append(("sparse", sparse))
+    return out
+
+
+CASES = cases()
+IDS = [name for name, _ in CASES]
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("name,matrix", CASES, ids=IDS)
+def test_eliminate_is_sympy_rref(ring, name, matrix):
+    cols = len(matrix[0])
+    rows, _, pivots = linalg.eliminate(in_ring(ring, matrix))
+    ref, ref_pivots = sym(matrix).rref()
+    assert pivots == list(ref_pivots)
+    assert dense(rows, pivots, cols) == from_sym(ref)
+    assert linalg.rank(in_ring(ring, matrix)) == len(ref_pivots)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("name,matrix", CASES, ids=IDS)
+def test_nullspace_is_sympy_nullspace(ring, name, matrix):
+    basis = linalg.nullspace(in_ring(ring, matrix))
+    ref = sym(matrix).nullspace()
+    assert [[to_q(v) for v in vec] for vec in basis] == [
+        [row[0] for row in from_sym(k)] for k in ref]
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("name,matrix", CASES, ids=IDS)
+def test_solve_matches_sympy(ring, name, matrix):
+    rng = random.Random(name)
+    rows, cols = len(matrix), len(matrix[0])
+    consistent = [sum((matrix[i][j] * x for j, x in enumerate(
+        [rand_fraction(rng) for _ in range(cols)])), Q(0)) for i in range(rows)]
+    generic = [rand_fraction(rng) or Q(1) for _ in range(rows)]
+    for rhs in (consistent, generic):
+        sol, free = linalg.solve(in_ring(ring, matrix), in_ring(ring, [rhs])[0])
+        A, b = sym(matrix), sym([[v] for v in rhs])
+        if A.rank() < A.row_join(b).rank():
+            assert sol is None and free == []
+            continue
+        ref, params = A.gauss_jordan_solve(b)[:2]
+        ref = ref.subs({p: 0 for p in params})
+        assert [to_q(v) for v in sol] == [row[0] for row in from_sym(ref)]
+        assert free == [c for c in range(cols) if c not in A.rref()[1]]
+
+
+def test_inconsistent_system():
+    A = [[Q(1), Q(2)], [Q(2), Q(4)]]
+    for ring in RINGS:
+        assert linalg.solve(in_ring(ring, A), in_ring(ring, [[Q(1), Q(3)]])[0]) == (None, [])
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("name,matrix", [c for c in CASES if len(c[1]) == len(c[1][0])],
+                         ids=[n for n, m in CASES if len(m) == len(m[0])])
+def test_inverse_and_det_match_sympy(ring, name, matrix):
+    inv = linalg.mat_inverse(in_ring(ring, matrix))
+    A = sym(matrix)
+    assert to_q(linalg.det(in_ring(ring, matrix))) == from_sym(sympy.Matrix([[A.det()]]))[0][0]
+    if A.det() == 0:
+        assert inv is None
+    else:
+        assert [[to_q(v) for v in row] for row in inv] == from_sym(A.inv())
+
+
+def test_empty_matrices():
+    assert linalg.eliminate([]) == ([], None, [])
+    assert linalg.rank([]) == 0 and linalg.rank([[]]) == 0
+    assert linalg.nullspace([]) == [] and linalg.nullspace([[]]) == []
+
+
+def test_results_stay_in_the_callers_ring():
+    matrix = rand_matrix(random.Random(5), 4, 4)
+    for ring, kind in (("fraction", Q), ("rational_expr", RationalExpr),
+                       ("gaussian", GaussianRational)):
+        A = in_ring(ring, matrix)
+        assert all(type(v) is kind for row in linalg.mat_inverse(A) for v in row)
+        assert type(linalg.det(A)) is kind
+        assert all(type(v) is kind for v in linalg.solve(A, A[0])[0])
+
+
+def test_gaussian_matrix_matches_sympy():
+    rng = random.Random(7)
+    G = [[GaussianRational(rand_fraction(rng), rand_fraction(rng)) for _ in range(4)]
+         for _ in range(4)]
+    A = sympy.Matrix([[sympy.Rational(v.re.numerator, v.re.denominator)
+                       + sympy.I * sympy.Rational(v.im.numerator, v.im.denominator)
+                       for v in row] for row in G])
+    inv = linalg.mat_inverse(G)
+    ref = A.inv()
+    for i in range(4):
+        for j in range(4):
+            re, im = sympy.expand(ref[i, j]).as_real_imag()
+            assert inv[i][j] == GaussianRational(Q(int(re.p), int(re.q)),
+                                                 Q(int(im.p), int(im.q)))
+    d = linalg.det(G)
+    re, im = sympy.expand(A.det()).as_real_imag()
+    assert d == GaussianRational(Q(int(re.p), int(re.q)), Q(int(im.p), int(im.q)))
+
+
+def mat_vec(A, x):
+    return [sum((a * v for a, v in zip(row, x)), RationalExpr.const(DIM, 0)) for row in A]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_constant_matrix_with_symbolic_rhs(seed):
+    rng = random.Random(seed)
+    matrix = rand_matrix(rng, 5, 4, rank=3)
+    A = in_ring("rational_expr", matrix)
+    x = [rand_poly(rng, DIM) for _ in range(4)]
+    b = mat_vec(A, x)
+    sol, free = linalg.solve(A, b)
+    assert sol is not None and len(free) == 1
+    assert mat_vec(A, sol) == b
+    assert all(not sol[c] for c in free)
+    # a rhs off the column space is rejected
+    bad = list(b)
+    bad[0] = bad[0] + RationalExpr.variable(DIM, 1)
+    assert linalg.rank([row + [v] for row, v in zip(A, bad)]) == 4
+    assert linalg.solve(A, bad) == (None, [])
+
+
+def to_sympy(e: RationalExpr):
+    return sympy.sympify(str(e).replace("^", "**"))
+
+
+def small_poly(rng):
+    return rand_poly(rng, DIM, max_terms=2, max_deg=1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_symbolic_matrix(seed):
+    rng = random.Random(100 + seed)
+    A = [[small_poly(rng) for _ in range(4)] for _ in range(2)]
+    A.append([a + b for a, b in zip(A[0], A[1])])  # rank 2 at most
+    basis = linalg.nullspace(A)
+    zero = RationalExpr.const(DIM, 0)
+    assert all(v == zero for k in basis for v in mat_vec(A, k))
+    S = sympy.Matrix([[to_sympy(v) for v in row] for row in A])
+    ref = S.nullspace(simplify=True)
+    assert len(basis) == len(ref) == 4 - linalg.rank(A)
+    for k, r in zip(basis, ref):
+        assert all(sympy.cancel(to_sympy(a) - b) == 0 for a, b in zip(k, r))
+    x = [small_poly(rng) for _ in range(4)]
+    b = mat_vec(A, x)
+    sol, _free = linalg.solve(A, b)
+    assert mat_vec(A, sol) == b
+
+
+def test_symbolic_det_matches_sympy():
+    rng = random.Random(3)
+    A = [[RationalExpr.const(DIM, rand_fraction(rng)) for _ in range(4)] for _ in range(4)]
+    for i in range(4):  # a symbolic entry in every row, as in a Jacobian
+        A[i][rng.randrange(4)] = small_poly(rng)
+    S = sympy.Matrix([[to_sympy(v) for v in row] for row in A])
+    assert sympy.cancel(to_sympy(linalg.det(A)) - S.det()) == 0
+
+
+def test_parsed_quotients_eliminate():
+    A = [[parse_expression(s, DIM) for s in row] for row in (("x1", "x1^2/x2"), ("x2", "x1"))]
+    assert linalg.rank(A) == 1
+    (k,) = linalg.nullspace(A)
+    assert all(v == 0 for v in mat_vec(A, k))
+
+
+def test_property_rref_matches_sympy():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(1, 4).flatmap(
+        lambda c: st.lists(st.lists(entries, min_size=c, max_size=c), min_size=1, max_size=5)))
+    def check(matrix):
+        ref, ref_pivots = sym(matrix).rref()
+        for ring in RINGS:
+            rows, _, pivots = linalg.eliminate(in_ring(ring, matrix))
+            assert pivots == list(ref_pivots)
+            assert dense(rows, pivots, len(matrix[0])) == from_sym(ref)
+            basis = linalg.nullspace(in_ring(ring, matrix))
+            assert len(basis) == len(matrix[0]) - len(pivots)
+
+    check()

@@ -150,6 +150,25 @@ def test_cross_multiplication_equality():
     assert not (q == expr("x2"))
 
 
+def test_equal_quotients_hash_equal():
+    # regression: x1^2/x1 == x1 used to hash differently, so a set held both
+    one = parse_expression("x1^2/x1", 1)
+    assert one == parse_expression("x1", 1)
+    assert len({one, parse_expression("x1", 1)}) == 1
+    cases = [
+        (expr("x1^2 + x1") / expr("x1 + 1"), expr("x1")),
+        (expr("x1") / (expr("2") * expr("x2^(1/2)")), expr("1/2*x1*x2^(-1/2)")),
+        (expr("x2 - 1") * expr("x3") / (expr("x2 - 1") * expr("x1")), expr("x3") / expr("x1")),
+        (expr("3*x1 + 3") / expr("x1 + 1"), 3),
+        (expr("x1 + 1") / (expr("4") * expr("x1 + 1")), Q(1, 4)),
+    ]
+    for a, b in cases:
+        assert a == b
+        assert hash(a) == hash(b)
+    assert hash(ScalarExpr.const(3, 5)) == hash(5) == hash(expr("5"))
+    assert hash(expr("x1 + x2").num) == hash(expr("x1 + x2"))
+
+
 def test_canonical_printing_grlex():
     e = expr("x2 + x1^2 + 3")
     assert str(e) == "x1^2 + x2 + 3"
