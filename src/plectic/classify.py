@@ -751,8 +751,9 @@ def involutive(frame: Sequence[MultiVec]) -> InvolutivityReport:
     for X in frame:
         if X.degree != 1 or X.chart != chart:
             raise ShapeError("frame must consist of vector fields on one chart")
-    cols = [[X.coeffs.get((k,), zero) for X in frame] for k in range(1, d + 1)]
-    if linalg.rank(cols) != len(frame):
+    cols = linalg.Factored([[X.coeffs.get((k,), zero) for X in frame]
+                            for k in range(1, d + 1)])
+    if len(cols.pivots) != len(frame):
         raise DependentFrame("frame is linearly dependent over the fraction field")
     for a in range(len(frame)):
         for b in range(a + 1, len(frame)):

@@ -111,7 +111,7 @@ def sort_index_tuple(idx: Sequence[int]) -> Tuple[Optional[IndexTuple], int]:
 class _Alternating:
     """Shared implementation of DiffForm and MultiVec."""
 
-    __slots__ = ("chart", "degree", "coeffs")
+    __slots__ = ("chart", "degree", "coeffs", "_hash")
 
     def __init__(self, chart: Chart, degree: int,
                  coeffs: Mapping[IndexTuple, object] | None = None):
@@ -153,6 +153,7 @@ class _Alternating:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -214,10 +215,12 @@ class _Alternating:
         return all(self.coeffs[i] == other.coeffs[i] for i in self.coeffs)
 
     def __hash__(self):
-        if self.is_zero:  # zero forms of every degree are equal
-            return hash((type(self).__name__, self.chart))
-        return hash((type(self).__name__, self.chart, self.degree,
-                     frozenset(self.coeffs)))
+        # computed once (hashing each coefficient by value is slow); zero
+        # forms of every degree are equal, so they hash alike
+        if self._hash is None:
+            key = (self.degree, frozenset(self.coeffs.items())) if self.coeffs else ()
+            object.__setattr__(self, "_hash", hash((type(self).__name__, self.chart, key)))
+        return self._hash
 
     def coeff(self, idx: Sequence[int]) -> RationalExpr:
         key, sign = sort_index_tuple(tuple(idx))
@@ -369,18 +372,15 @@ def interior(X: MultiVec, a: DiffForm) -> DiffForm:
     return DiffForm(a.chart, a.degree - X.degree, out)
 
 
-def contraction_matrix(w: DiffForm, extra_rows: Iterable[IndexTuple] = ()):
+def contraction_matrix(w: DiffForm):
     """Matrix of the contraction map v -> i_v w in the coordinate basis.
 
     Column v holds i_{e_v} w; the rows are the sorted index tuples met in
-    those contractions and in ``extra_rows``.  Returns (row tuples, matrix).
+    those contractions.  Returns (row tuples, matrix).
     """
     ch = w.chart
     cols = [interior(coordinate_vector(ch, v), w) for v in range(1, ch.dim + 1)]
-    tuples = set(extra_rows)
-    for c in cols:
-        tuples.update(c.coeffs)
-    rows = sorted(tuples)
+    rows = sorted({t for c in cols for t in c.coeffs})
     zero = RationalExpr.const(ch.dim, 0)
     return rows, [[c.coeffs.get(t, zero) for c in cols] for t in rows]
 

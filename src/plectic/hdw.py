@@ -2,6 +2,9 @@
 
 ``ham_vector_field`` solves i_X w = -dH for the unique vector field X (the
 ``fin1thm`` sign option solves i_X w = (-1)^n dH instead, n = deg w - 1).
+The contraction map v -> i_v w of the last few forms w is factored once and
+kept, keyed on w by value, so the fields of many Hamiltonians on one form
+cost one elimination.
 ``multiphase_forms`` builds the canonical theta and omega = -d(theta) on the
 coordinates (x^1..x^n, q^1..q^N, p^mu_a, p).
 """
@@ -9,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
@@ -41,14 +45,22 @@ SIGN_HDW = "hdw"
 SIGN_FIN1 = "fin1thm"
 
 
-def _rhs_form(w: DiffForm, H: DiffForm, sign_convention: str) -> DiffForm:
-    dH = ext_d(H)
+def _rhs(w: DiffForm, H: DiffForm, sign_convention: str) -> dict:
+    """Coefficients of -dH, or of (-1)^n dH under ``fin1thm``."""
+    dH = ext_d(H).coeffs
     if sign_convention == SIGN_HDW:
-        return -dH
+        return {t: -c for t, c in dH.items()}
     if sign_convention == SIGN_FIN1:
         n = w.degree - 1
-        return dH if n % 2 == 0 else -dH
+        return dH if n % 2 == 0 else {t: -c for t, c in dH.items()}
     raise ShapeError(f"unknown sign convention {sign_convention!r}")
+
+
+@lru_cache(maxsize=8)
+def _factored_contraction(w: DiffForm):
+    """(row tuples, their set, Factored matrix) of v -> i_v w."""
+    rows, matrix = contraction_matrix(w)
+    return rows, frozenset(rows), linalg.Factored(matrix)
 
 
 def ham_vector_field(w: DiffForm, H: DiffForm,
@@ -63,13 +75,14 @@ def ham_vector_field(w: DiffForm, H: DiffForm,
         )
     chart_ = w.chart
     dim = chart_.dim
-    rhs_form = _rhs_form(w, H, sign_convention)
-    rows, matrix = contraction_matrix(w, rhs_form.coeffs)
-    zero = RationalExpr.const(dim, 0)
-    rhs = [rhs_form.coeffs.get(t, zero) for t in rows]
-    if not rows:
-        return MultiVec(chart_, 1, {})
-    sol, free = linalg.solve(matrix, rhs)
+    rhs = _rhs(w, H, sign_convention)
+    rows, row_set, factored = _factored_contraction(w)
+    sol, free = None, []
+    if row_set.issuperset(rhs):  # else -dH has a term no i_v w has
+        if not rows:
+            return MultiVec(chart_, 1, {})
+        zero = RationalExpr.const(dim, 0)
+        sol, free = linalg.solve(factored, [rhs.get(t, zero) for t in rows])
     if sol is None:
         raise NotHamiltonian(
             "the requested form admits no Hamiltonian vector field: "

@@ -2,9 +2,14 @@
 
 Entries may be Fractions, GaussianRationals or RationalExprs.  A matrix of
 constant RationalExprs is lowered to their values, eliminated over sparse
-rows {col: value} and lifted back; a symbolic right-hand side gets the same
-row operations.  Pivots are chosen as in dense textbook elimination, so the
-row operations, and the printed form of symbolic results, are the same.
+rows {col: value} and lifted back.  Pivots are chosen as in dense textbook
+elimination, so the row operations, and the printed form of symbolic
+results, are the same.
+
+``Factored(matrix)`` reduces a matrix once and records its row operations;
+``_replay`` applies them to a right-hand side, in the order they were made,
+so ``solve(factored, b)`` for many b eliminates the matrix only once.  A
+symbolic right-hand side of a lowered matrix gets the lowered factors.
 """
 from __future__ import annotations
 
@@ -17,10 +22,6 @@ from .scalar import RationalExpr
 
 def _zero_like(x):
     return x - x
-
-
-def _one_like(x):
-    return x / x
 
 
 def _sparse(matrix: Sequence[Sequence]) -> List[dict]:
@@ -49,45 +50,66 @@ def _subtract(row: dict, f, pivot_items) -> None:
             del row[j]
 
 
-def _reduce(rows: List[dict], rhs: Optional[List[dict]], ncols: int,
-            below_only: bool = False):
+def _reduce(rows: List[dict], ncols: int, below_only: bool = False):
     """Gauss-Jordan elimination of sparse rows in place: the one elimination loop.
 
     Pivot entries leave their rows, which are scaled by their inverses.
-    Returns the pivot columns, the pivot entries and the number of row swaps.
+    Returns the pivot columns and the row operations, for the r-th pivot
+    (row swapped with row r, pivot entry, its inverse, [(row, factor), ...]).
     """
     nrows = len(rows)
     pivots: List[int] = []
-    scales = []
-    swaps = 0
+    ops = []
     for c in range(ncols):
         r = len(pivots)
         p = next((i for i in range(r, nrows) if c in rows[i]), None)
         if p is None:
             continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            if rhs is not None:
-                rhs[r], rhs[p] = rhs[p], rhs[r]
-            swaps += 1
+        rows[r], rows[p] = rows[p], rows[r]
         pv = rows[r].pop(c)
-        inv = _one_like(pv) / pv
+        inv = 1 / pv
         rows[r] = {j: v * inv for j, v in rows[r].items()}
         prow = list(rows[r].items())
-        if rhs is not None:
-            rhs[r] = {j: v * inv for j, v in rhs[r].items()}
-            prhs = list(rhs[r].items())
+        factors = []
         for i in range(r + 1 if below_only else 0, nrows):
             if i != r and c in rows[i]:
                 f = rows[i].pop(c)
                 _subtract(rows[i], f, prow)
-                if rhs is not None:
-                    _subtract(rhs[i], f, prhs)
+                factors.append((i, f))
         pivots.append(c)
-        scales.append(pv)
+        ops.append((p, pv, inv, factors))
         if r + 1 == nrows:
             break
-    return pivots, scales, swaps
+    return pivots, ops
+
+
+class Factored(tuple):
+    """A matrix (the tuple of its rows) with one reduction of it kept.
+
+    ``reduced`` holds its reduced rows as ``eliminate`` returns them, but in
+    the lowered ring; ``lift`` maps back to the matrix's ring (None when
+    nothing was lowered).  ``pivots`` and ``free`` are the pivot and free
+    columns and ``ops`` the row operations of ``_reduce``.
+    """
+
+    def __new__(cls, matrix: Sequence[Sequence]):
+        self = super().__new__(cls, matrix)
+        self.ncols = len(matrix[0]) if matrix else 0
+        self.reduced, self.lift = _lower(matrix)
+        self.pivots, self.ops = _reduce(self.reduced, self.ncols)
+        self.free = [c for c in range(self.ncols) if c not in self.pivots]
+        return self
+
+    def _replay(self, rhs: Sequence[Sequence]) -> List[dict]:
+        """Sparse rows of ``rhs`` after this reduction's row operations."""
+        b, lift = _lower(rhs) if self.lift else (_sparse(rhs), None)
+        for r, (p, _pv, inv, factors) in enumerate(self.ops):
+            b[r], b[p] = b[p], b[r]
+            b[r] = {j: v * inv for j, v in b[r].items()}
+            prow = list(b[r].items())
+            for i, f in factors:
+                _subtract(b[i], f, prow)
+        return [{j: lift(v) for j, v in row.items()} for row in b] if lift else b
 
 
 def eliminate(matrix: Sequence[Sequence], rhs: Optional[Sequence[Sequence]] = None):
@@ -97,16 +119,11 @@ def eliminate(matrix: Sequence[Sequence], rhs: Optional[Sequence[Sequence]] = No
     caller's ring.  Row r holds the r-th reduced row without its leading 1
     at pivots[r]; the rows past len(pivots) are empty.
     """
-    a, lift = _lower(matrix)
-    b, b_lift = None, None
-    if rhs is not None:
-        b, b_lift = _lower(rhs) if lift else (_sparse(rhs), None)
-    pivots, _, _ = _reduce(a, b, len(matrix[0]) if matrix else 0)
-    if lift:
-        a = [{j: lift(v) for j, v in row.items()} for row in a]
-    if b_lift:
-        b = [{j: b_lift(v) for j, v in row.items()} for row in b]
-    return a, b, pivots
+    f = Factored(matrix)
+    a = f.reduced
+    if f.lift:
+        a = [{j: f.lift(v) for j, v in row.items()} for row in a]
+    return a, None if rhs is None else f._replay(rhs), f.pivots
 
 
 def rank(matrix: Sequence[Sequence]) -> int:
@@ -116,25 +133,26 @@ def rank(matrix: Sequence[Sequence]) -> int:
 
 
 def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Tuple[Optional[list], list]:
-    """Solve A x = b.
+    """Solve A x = b; a ``Factored`` A is not reduced again.
 
     Returns (solution, free_columns); solution is None when inconsistent.
     Free columns are set to zero in the particular solution.
     """
     if not matrix:
         raise ValueError("solve needs at least one equation row")
-    _, b, pivots = eliminate(matrix, [[v] for v in rhs])
-    if any(b[len(pivots):]):  # a zero row with a nonzero rhs
+    f = matrix if isinstance(matrix, Factored) else Factored(matrix)
+    b = f._replay([[v] for v in rhs])
+    if any(b[len(f.pivots):]):  # a zero row with a nonzero rhs
         return None, []
-    sol = [_zero_like(rhs[0])] * len(matrix[0])
-    for r, c in enumerate(pivots):
+    sol = [_zero_like(rhs[0])] * f.ncols
+    for r, c in enumerate(f.pivots):
         sol[c] = b[r].get(0, sol[c])
-    return sol, [c for c in range(len(sol)) if c not in pivots]
+    return sol, list(f.free)
 
 
 def _first_one(matrix: Sequence[Sequence]):
     """x / x for the first nonzero entry x, or None for a zero matrix."""
-    return next((_one_like(v) for row in matrix for v in row if v), None)
+    return next((v / v for row in matrix for v in row if v), None)
 
 
 def nullspace(matrix: Sequence[Sequence]) -> List[list]:
@@ -173,10 +191,12 @@ def det(matrix: Sequence[Sequence]):
         (a, b, c), (d, e, f), (g, h, i) = matrix
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     rows, lift = _lower(matrix)
-    pivots, scales, swaps = _reduce(rows, None, n, below_only=True)
+    pivots, ops = _reduce(rows, n, below_only=True)
     if len(pivots) < n:
         return _zero_like(matrix[0][0])
-    result = -reduce(mul, scales) if swaps % 2 else reduce(mul, scales)
+    result = reduce(mul, (pv for _p, pv, _inv, _factors in ops))
+    if sum(p != r for r, (p, *_rest) in enumerate(ops)) % 2:
+        result = -result
     return lift(result) if lift else result
 
 

@@ -64,19 +64,27 @@ class GaussianRational:
         raise AttributeError("GaussianRational is immutable")
 
     def __add__(self, other):
+        if not isinstance(other, (GaussianRational, Rational)):
+            return NotImplemented
         o = GaussianRational.ensure(other)
         return GaussianRational(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if not isinstance(other, (GaussianRational, Rational)):
+            return NotImplemented
         o = GaussianRational.ensure(other)
         return GaussianRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
+        if not isinstance(other, (GaussianRational, Rational)):
+            return NotImplemented
         return GaussianRational.ensure(other) - self
 
     def __mul__(self, other):
+        if not isinstance(other, (GaussianRational, Rational)):
+            return NotImplemented
         o = GaussianRational.ensure(other)
         return GaussianRational(
             self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
@@ -85,6 +93,8 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if not isinstance(other, (GaussianRational, Rational)):
+            return NotImplemented
         o = GaussianRational.ensure(other)
         n = o.re * o.re + o.im * o.im
         if n == 0:
@@ -95,6 +105,8 @@ class GaussianRational:
         )
 
     def __rtruediv__(self, other):
+        if not isinstance(other, (GaussianRational, Rational)):
+            return NotImplemented
         return GaussianRational.ensure(other) / self
 
     def __neg__(self):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from plectic.catalog import omega_f
 from plectic.errors import (
     ChartMismatch,
     DegreeError,
@@ -381,11 +382,21 @@ def test_fractional_exponent_needs_positivity_flag():
         form(plain, 1, {(1,): parse_expression("x2^(1/2)", 6)})
 
 
+def test_forms_hash_by_coefficient_values():
+    # regression: the hash read only the index tuples, so every w^f collided
+    ch = omega_f("1").chart
+    w = form(ch, 3, {(1, 2, 3): 1, (4, 5, 6): 1})
+    family = [omega_f(f) for f in ("1", "x2", "x2^(1/2)", "1/x2", "x2^2", "x2^2+1", "-1", "-x2")]
+    assert len({hash(a) for a in [w, w.scale(2)] + family}) == 10
+
+
 def test_zero_forms_of_any_degree_hash_equal():
     # regression: zero forms of degrees 1 and 2 compared equal, hashed apart
     z1, z2 = form(C3, 1, {}), form(C3, 2, {})
     assert z1 == z2
     assert hash(z1) == hash(z2)
+    w = form(C6, 3, {(1, 2, 3): 1, (4, 5, 6): "x2"})
+    assert len({hash(form(C6, k, {})) for k in range(7)} | {hash(w - w)}) == 1
     assert len({z1, z2, form(C3, 1, {(1,): 1}) - form(C3, 1, {(1,): 1})}) == 1
     a = form(C3, 1, {(1,): parse_expression("x1^2/x1", 3)})
     b = form(C3, 1, {(1,): parse_expression("x1", 3)})

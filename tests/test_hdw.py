@@ -3,8 +3,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+from plectic import hdw
+from plectic.catalog import omega_f
 from plectic.classify import nondegenerate
-from plectic.errors import DegreeError, NotHamiltonian
+from plectic.errors import DegenerateForm, DegreeError, NotHamiltonian
 from plectic.exterior import (
     SmoothMap,
     chart,
@@ -63,6 +65,70 @@ def test_sign_convention_flag():
     w4 = form(c4, 4, {(1, 2, 3, 4): 1})
     H4 = form(c4, 2, {(1, 2): "x3"})
     assert ham_vector_field(w4, H4, SIGN_FIN1) == ham_vector_field(w4, H4)
+
+
+def test_equal_forms_share_one_factorization():
+    hdw._factored_contraction.cache_clear()
+    ch = omega_f("x2").chart
+    H = form(ch, 1, {(5,): "x2^2/2 - x3", (6,): "x4 - x1"})  # X_H = e1 + e4
+    fields = [ham_vector_field(omega_f("x2"), H) for _ in range(2)]
+    assert hdw._factored_contraction.cache_info().hits == 1  # distinct objects, one entry
+    same = omega_f(parse_expression("x2^2/x2", 6))  # equal, written differently
+    fields.append(ham_vector_field(same, H))
+    assert hdw._factored_contraction.cache_info().hits == 2
+    assert fields[0] == fields[1] == fields[2] == multivec(ch, 1, {(1,): 1, (4,): 1})
+    assert str(fields[0]) == str(fields[1]) == str(fields[2])
+    hdw._factored_contraction.cache_clear()
+    assert ham_vector_field(same, H) == fields[0]
+
+
+def test_one_contraction_matrix_per_form(monkeypatch):
+    built = []
+    original = hdw.contraction_matrix
+
+    def counting(w):
+        built.append(w)
+        return original(w)
+
+    hdw._factored_contraction.cache_clear()
+    monkeypatch.setattr(hdw, "contraction_matrix", counting)
+    rng = random.Random(3)
+    for _ in range(10):
+        H = form(C3, 1, {(rng.randint(1, 3),): f"x{rng.randint(1, 3)}^2"})
+        X = ham_vector_field(W3, H)
+        assert hdw_residual(W3, X, H).is_zero
+    assert len(built) == 1
+    hdw._factored_contraction.cache_clear()
+
+
+def test_not_hamiltonian_cases():
+    # -dH = dx23 has rows of the contraction map, but i_e1 w puts dx45 beside it
+    w = form(chart(5), 3, {(1, 2, 3): 1, (1, 4, 5): 1})
+    with pytest.raises(NotHamiltonian):
+        ham_vector_field(w, form(chart(5), 1, {(3,): "-x2"}))
+    zero = form(C3, 3, {})
+    with pytest.raises(NotHamiltonian):
+        ham_vector_field(zero, form(C3, 1, {(1,): "x3"}))
+    assert ham_vector_field(zero, form(C3, 1, {(1,): "x1"})).is_zero  # dH = 0
+
+
+def test_degenerate_form_after_consistency():
+    w = form(C3, 2, {(1, 2): 1})  # kernel e3
+    with pytest.raises(DegenerateForm):
+        ham_vector_field(w, function_form(C3, "x1"))
+    with pytest.raises(NotHamiltonian):  # -dx3 is no i_v w, whatever the kernel
+        ham_vector_field(w, function_form(C3, "x3"))
+
+
+def test_factorization_cache_is_bounded():
+    hdw._factored_contraction.cache_clear()
+    maxsize = hdw._factored_contraction.cache_info().maxsize
+    H = form(C3, 1, {(1,): "x3"})
+    for k in range(1, maxsize + 4):
+        X = ham_vector_field(W3.scale(k), H)
+        assert X == multivec(C3, 1, {(2,): Q(-1, k)})
+        assert hdw._factored_contraction.cache_info().currsize <= maxsize
+    assert hdw._factored_contraction.cache_info().currsize == maxsize
 
 
 def test_residual_zero_for_solution():

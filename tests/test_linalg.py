@@ -271,3 +271,77 @@ def test_property_rref_matches_sympy():
             assert len(basis) == len(matrix[0]) - len(pivots)
 
     check()
+
+
+def factored_state(F):
+    """Everything a Factored keeps, as printed text."""
+    return (str(list(F)), F.pivots[:], F.free[:], str(F.reduced), str(F.ops))
+
+
+def replay_cases():
+    rng = random.Random(41)
+    fractions = rand_matrix(rng, 5, 4, rank=3)
+    constant = in_ring("rational_expr", rand_matrix(rng, 5, 4, rank=2))
+    symbolic = [[small_poly(rng) for _ in range(4)] for _ in range(2)]
+    symbolic.append([a + b for a, b in zip(*symbolic)])
+    return [
+        ("fraction", fractions, lambda: [rand_fraction(rng) for _ in range(4)],
+         lambda: [rand_fraction(rng) or Q(1) for _ in range(5)]),
+        ("constant_symbolic_rhs", constant, lambda: [rand_poly(rng, DIM) for _ in range(4)],
+         lambda: [rand_poly(rng, DIM) for _ in range(5)]),
+        ("symbolic", symbolic, lambda: [small_poly(rng) for _ in range(4)],
+         lambda: [small_poly(rng) for _ in range(3)]),
+    ]
+
+
+@pytest.mark.parametrize("name,matrix,solution,generic", replay_cases(),
+                         ids=[c[0] for c in replay_cases()])
+def test_factored_replay_is_a_fresh_solve(name, matrix, solution, generic):
+    F = linalg.Factored(matrix)
+    before = factored_state(F)
+    assert list(F) == matrix and F.free  # every case has free columns
+    dot = (lambda row, x: sum(a * v for a, v in zip(row, x))) if name == "fraction" else None
+    inconsistent = 0
+    for k in range(20):
+        if k % 2:
+            rhs = generic()
+        else:
+            x = solution()
+            rhs = [dot(row, x) for row in matrix] if dot else mat_vec(matrix, x)
+        sol, free = linalg.solve(F, rhs)
+        assert (sol, free) == linalg.solve(matrix, rhs)
+        assert str(sol) == str(linalg.solve(matrix, rhs)[0])  # the same printed entries
+        if sol is None:
+            inconsistent += 1
+            assert k % 2
+        else:
+            assert free == F.free
+            assert ([dot(row, sol) for row in matrix] if dot else mat_vec(matrix, sol)) == rhs
+    assert inconsistent >= 5
+    assert factored_state(F) == before
+
+
+def test_factored_rank_and_nullspace_agree():
+    rng = random.Random(9)
+    matrix = in_ring("rational_expr", rand_matrix(rng, 6, 5, rank=3))
+    F = linalg.Factored(matrix)
+    assert len(F.pivots) == linalg.rank(matrix) == 3
+    assert len(F.free) == len(linalg.nullspace(matrix)) == 2
+
+
+def test_symbolic_pivots_do_not_swell():
+    # regression: pivots were inverted as (p/p)/p; entries reached 40,810 characters
+    rng = random.Random(100)
+    A = [[rand_poly(rng, DIM) for _ in range(4)] for _ in range(3)]
+    A.append([a + b for a, b in zip(A[0], A[1])])
+    (k,) = linalg.nullspace(A)
+    assert max(len(str(v)) for v in k) <= 5000
+    assert all(not v for v in mat_vec(A, k))
+
+
+def test_gaussian_rhs_on_a_symbolic_matrix():
+    x1 = parse_expression("x1", DIM)
+    sol, free = linalg.solve([[x1], [x1]], [GaussianRational(1)] * 2)
+    assert free == [] and sol == [1 / x1]
+    sol, _free = linalg.solve([[x1], [x1]], [GaussianRational(0, 1), GaussianRational(1)])
+    assert sol is None

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as Q
 
@@ -11,6 +12,7 @@ from plectic.errors import (
 )
 from plectic.scalar import (
     GaussianRational,
+    RationalExpr,
     ScalarExpr,
     format_gaussian_point,
     format_rational,
@@ -195,6 +197,16 @@ def test_gaussian_arithmetic():
     assert (z / z) == 1
     with pytest.raises(DivisionByZero):
         z / GaussianRational(0, 0)
+
+
+def test_gaussian_defers_to_a_symbolic_operand():
+    # regression: GaussianRational(1) * x1 raised ShapeError, x1 * GaussianRational(1) worked
+    x1 = expr("x1")
+    assert GaussianRational(1) * x1 == x1 * GaussianRational(1) == x1
+    z = GaussianRational(Q(1, 2), 3)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        assert op(z, x1) == op(RationalExpr.const(3, z), x1)
+        assert op(x1, z) == op(x1, RationalExpr.const(3, z))
 
 
 def test_gaussian_point_format_roundtrip():
