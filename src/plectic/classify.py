@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -145,20 +146,33 @@ class NondegeneracyReport:
         return self.nondegenerate
 
 
+def _values_at(w: DiffForm, pt) -> Dict[tuple, Fraction]:
+    """Coefficients of w at pt; constant ones are read, not evaluated."""
+    return {idx: Q(c.constant_value() if c.is_constant else c.eval(pt))
+            for idx, c in w.coeffs.items()}
+
+
+def _cleared(values: Dict[tuple, Fraction]) -> Tuple[int, Dict[tuple, int]]:
+    """(D, {idx: D * value}) in Python int, D the lcm of the denominators."""
+    D = lcm(*(v.denominator for v in values.values()))
+    return D, {idx: v.numerator * (D // v.denominator) for idx, v in values.items()}
+
+
 def _contraction_matrix_at(w: DiffForm, pt) -> list:
-    """Numeric contraction matrix at a point (rows: tuples, cols: basis)."""
+    """Contraction matrix at a point, scaled by D into int (rows: tuples,
+    cols: basis); ``linalg`` lifts the entries to Fraction."""
     chart = w.chart
-    values = [(idx, Q(c.eval(pt))) for idx, c in w.coeffs.items()]
+    _D, values = _cleared(_values_at(w, pt))
     cols: list = [dict() for _ in range(chart.dim)]
     tuples = set()
-    for idx, cv in values:
+    for idx, cv in values.items():
         for pos, i in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1:]
             col = cols[i - 1]
-            col[rest] = col.get(rest, Q(0)) + (-cv if pos % 2 else cv)
+            col[rest] = col.get(rest, 0) + (-cv if pos % 2 else cv)
             tuples.add(rest)
     rows = sorted(tuples)
-    return [[cols[v].get(t, Q(0)) for v in range(chart.dim)] for t in rows]
+    return [[cols[v].get(t, 0) for v in range(chart.dim)] for t in rows]
 
 
 def nondegenerate(w: DiffForm, point: Optional[Sequence] = None) -> NondegeneracyReport:
@@ -377,42 +391,47 @@ def _require_closed_3form_dim6(w: DiffForm):
         raise NotClosed("the form is not closed")
 
 
-def _pointwise_trace_sq(values: Dict[Tuple[int, int, int], Fraction]) -> Fraction:
-    """trace(J(p)^2) for a constant 3-form in dimension 6, raw Fractions.
+# (a, b) -> [(ijk, m - 1, sign)] over the triples disjoint from (a, b):
+# dx^ab ^ dx^ijk is sign * (-1)^(m-1) times the 5-form missing index m, the
+# sign J's column m carries (hitchin_endomorphism)
+_WEDGE_COLUMNS = {
+    pair: [(idx, m - 1, sign if m % 2 else -sign)
+           for idx in combinations(range(1, 7), 3)
+           for merged, sign in [sort_index_tuple(pair + idx)] if merged
+           for m in [21 - sum(merged)]]
+    for pair in combinations(range(1, 7), 2)
+}
 
-    Same contraction/wedge conventions as hitchin_endomorphism, specialized
-    to numeric coefficients for speed.
+
+def _pointwise_trace_sq(values: Dict[Tuple[int, int, int], Fraction]) -> Fraction:
+    """trace(J(p)^2) for a constant 3-form in dimension 6 with coefficients
+    ``values``, computed in Python int on the coefficients scaled by the lcm
+    D of their denominators (J is quadratic in them, so the trace scales by
+    D^4).  Same contraction/wedge conventions as hitchin_endomorphism.
     """
-    all_idx = (1, 2, 3, 4, 5, 6)
-    J = [[Q(0)] * 6 for _ in range(6)]
+    D, values = _cleared(values)
+    J = [[0] * 6 for _ in range(6)]
     for i in range(1, 7):
-        two: Dict[Tuple[int, int], Fraction] = {}
+        two: Dict[Tuple[int, int], int] = {}
         for idx, c in values.items():
             if i not in idx:
                 continue
             pos = idx.index(i)
             rest = idx[:pos] + idx[pos + 1:]
-            two[rest] = two.get(rest, Q(0)) + (-c if pos % 2 else c)
-        five: Dict[Tuple[int, ...], Fraction] = {}
-        for (a, b), ca in two.items():
-            for idx, cb in values.items():
-                if a in idx or b in idx:
-                    continue
-                merged, sign = sort_index_tuple((a, b) + idx)
-                five[merged] = five.get(merged, Q(0)) + sign * ca * cb
-        for j in range(1, 7):
-            comp = tuple(k for k in all_idx if k != j)
-            bj = five.get(comp, Q(0))
-            J[j - 1][i - 1] = -bj if (j - 1) % 2 else bj
-    return sum(J[i][k] * J[k][i] for i in range(6) for k in range(6))
+            two[rest] = two.get(rest, 0) + (-c if pos % 2 else c)
+        for pair, ca in two.items():
+            for idx, col, sign in _WEDGE_COLUMNS[pair]:
+                cb = values.get(idx)
+                if cb:
+                    J[col][i - 1] += sign * ca * cb
+    return Fraction(sum(J[i][k] * J[k][i] for i in range(6) for k in range(6)), D ** 4)
 
 
 def classify6(w: DiffForm, point: Sequence) -> TypeReport:
     """Linear type of a closed 3-form on a 6-chart at a point."""
     _require_closed_3form_dim6(w)
     pt = w.chart.check_point(point)
-    values = {idx: Q(c.eval(pt)) for idx, c in w.coeffs.items()}
-    tv = _pointwise_trace_sq(values)
+    tv = _pointwise_trace_sq(_values_at(w, pt))
     if tv > 0:
         return TypeReport(PRODUCT, "+", points=[list(point)])
     if tv < 0:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
@@ -321,6 +322,8 @@ def ext_d(a: DiffForm) -> DiffForm:
         return DiffForm(chart_, chart_.dim, {})
     out: Dict[IndexTuple, RationalExpr] = {}
     for idx, c in a.coeffs.items():
+        if c.is_constant:  # d of a constant is zero
+            continue
         members = set(idx)
         for i in range(1, chart_.dim + 1):
             if i in members:
@@ -520,20 +523,26 @@ def pullback(f: SmoothMap, a: DiffForm) -> DiffForm:
 
 
 def constant_linear_pullback(a: DiffForm, matrix: Sequence[Sequence[Fraction]]) -> DiffForm:
-    """Pullback of a constant-coefficient form along x -> M x (fast path)."""
-    dim = a.chart.dim
+    """Pullback of a constant-coefficient form along x -> M x (fast path).
+
+    The minors are computed in Python int, as those of D M with D the lcm of
+    M's denominators; each coefficient is divided by D^deg at the end.
+    """
+    dim, deg = a.chart.dim, a.degree
+    if not deg:
+        return a
     m = [[Fraction(v) for v in row] for row in matrix]
-    deg = a.degree
+    D = lcm(*(v.denominator for row in m for v in row))
+    m = [[v.numerator * (D // v.denominator) for v in row] for row in m]
     vals = [(I, c.constant_value()) for I, c in a.coeffs.items()]
-    out: Dict[IndexTuple, Fraction] = {}
+    out: Dict[IndexTuple, RationalExpr] = {}
     for K in combinations(range(1, dim + 1), deg):
-        acc = Fraction(0)
+        acc = 0
         for I, cv in vals:
-            sub = [[m[i - 1][k - 1] for k in K] for i in I]
-            acc += cv * linalg.det(sub)
+            acc += cv * linalg.det([[m[i - 1][k - 1] for k in K] for i in I])
         if acc:
-            out[K] = acc
-    return DiffForm(a.chart, deg, {k: RationalExpr.const(dim, v) for k, v in out.items()})
+            out[K] = RationalExpr.const(dim, acc / D ** deg)
+    return DiffForm(a.chart, deg, out)
 
 
 def pushforward_at(f: SmoothMap, X: MultiVec, point: Sequence) -> MultiVec:

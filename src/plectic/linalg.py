@@ -1,10 +1,11 @@
 """Exact linear algebra through one sparse Gauss-Jordan kernel.
 
-Entries may be Fractions, GaussianRationals or RationalExprs.  A matrix of
-constant RationalExprs is lowered to their values, eliminated over sparse
-rows {col: value} and lifted back.  Pivots are chosen as in dense textbook
-elimination, so the row operations, and the printed form of symbolic
-results, are the same.
+Entries may be ints, Fractions, GaussianRationals or RationalExprs.  A plain
+int is lifted to Fraction on the way in, so no division leaves the exact
+rings.  A matrix of constant RationalExprs is lowered to their values,
+eliminated over sparse rows {col: value} and lifted back.  Pivots are chosen
+as in dense textbook elimination, so the row operations, and the printed
+form of symbolic results, are the same.
 
 ``Factored(matrix)`` reduces a matrix once and records its row operations;
 ``_replay`` applies them to a right-hand side, in the order they were made,
@@ -13,6 +14,7 @@ symbolic right-hand side of a lowered matrix gets the lowered factors.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -20,12 +22,17 @@ from typing import List, Optional, Sequence, Tuple
 from .scalar import RationalExpr
 
 
+def _field(x):
+    """``x``, or its Fraction when it is a plain int (whose ``/`` is float)."""
+    return Fraction(x) if type(x) is int else x
+
+
 def _zero_like(x):
-    return x - x
+    return _field(x) - x
 
 
 def _sparse(matrix: Sequence[Sequence]) -> List[dict]:
-    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    return [{j: _field(v) for j, v in enumerate(row) if v} for row in matrix]
 
 
 def _lower(matrix: Sequence[Sequence]):
@@ -136,7 +143,9 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Tuple[Optional[list], li
     """Solve A x = b; a ``Factored`` A is not reduced again.
 
     Returns (solution, free_columns); solution is None when inconsistent.
-    Free columns are set to zero in the particular solution.
+    Free columns are set to zero in the particular solution.  Its zero is
+    the first zero entry of ``rhs`` (a caller solving many times passes one
+    zero it built once), else ``rhs[0] - rhs[0]``.
     """
     if not matrix:
         raise ValueError("solve needs at least one equation row")
@@ -144,7 +153,8 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Tuple[Optional[list], li
     b = f._replay([[v] for v in rhs])
     if any(b[len(f.pivots):]):  # a zero row with a nonzero rhs
         return None, []
-    sol = [_zero_like(rhs[0])] * f.ncols
+    zero = next((_field(v) for v in rhs if not v), None)
+    sol = [_zero_like(rhs[0]) if zero is None else zero] * f.ncols
     for r, c in enumerate(f.pivots):
         sol[c] = b[r].get(0, sol[c])
     return sol, list(f.free)
@@ -152,7 +162,7 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Tuple[Optional[list], li
 
 def _first_one(matrix: Sequence[Sequence]):
     """x / x for the first nonzero entry x, or None for a zero matrix."""
-    return next((v / v for row in matrix for v in row if v), None)
+    return next((_field(v) / v for row in matrix for v in row if v), None)
 
 
 def nullspace(matrix: Sequence[Sequence]) -> List[list]:

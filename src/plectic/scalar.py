@@ -636,9 +636,7 @@ class RationalExpr:
     def constant_value(self) -> Coeff:
         if not self.is_constant:
             raise ShapeError("expression is not constant")
-        if self.is_zero:
-            return ZERO
-        return self.num.constant_value() / self.den.constant_value()
+        return self.num.constant_value()  # a constant monic denominator is 1
 
     def fractional_vars(self) -> set:
         return self.num.fractional_vars() | self.den.fractional_vars()

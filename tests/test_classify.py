@@ -5,6 +5,7 @@ import pytest
 
 from plectic import catalog
 from plectic.classify import (
+    _pointwise_trace_sq,
     COMPLEX,
     DEGENERATE,
     FLAT,
@@ -45,6 +46,7 @@ from plectic.exterior import (
 from plectic.hdw import multiphase_forms
 from plectic.linalg import det
 from plectic.scalar import RationalExpr, parse_expression
+from util import rand_rational_gl
 
 C6 = chart(6)
 HALF = catalog.half_space6()
@@ -145,6 +147,42 @@ def test_classification_gl_invariant(seed):
     ]:
         moved = constant_linear_pullback(w, M)
         assert classify6(moved, ORIGIN6).linear_type == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pointwise_path_on_rational_conjugates(seed):
+    rng = random.Random(700 + seed)
+    M = rand_rational_gl(rng, 6)
+    vol = standard_volume(C6)
+    for w, expected in [
+        (catalog.product6(), PRODUCT),
+        (catalog.complex6(), COMPLEX),
+        (catalog.tangent6(), TANGENT),
+    ]:
+        moved = constant_linear_pullback(w, M)
+        values = {idx: c.constant_value() for idx, c in moved.coeffs.items()}
+        assert any(v.denominator > 1 for v in values.values())
+        trace = hitchin_endomorphism(moved, vol).square().trace().eval(ORIGIN6)
+        assert _pointwise_trace_sq(values) == trace
+        assert classify6(moved, ORIGIN6).linear_type == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pointwise_nondegenerate_matches_symbolic_on_constant_forms(seed):
+    rng = random.Random(800 + seed)
+    M = rand_rational_gl(rng, 6)
+    point = [1, -2, Q(3, 4), 0, 5, Q(-1, 6)]
+    for w in [
+        catalog.product6(),
+        catalog.tangent6(),
+        form(C6, 3, {(1, 2, 3): 1}),
+        form(C6, 3, {(1, 2, 3): Q(1, 2), (1, 4, 5): Q(-2, 3)}),
+        form(C6, 2, {(1, 2): 1, (3, 4): Q(3, 5)}),
+    ]:
+        moved = constant_linear_pullback(w, M)
+        here, everywhere = nondegenerate(moved, point), nondegenerate(moved)
+        assert bool(here) == bool(everywhere)
+        assert here.kernel == everywhere.kernel
 
 
 # -- product split ------------------------------------------------------------------

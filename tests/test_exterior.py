@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from plectic.catalog import omega_f
+from plectic.catalog import omega_f, symplectic_power
 from plectic.errors import (
     ChartMismatch,
     DegreeError,
@@ -33,8 +33,8 @@ from plectic.exterior import (
     vf_bracket,
     wedge,
 )
-from plectic.scalar import RationalExpr, parse_expression
-from util import rand_form, rand_vector_field
+from plectic.scalar import RationalExpr, ScalarExpr, parse_expression
+from util import linear_map, rand_form, rand_rational_gl, rand_vector_field
 
 C3 = chart(3)
 C6 = chart(6, positive={2})
@@ -116,6 +116,42 @@ def test_d_squared_zero_random(seed):
     c4 = chart(4)
     a = rand_form(rng, c4, rng.randint(0, 3))
     assert ext_d(ext_d(a)).is_zero
+
+
+def test_property_ext_d():
+    """d^2 = 0, the graded Leibniz rule and d of functions on random
+    polynomial forms on R^4, with constant coefficients among them."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    c4 = chart(4)
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    monomials = st.tuples(fractions, st.lists(st.integers(0, 2), min_size=4, max_size=4))
+    zero = RationalExpr.const(4, 0)
+    coefficients = st.one_of(
+        fractions.map(lambda c: RationalExpr.const(4, c)),
+        st.lists(monomials, min_size=1, max_size=3).map(lambda terms: sum(
+            (RationalExpr(ScalarExpr.monomial(4, c, exps)) for c, exps in terms), zero)))
+
+    @st.composite
+    def forms(draw):
+        p = draw(st.integers(0, 4))
+        keys = draw(st.lists(st.sampled_from(list(combinations(range(1, 5), p))),
+                             max_size=3, unique=True))
+        return f(c4, p, {k: draw(coefficients) for k in keys})
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+    @hypothesis.given(forms(), forms())
+    def check(a, b):
+        assert ext_d(ext_d(a)).is_zero
+        sign = -1 if a.degree % 2 else 1
+        assert ext_d(a.wedge(b)) == ext_d(a).wedge(b) + a.wedge(ext_d(b)).scale(sign)
+        if all(c.is_constant for c in a.coeffs.values()):
+            assert ext_d(a).is_zero
+        if a.degree == 0:
+            fa = a.coeffs.get((), zero)
+            assert ext_d(a) == f(c4, 1, {(i,): fa.partial(i) for i in range(1, 5)})
+
+    check()
 
 
 # -- interior product ----------------------------------------------------------
@@ -265,6 +301,20 @@ def test_constant_linear_pullback_matches_map_pullback():
     )
     fmap = SmoothMap(c6, c6, comps)
     assert constant_linear_pullback(w, M) == pullback(fmap, w)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_constant_linear_pullback_clears_denominators(seed):
+    rng = random.Random(900 + seed)
+    c6, c8 = chart(6), chart(8)
+    M6, M8 = rand_rational_gl(rng, 6), rand_rational_gl(rng, 8)
+    assert any(v.denominator > 1 for row in M6 + M8 for v in row)
+    w6 = f(c6, 3, {(1, 2, 3): Q(1, 2), (1, 4, 6): -3, (2, 5, 6): Q(2, 7)})
+    assert constant_linear_pullback(w6, M6) == pullback(linear_map(c6, M6), w6)
+    w8 = symplectic_power(4, 2)  # 4x4 minors: linalg.det eliminates their ints
+    assert constant_linear_pullback(w8, M8) == pullback(linear_map(c8, M8), w8)
+    h = function_form(c6, "3/2")
+    assert constant_linear_pullback(h, M6) == pullback(linear_map(c6, M6), h) == h
 
 
 # -- pushforward ------------------------------------------------------------------

@@ -8,6 +8,7 @@ answer back (A x == b, A k == 0) and against sympy over the fraction field.
 """
 import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 
@@ -345,3 +346,51 @@ def test_gaussian_rhs_on_a_symbolic_matrix():
     assert free == [] and sol == [1 / x1]
     sol, _free = linalg.solve([[x1], [x1]], [GaussianRational(0, 1), GaussianRational(1)])
     assert sol is None
+
+
+def leaves(x):
+    """The scalars in a nest of lists, tuples and dicts."""
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, (list, tuple)):
+        return [v for item in x for v in leaves(item)]
+    return [x]
+
+
+def test_int_entries_stay_exact():
+    # regression: pivots of int matrices were inverted as 1 / pv, a float
+    assert linalg.nullspace([[2, 1], [4, 2]]) == [[Q(-1, 2), Q(1)]]
+    det = linalg.det([[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 2, 1], [1, 0, 0, 2]])
+    assert det == 15 and type(det) is Q
+    assert linalg.solve([[3]], [1]) == ([Q(1, 3)], [])
+    assert linalg.mat_inverse([[2, 0], [0, 4]]) == [[Q(1, 2), 0], [0, Q(1, 4)]]
+    for result in (linalg.nullspace([[2, 1], [4, 2]]), linalg.solve([[3]], [1]),
+                   linalg.mat_inverse([[2, 0], [0, 4]]), linalg.nullspace([[0, 0]])):
+        assert all(type(v) is Q for v in leaves(result))
+
+
+@pytest.mark.parametrize("name,matrix", CASES, ids=IDS)
+def test_int_matrix_agrees_with_fraction_matrix(name, matrix):
+    D = lcm(*(v.denominator for row in matrix for v in row))
+    ints = [[int(v * D) for v in row] for row in matrix]
+    fractions = [[Q(v) for v in row] for row in ints]
+    calls = [linalg.eliminate, linalg.nullspace, linalg.rank,
+             lambda A: linalg.solve(A, [row[0] for row in A]),
+             lambda A: linalg.solve(A, [1] * len(A))]
+    if len(matrix) == len(matrix[0]):
+        calls += [linalg.det, linalg.mat_inverse]
+    for call in calls:
+        got = call(ints)
+        assert got == call(fractions)
+        assert not any(isinstance(v, float) for v in leaves(got))
+
+
+def test_solve_reuses_the_callers_zero():
+    x1 = parse_expression("x1", DIM)
+    zero = RationalExpr.const(DIM, 0)
+    A = in_ring("rational_expr", [[Q(1), Q(0), Q(2)], [Q(0), Q(1), Q(0)]])
+    sol, free = linalg.solve(A, [x1, zero])
+    assert free == [2] and sol == [x1, zero, zero]
+    assert sol[1] is zero and sol[2] is zero
+    sol, _free = linalg.solve(A, [x1, x1])  # no zero to reuse
+    assert str(sol) == str([x1, x1, x1 - x1])

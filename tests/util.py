@@ -6,6 +6,7 @@ from plectic import linalg
 from plectic.exterior import (
     DiffForm,
     MultiVec,
+    SmoothMap,
     coordinate_vector,
     ext_d,
     interior,
@@ -31,6 +32,23 @@ def rand_poly(rng, dim, max_terms=3, max_deg=2):
         if c:
             terms[tuple(Q(e) for e in exps)] = terms.get(tuple(Q(e) for e in exps), Q(0)) + c
     return RationalExpr(ScalarExpr(dim, {k: v for k, v in terms.items() if v}))
+
+
+def rand_rational_gl(rng, n):
+    """A seeded invertible n x n matrix of Fractions with denominators 2 to 7."""
+    while True:
+        M = [[Q(rng.randint(-6, 6), rng.randint(2, 7)) for _ in range(n)] for _ in range(n)]
+        if linalg.det(M):
+            return M
+
+
+def linear_map(ch, M):
+    """The SmoothMap x -> M x of the chart ch to itself."""
+    d = ch.dim
+    return SmoothMap(ch, ch, tuple(
+        sum((RationalExpr.variable(d, j + 1) * RationalExpr.const(d, M[i][j]) for j in range(d)),
+            RationalExpr.const(d, 0))
+        for i in range(d)))
 
 
 def rand_form(rng, chart, degree, max_terms=3):
