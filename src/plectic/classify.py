@@ -43,7 +43,7 @@ from .exterior import (
     sort_index_tuple,
     vf_bracket,
 )
-from .scalar import RationalExpr, fraction_root
+from .scalar import GaussianRational, RationalExpr, fraction_root
 
 Q = Fraction
 
@@ -148,8 +148,17 @@ class NondegeneracyReport:
 
 def _values_at(w: DiffForm, pt) -> Dict[tuple, Fraction]:
     """Coefficients of w at pt; constant ones are read, not evaluated."""
-    return {idx: Q(c.constant_value() if c.is_constant else c.eval(pt))
+    return {idx: _rational(c.constant_value() if c.is_constant else c.eval(pt))
             for idx, c in w.coeffs.items()}
+
+
+def _rational(v) -> Fraction:
+    """v as a Fraction; a Gaussian value must be real."""
+    if isinstance(v, GaussianRational):
+        if not v.is_real:
+            raise ShapeError(f"not an exact rational: {v!r}")
+        return v.re
+    return Q(v)
 
 
 def _cleared(values: Dict[tuple, Fraction]) -> Tuple[int, Dict[tuple, int]]:

@@ -498,11 +498,8 @@ def pullback(f: SmoothMap, a: DiffForm) -> DiffForm:
     src = f.source
     comps = list(f.components)
     # differentials of the components, as one-forms on the source chart
-    dcomp: List[DiffForm] = []
-    for c in comps:
-        dcomp.append(DiffForm(src, 1, {
-            (s,): c.partial(s) for s in range(1, src.dim + 1) if c.partial(s)
-        }))
+    dcomp = [DiffForm(src, 1, {(s,): c.partial(s) for s in range(1, src.dim + 1)})
+             for c in comps]
     out = DiffForm(src, a.degree, {})
     for idx, c in a.coeffs.items():
         pulled = c.substitute(comps)

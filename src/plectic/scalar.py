@@ -3,11 +3,24 @@
 A :class:`ScalarExpr` is a finite sum of monomials ``c * x1^e1 * ... * xN^eN``
 with rational coefficients and *rational* exponents (so ``x2^(1/2)`` and
 ``x2^(-3/2)`` are ordinary monomials).  The point-mover uses the same term
-structure with Gaussian-rational coefficients.  A :class:`RationalExpr` is a
-quotient ``num/den`` whose denominator is kept monic under the
-graded-lexicographic term order; equality of quotients is decided by
-cross-multiplication and no gcd cancellation is attempted beyond that
-normalization.
+structure with Gaussian-rational coefficients; a :class:`GaussianRational` is
+stored as three integers ``(a, b, d)``, standing for ``(a + b*i)/d`` with
+``d > 0`` and ``gcd(a, b, d) == 1``.  A :class:`RationalExpr` is a quotient
+``num/den`` whose denominator is kept monic under the graded-lexicographic
+term order; equality of quotients is decided by cross-multiplication and no
+gcd cancellation is attempted beyond that normalization.
+
+Normal form.  The public constructors bring their input into it; the
+arithmetic builds results that are already in it and wraps them with the
+unchecked ``ScalarExpr._raw`` / ``RationalExpr._raw``:
+
+- every exponent entry is an ``int`` when integral and a ``Fraction``
+  otherwise (a sum of two Fraction entries can be integral, so products
+  convert it back);
+- every coefficient is a nonzero ``Fraction`` or ``GaussianRational``
+  (sums drop the terms that cancel);
+- the denominator is monic, and a zero numerator has the constant 1 as its
+  denominator.
 
 Variables are positional (``x1 .. xN``); whether a variable may carry a
 fractional exponent is a property of the owning chart and is validated where
@@ -16,7 +29,9 @@ charts are known (see :mod:`plectic.exterior`).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational
 from typing import Mapping, Optional, Sequence, Union
 
@@ -46,13 +61,27 @@ def _as_fraction(v) -> Fraction:
 
 
 class GaussianRational:
-    """Element of Q(i): a complex number with rational real/imaginary parts."""
+    """Element of Q(i), stored as three integers.
 
-    __slots__ = ("re", "im")
+    ``(a, b, d)`` stands for ``(a + b*i)/d`` with ``d > 0`` and
+    ``gcd(a, b, d) == 1``, so each value has exactly one representation and
+    every result costs one three-way gcd.  ``re`` and ``im`` are read-only
+    :class:`Fraction` views; a real value hashes like its Fraction.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = _as_fraction(re), _as_fraction(im)
+            d = lcm(re.denominator, im.denominator)
+            a = re.numerator * (d // re.denominator)
+            b = im.numerator * (d // im.denominator)
+        _SET_A(self, a)
+        _SET_B(self, b)
+        _SET_D(self, d)
 
     @classmethod
     def ensure(cls, v) -> "GaussianRational":
@@ -63,90 +92,142 @@ class GaussianRational:
     def __setattr__(self, *a):
         raise AttributeError("GaussianRational is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     def __add__(self, other):
-        if not isinstance(other, (GaussianRational, Rational)):
+        o = _gaussian_parts(other)
+        if o is None:
             return NotImplemented
-        o = GaussianRational.ensure(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        c, e, f = o
+        a, b, d = self._a, self._b, self._d
+        if d == f:
+            return _gaussian(a + c, b + e, d)
+        return _gaussian(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (GaussianRational, Rational)):
+        o = _gaussian_parts(other)
+        if o is None:
             return NotImplemented
-        o = GaussianRational.ensure(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        c, e, f = o
+        a, b, d = self._a, self._b, self._d
+        return _gaussian(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        if not isinstance(other, (GaussianRational, Rational)):
+        o = _gaussian_parts(other)
+        if o is None:
             return NotImplemented
-        return GaussianRational.ensure(other) - self
+        c, e, f = o
+        a, b, d = self._a, self._b, self._d
+        return _gaussian(c * d - a * f, e * d - b * f, d * f)
 
     def __mul__(self, other):
-        if not isinstance(other, (GaussianRational, Rational)):
+        o = _gaussian_parts(other)
+        if o is None:
             return NotImplemented
-        o = GaussianRational.ensure(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        c, e, f = o
+        a, b, d = self._a, self._b, self._d
+        return _gaussian(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, (GaussianRational, Rational)):
+        o = _gaussian_parts(other)
+        if o is None:
             return NotImplemented
-        o = GaussianRational.ensure(other)
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise DivisionByZero("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        return _gaussian_quotient(self._a, self._b, self._d, *o)
 
     def __rtruediv__(self, other):
-        if not isinstance(other, (GaussianRational, Rational)):
+        o = _gaussian_parts(other)
+        if o is None:
             return NotImplemented
-        return GaussianRational.ensure(other) / self
+        return _gaussian_quotient(*o, self._a, self._b, self._d)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian_raw(-self._a, -self._b, self._d)
 
     def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+        if type(other) is GaussianRational:
+            return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, Rational):
-            return self.im == 0 and self.re == other
+            return not self._b and self._a * other.denominator == other.numerator * self._d
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
+        if not self._b:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _gaussian_raw(self._a, -self._b, self._d)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        imp = "i" if abs(self.im) == 1 else f"{abs(self.im)}i"
-        sign = "-" if self.im < 0 else "+"
-        if self.re == 0:
-            return f"{'-' if self.im < 0 else ''}{imp}"
-        return f"{self.re}{sign}{imp}"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        imp = "i" if abs(im) == 1 else f"{abs(im)}i"
+        sign = "-" if im < 0 else "+"
+        if re == 0:
+            return f"{'-' if im < 0 else ''}{imp}"
+        return f"{re}{sign}{imp}"
 
     __repr__ = __str__
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
+
+
+_SET_A = GaussianRational._a.__set__
+_SET_B = GaussianRational._b.__set__
+_SET_D = GaussianRational._d.__set__
+
+
+def _gaussian_raw(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d, trusting d > 0 and gcd(a, b, d) == 1."""
+    z = object.__new__(GaussianRational)
+    _SET_A(z, a)
+    _SET_B(z, b)
+    _SET_D(z, d)
+    return z
+
+
+def _gaussian(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, reduced by one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _gaussian_raw(a, b, d)
+
+
+def _gaussian_quotient(a, b, d, c, e, f) -> GaussianRational:
+    """((a + b*i)/d) / ((c + e*i)/f)."""
+    n = c * c + e * e
+    if not n:
+        raise DivisionByZero("division by zero Gaussian rational")
+    return _gaussian((a * c + b * e) * f, (b * c - a * e) * f, d * n)
+
+
+def _gaussian_parts(v):
+    """(a, b, d) with v == (a + b*i)/d, or None for a value outside Q(i)."""
+    if type(v) is GaussianRational:
+        return v._a, v._b, v._d
+    if isinstance(v, Rational):
+        return v.numerator, 0, v.denominator
+    return None
 
 
 I = GaussianRational(0, 1)
@@ -281,8 +362,16 @@ class ScalarExpr:
                     clean[key] = c
                 elif key in clean:
                     del clean[key]
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
+        _SET_DIM(self, dim)
+        _SET_TERMS(self, clean)
+
+    @classmethod
+    def _raw(cls, dim: int, terms: dict) -> "ScalarExpr":
+        """Wrap ``terms`` already in normal form (module docstring), unchecked."""
+        obj = object.__new__(cls)
+        _SET_DIM(obj, dim)
+        _SET_TERMS(obj, terms)
+        return obj
 
     def __setattr__(self, *a):
         raise AttributeError("ScalarExpr is immutable")
@@ -295,8 +384,10 @@ class ScalarExpr:
 
     @classmethod
     def const(cls, dim: int, c) -> "ScalarExpr":
+        if dim < 1:
+            raise ShapeError("chart dimension must be positive")
         c = _coeff(c)
-        return cls(dim, {(0,) * dim: c} if c else {})
+        return cls._raw(dim, {(0,) * dim: c} if c else {})
 
     @classmethod
     def variable(cls, dim: int, index: int, exponent=1) -> "ScalarExpr":
@@ -381,11 +472,16 @@ class ScalarExpr:
         self._check(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms.get(k, ZERO) + c
-        return ScalarExpr(self.dim, terms)
+            if k in terms:
+                c = terms[k] + c
+                if not c:
+                    del terms[k]
+                    continue
+            terms[k] = c
+        return ScalarExpr._raw(self.dim, terms)
 
     def __neg__(self) -> "ScalarExpr":
-        return ScalarExpr(self.dim, {k: -c for k, c in self.terms.items()})
+        return ScalarExpr._raw(self.dim, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "ScalarExpr") -> "ScalarExpr":
         return self + (-other)
@@ -393,17 +489,26 @@ class ScalarExpr:
     def __mul__(self, other: "ScalarExpr") -> "ScalarExpr":
         self._check(other)
         out: dict = {}
+        right = other.terms.items()
         for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                k = tuple(a + b for a, b in zip(ka, kb))
-                out[k] = out.get(k, ZERO) + ca * cb
-        return ScalarExpr(self.dim, out)
+            # only two Fraction entries can sum to an integer
+            add = _add_exponents if Fraction in map(type, ka) else operator.add
+            for kb, cb in right:
+                k = tuple(map(add, ka, kb))
+                c = ca * cb
+                if k in out:
+                    c = out[k] + c
+                    if not c:
+                        del out[k]
+                        continue
+                out[k] = c
+        return ScalarExpr._raw(self.dim, out)
 
     def scale(self, c) -> "ScalarExpr":
         c = _coeff(c)
         if not c:
-            return ScalarExpr.zero(self.dim)
-        return ScalarExpr(self.dim, {k: v * c for k, v in self.terms.items()})
+            return ScalarExpr._raw(self.dim, {})
+        return ScalarExpr._raw(self.dim, {k: v * c for k, v in self.terms.items()})
 
     def pow_int(self, k: int) -> "ScalarExpr":
         if k < 0:
@@ -439,11 +544,9 @@ class ScalarExpr:
         out: dict = {}
         for exps, c in self.terms.items():
             e = exps[i]
-            if not e:
-                continue
-            k = exps[:i] + (e - 1,) + exps[i + 1:]
-            out[k] = out.get(k, ZERO) + c * e
-        return ScalarExpr(self.dim, out)
+            if e:  # distinct terms keep distinct exponents: nothing merges
+                out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
+        return ScalarExpr._raw(self.dim, out)
 
     def eval(self, point: Sequence, mode: str = "exact"):
         """Evaluate at a rational (or Gaussian-rational) point.
@@ -527,6 +630,20 @@ class ScalarExpr:
         return f"ScalarExpr({self!s})"
 
 
+_SET_DIM = ScalarExpr.dim.__set__
+_SET_TERMS = ScalarExpr.terms.__set__
+
+
+def _add_exponents(a, b):
+    """Sum of two exponent entries in normal form (an integral sum is an int)."""
+    s = a + b
+    return s.numerator if type(s) is Fraction and s.denominator == 1 else s
+
+
+def _one(dim: int) -> ScalarExpr:
+    return ScalarExpr._raw(dim, {(0,) * dim: ONE})
+
+
 def _format_exponent(e: Fraction) -> str:
     if e == 1:
         return ""
@@ -579,13 +696,13 @@ class RationalExpr:
 
     def __init__(self, num: ScalarExpr, den: ScalarExpr | None = None):
         if den is None:
-            den = ScalarExpr.const(num.dim, 1)
+            den = _one(num.dim)
         if num.dim != den.dim:
             raise ShapeError("numerator and denominator dimensions differ")
         if den.is_zero:
             raise DivisionByZero("zero denominator")
         if num.is_zero:
-            den = ScalarExpr.const(num.dim, 1)
+            den = _one(num.dim)
         else:
             lc = den.leading_coeff()
             if lc != 1:
@@ -596,8 +713,16 @@ class RationalExpr:
                 )
                 num = num.scale(inv)
                 den = den.scale(inv)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _SET_NUM(self, num)
+        _SET_DEN(self, den)
+
+    @classmethod
+    def _raw(cls, num: ScalarExpr, den: ScalarExpr) -> "RationalExpr":
+        """Wrap num/den already in normal form (module docstring), unchecked."""
+        obj = object.__new__(cls)
+        _SET_NUM(obj, num)
+        _SET_DEN(obj, den)
+        return obj
 
     def __setattr__(self, *a):
         raise AttributeError("RationalExpr is immutable")
@@ -606,7 +731,7 @@ class RationalExpr:
 
     @classmethod
     def const(cls, dim: int, c) -> "RationalExpr":
-        return cls(ScalarExpr.const(dim, c))
+        return cls._raw(ScalarExpr.const(dim, c), _one(dim))
 
     @classmethod
     def variable(cls, dim: int, index: int, exponent=1) -> "RationalExpr":
@@ -662,7 +787,8 @@ class RationalExpr:
         other = self._coerce(other, self.dim)
         self._check(other)
         if self.den.terms == other.den.terms:
-            return RationalExpr(self.num + other.num, self.den)
+            num = self.num + other.num
+            return RationalExpr._raw(num, self.den if num.terms else _one(num.dim))
         return RationalExpr(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -670,7 +796,7 @@ class RationalExpr:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalExpr(-self.num, self.den)
+        return RationalExpr._raw(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other, self.dim))
@@ -681,7 +807,9 @@ class RationalExpr:
     def __mul__(self, other):
         other = self._coerce(other, self.dim)
         self._check(other)
-        return RationalExpr(self.num * other.num, self.den * other.den)
+        # a product of monic denominators is monic: leading terms multiply
+        num = self.num * other.num
+        return RationalExpr._raw(num, self.den * other.den if num.terms else _one(num.dim))
 
     __rmul__ = __mul__
 
@@ -730,7 +858,7 @@ class RationalExpr:
 
     def partial(self, index: int) -> "RationalExpr":
         if self.den_is_one:
-            return RationalExpr(self.num.partial(index))
+            return RationalExpr._raw(self.num.partial(index), self.den)
         dn = self.num.partial(index) * self.den - self.num * self.den.partial(index)
         return RationalExpr(dn, self.den * self.den)
 
@@ -787,6 +915,10 @@ class RationalExpr:
 
     def __repr__(self):
         return f"RationalExpr({self!s})"
+
+
+_SET_NUM = RationalExpr.num.__set__
+_SET_DEN = RationalExpr.den.__set__
 
 
 def format_rational(expr: RationalExpr, var_names: Optional[Sequence[str]] = None) -> str:

@@ -30,6 +30,7 @@ from plectic.errors import (
     DependentFrame,
     NotAlmostComplex,
     NotClosed,
+    PlecticError,
     WrongType,
 )
 from plectic.exterior import (
@@ -45,7 +46,7 @@ from plectic.exterior import (
 )
 from plectic.hdw import multiphase_forms
 from plectic.linalg import det
-from plectic.scalar import RationalExpr, parse_expression
+from plectic.scalar import GaussianRational, RationalExpr, parse_expression
 from util import rand_rational_gl
 
 C6 = chart(6)
@@ -183,6 +184,29 @@ def test_pointwise_nondegenerate_matches_symbolic_on_constant_forms(seed):
         here, everywhere = nondegenerate(moved, point), nondegenerate(moved)
         assert bool(here) == bool(everywhere)
         assert here.kernel == everywhere.kernel
+
+
+@pytest.mark.parametrize("coeff", [
+    GaussianRational(0, 1),
+    RationalExpr.variable(6, 1) * RationalExpr.const(6, GaussianRational(0, 1)),
+], ids=["constant", "evaluated"])
+def test_pointwise_path_rejects_a_gaussian_coefficient(coeff):
+    w = form(C6, 3, {(1, 2, 3): coeff, (4, 5, 6): 1})
+    point = [1, 0, 0, 0, 0, 0]
+    with pytest.raises(PlecticError):
+        classify6(w, point)
+    with pytest.raises(PlecticError):
+        nondegenerate(w, point)
+
+
+def test_pointwise_path_reads_a_real_gaussian_coefficient():
+    gaussian = form(C6, 3, {(1, 2, 3): GaussianRational(2), (4, 5, 6): 1})
+    plain = form(C6, 3, {(1, 2, 3): 2, (4, 5, 6): 1})
+    assert classify6(gaussian, ORIGIN6) == classify6(plain, ORIGIN6)
+    assert classify6(gaussian, ORIGIN6).linear_type == PRODUCT
+    here, expected = nondegenerate(gaussian, ORIGIN6), nondegenerate(plain, ORIGIN6)
+    assert bool(here) and bool(expected)
+    assert here.kernel == expected.kernel
 
 
 # -- product split ------------------------------------------------------------------

@@ -20,6 +20,7 @@ from plectic.scalar import (
     parse_expression,
     parse_gaussian,
 )
+from gaussian_reference import ReferenceGaussian
 from util import rand_poly
 
 
@@ -207,6 +208,133 @@ def test_gaussian_defers_to_a_symbolic_operand():
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         assert op(z, x1) == op(RationalExpr.const(3, z), x1)
         assert op(x1, z) == op(x1, RationalExpr.const(3, z))
+
+
+# -- GaussianRational against the two-Fraction reference -----------------------
+
+
+def _gaussian_pairs(seed, count=12):
+    """(value, reference) pairs over Q(i): zero, real, imaginary and seeded ones."""
+    rng = random.Random(seed)
+    parts = [(0, 0), (1, 0), (0, 1), (Q(-3, 4), 0), (0, Q(5, 6)), (Q(2, 4), Q(4, 6)),
+             (Q(10**20 + 1, 3**15), Q(-7, 10**12))]
+    while len(parts) < count:
+        parts.append(tuple(Q(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(2)))
+    return [(GaussianRational(*p), ReferenceGaussian(*p)) for p in parts]
+
+
+def _outcome(op, *args):
+    try:
+        return op(*args)
+    except DivisionByZero:
+        return DivisionByZero
+
+
+def _assert_same(got, want):
+    if want is DivisionByZero:
+        assert got is DivisionByZero
+        return
+    assert type(got) is GaussianRational
+    assert type(got.re) is Q and type(got.im) is Q
+    assert (got.re, got.im) == (want.re, want.im)
+    assert got == GaussianRational(want.re, want.im)  # one representation per value
+    assert hash(got) == hash(want)
+    assert str(got) == str(want) and repr(got) == repr(want)
+    assert bool(got) == bool(want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gaussian_matches_the_two_fraction_reference(seed):
+    pairs = _gaussian_pairs(500 + seed)
+    rationals = [0, 1, -3, Q(2, 3), Q(-5, 4)]
+    binary = (operator.add, operator.sub, operator.mul, operator.truediv)
+    for x, rx in pairs:
+        _assert_same(x, rx)
+        _assert_same(-x, -rx)
+        _assert_same(x.conjugate(), rx.conjugate())
+        for y, ry in pairs:
+            assert (x == y) == (rx == ry) and (x != y) == (rx != ry)
+            for op in binary:
+                _assert_same(_outcome(op, x, y), _outcome(op, rx, ry))
+        for q in rationals:
+            assert (x == q) == (rx == q) and (q == x) == (q == rx)
+            for op in binary:
+                _assert_same(_outcome(op, x, q), _outcome(op, rx, q))
+                _assert_same(_outcome(op, q, x), _outcome(op, q, rx))
+        for other in (0.5, "1", None):
+            assert (x == other) == (rx == other)
+            for op in binary:
+                with pytest.raises(TypeError):
+                    op(x, other)
+                with pytest.raises(TypeError):
+                    op(other, x)
+
+
+def test_gaussian_hash_follows_the_value():
+    for q in [0, 1, -7, Q(1, 3), Q(-22, 7), Q(10**30, 3)]:
+        assert hash(GaussianRational(q)) == hash(Q(q))
+        assert GaussianRational(q) == q and q == GaussianRational(q)
+    halved = GaussianRational(2, 4) / 2
+    assert halved == GaussianRational(1, 2)
+    assert hash(halved) == hash(GaussianRational(1, 2))
+    assert GaussianRational(Q(3, 6), Q(-2, 8)) == GaussianRational(Q(1, 2), Q(-1, 4))
+
+
+def test_gaussian_parts_are_read_only():
+    z = GaussianRational(Q(1, 2), 3)
+    for name in ("re", "im"):
+        with pytest.raises(AttributeError):
+            setattr(z, name, Q(0))
+    assert (z.re, z.im) == (Q(1, 2), Q(3))
+
+
+# -- raw constructors -----------------------------------------------------------
+
+
+def _assert_normal_scalar(r):
+    assert ScalarExpr(r.dim, r.terms).terms == r.terms
+    for exps, c in r.terms.items():
+        for e in exps:
+            assert type(e) in (int, Q)
+            assert (type(e) is int) == (Q(e).denominator == 1)
+        assert type(c) in (Q, GaussianRational)
+        assert c
+
+
+def _assert_normal_quotient(r):
+    _assert_normal_scalar(r.num)
+    _assert_normal_scalar(r.den)
+    assert r.den.leading_coeff() == 1
+    if r.is_zero:
+        assert r.den.terms == {(0,) * r.dim: 1}
+
+
+def test_property_raw_paths_return_normal_form():
+    """Every operation that builds its result with ``_raw`` returns terms that
+    the validating constructors would leave unchanged."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    dim = 2
+    exponents = st.one_of(st.integers(-2, 3),
+                          st.builds(Q, st.integers(-4, 4), st.sampled_from([2, 3])))
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coefficients = st.one_of(rationals, st.builds(GaussianRational, rationals, rationals))
+    scalars = st.dictionaries(st.tuples(exponents, exponents), coefficients,
+                              max_size=4).map(lambda terms: ScalarExpr(dim, terms))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(scalars, scalars, coefficients, st.integers(1, dim))
+    def check(a, b, c, i):
+        for r in (a + b, a + (-a), b + (-a) + a, -a, a * b, a * a, a.scale(c),
+                  a.partial(i), ScalarExpr.const(dim, c)):
+            _assert_normal_scalar(r)
+        p = RationalExpr(a, b) if b else RationalExpr(a)
+        q = RationalExpr(b, p.den)
+        for r in (p + q, p + (-p), -p, p * q, p * p, RationalExpr(a).partial(i),
+                  RationalExpr.const(dim, c)):
+            _assert_normal_quotient(r)
+
+    check()
 
 
 def test_gaussian_point_format_roundtrip():
