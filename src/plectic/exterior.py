@@ -109,6 +109,17 @@ def sort_index_tuple(idx: Sequence[int]) -> Tuple[Optional[IndexTuple], int]:
     return tuple(lst), sign
 
 
+def _check_domain(chart: Chart, exprs: Iterable[RationalExpr]) -> None:
+    """Fractional exponents are licensed only on variables flagged positive."""
+    for c in exprs:
+        bad = c.fractional_vars().difference(chart.positive)
+        if bad:
+            raise DomainViolation(
+                f"fractional exponent on variable(s) {sorted(bad)} "
+                "not flagged positive on the chart"
+            )
+
+
 class _Alternating:
     """Shared implementation of DiffForm and MultiVec."""
 
@@ -144,17 +155,24 @@ class _Alternating:
                             del clean[idx]
                     else:
                         clean[idx] = c
-        for c in clean.values():
-            bad = c.fractional_vars() - set(chart.positive)
-            if bad:
-                raise DomainViolation(
-                    f"fractional exponent on variable(s) {sorted(bad)} "
-                    "not flagged positive on the chart"
-                )
+        _check_domain(chart, clean.values())
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _raw(cls, chart: Chart, degree: int, coeffs: Dict[IndexTuple, RationalExpr]):
+        """Wrap coefficients that are already clean, unchecked: sorted index
+        tuples of length ``degree``, nonzero ``RationalExpr`` values whose
+        fractional variables are flagged positive on the chart.  Products,
+        sums and partials of such values keep the last property."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "chart", chart)
+        object.__setattr__(obj, "degree", degree)
+        object.__setattr__(obj, "coeffs", coeffs)
+        object.__setattr__(obj, "_hash", None)
+        return obj
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -184,13 +202,12 @@ class _Alternating:
             raise DegreeError("adding forms of different degrees")
         out = dict(self.coeffs)
         for idx, c in other.coeffs.items():
-            s = out.get(idx)
-            out[idx] = c if s is None else s + c
-        return type(self)(self.chart, self.degree, out)
+            _accumulate(out, idx, c)
+        return self._raw(self.chart, self.degree, out)
 
     def __neg__(self):
-        return type(self)(self.chart, self.degree,
-                          {i: -c for i, c in self.coeffs.items()})
+        return self._raw(self.chart, self.degree,
+                         {i: -c for i, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -198,9 +215,10 @@ class _Alternating:
     def scale(self, c):
         c = _coerce_coeff(c, self.chart.dim)
         if not c:
-            return type(self)(self.chart, self.degree, {})
-        return type(self)(self.chart, self.degree,
-                          {i: v * c for i, v in self.coeffs.items()})
+            return self._raw(self.chart, self.degree, {})
+        _check_domain(self.chart, (c,))
+        return self._raw(self.chart, self.degree,
+                         {i: v * c for i, v in self.coeffs.items()})
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -236,7 +254,7 @@ class _Alternating:
         self._check(other)
         deg = self.degree + other.degree
         if deg > self.chart.dim:
-            return type(self)(self.chart, self.chart.dim, {})
+            return self._raw(self.chart, self.chart.dim, {})
         out: Dict[IndexTuple, RationalExpr] = {}
         for ia, ca in self.coeffs.items():
             for ib, cb in other.coeffs.items():
@@ -244,11 +262,8 @@ class _Alternating:
                 if merged is None:
                     continue
                 term = ca * cb
-                if sign < 0:
-                    term = -term
-                s = out.get(merged)
-                out[merged] = term if s is None else s + term
-        return type(self)(self.chart, deg, out)
+                _accumulate(out, merged, term if sign > 0 else -term)
+        return self._raw(self.chart, deg, out)
 
     def eval_at(self, point: Sequence):
         """Constant-coefficient tensor of the same kind at a point."""
@@ -268,6 +283,20 @@ class _Alternating:
             label = basis_symbol + "".join(f"[{i}]" for i in idx) if idx else "1"
             parts.append(f"({c}) {label}")
         return " + ".join(parts)
+
+
+def _accumulate(out: Dict[IndexTuple, RationalExpr], idx: IndexTuple,
+                term: RationalExpr) -> None:
+    """Add a nonzero term into ``out[idx]``, dropping a sum that cancels."""
+    s = out.get(idx)
+    if s is None:
+        out[idx] = term
+        return
+    s = s + term
+    if s:
+        out[idx] = s
+    else:
+        del out[idx]
 
 
 class DiffForm(_Alternating):
@@ -319,7 +348,7 @@ def ext_d(a: DiffForm) -> DiffForm:
     chart_ = a.chart
     deg = a.degree + 1
     if deg > chart_.dim:
-        return DiffForm(chart_, chart_.dim, {})
+        return DiffForm._raw(chart_, chart_.dim, {})
     out: Dict[IndexTuple, RationalExpr] = {}
     for idx, c in a.coeffs.items():
         if c.is_constant:  # d of a constant is zero
@@ -332,10 +361,8 @@ def ext_d(a: DiffForm) -> DiffForm:
             if not dc:
                 continue
             key, sign = sort_index_tuple((i,) + idx)
-            term = dc if sign == 1 else -dc
-            s = out.get(key)
-            out[key] = term if s is None else s + term
-    return DiffForm(chart_, deg, out)
+            _accumulate(out, key, dc if sign == 1 else -dc)
+    return DiffForm._raw(chart_, deg, out)
 
 
 def _contract_one(idx: IndexTuple, i: int) -> Tuple[Optional[IndexTuple], int]:
@@ -368,11 +395,8 @@ def interior(X: MultiVec, a: DiffForm) -> DiffForm:
             if not ok:
                 continue
             term = vc * fc
-            if sign < 0:
-                term = -term
-            s = out.get(cur)
-            out[cur] = term if s is None else s + term
-    return DiffForm(a.chart, a.degree - X.degree, out)
+            _accumulate(out, cur, term if sign > 0 else -term)
+    return DiffForm._raw(a.chart, a.degree - X.degree, out)
 
 
 def contraction_matrix(w: DiffForm):
@@ -497,9 +521,12 @@ def pullback(f: SmoothMap, a: DiffForm) -> DiffForm:
         raise ChartMismatch("form does not live on the map's target chart")
     src = f.source
     comps = list(f.components)
+    _check_domain(src, comps)
     # differentials of the components, as one-forms on the source chart
-    dcomp = [DiffForm(src, 1, {(s,): c.partial(s) for s in range(1, src.dim + 1)})
-             for c in comps]
+    dcomp = []
+    for c in comps:
+        partials = ((s, c.partial(s)) for s in range(1, src.dim + 1))
+        dcomp.append(DiffForm._raw(src, 1, {(s,): p for s, p in partials if p}))
     out = DiffForm(src, a.degree, {})
     for idx, c in a.coeffs.items():
         pulled = c.substitute(comps)
@@ -515,7 +542,13 @@ def pullback(f: SmoothMap, a: DiffForm) -> DiffForm:
                 break
         if block.is_zero:
             continue
-        out = out + block.scale(pulled)
+        unit = pulled.constant_value() if pulled.is_constant else None
+        if unit == 1:
+            out = out + block
+        elif unit == -1:
+            out = out - block
+        else:
+            out = out + block.scale(pulled)
     return out
 
 

@@ -11,6 +11,7 @@ exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -22,7 +23,7 @@ from .errors import (
     ShapeError,
 )
 from .exterior import Chart, DiffForm, SmoothMap, chart, pullback
-from .scalar import GaussianRational, RationalExpr, ScalarExpr
+from .scalar import GaussianRational, RationalExpr, ScalarExpr, _gaussian_parts
 
 Q = Fraction
 GR = GaussianRational
@@ -103,10 +104,10 @@ class Poly:
         terms = {}
         for p, c in enumerate(self.coeffs):
             if c:
-                exps = [Q(0)] * dim
-                exps[var - 1] = Q(p)
+                exps = [0] * dim
+                exps[var - 1] = p
                 terms[tuple(exps)] = c
-        return ScalarExpr(dim, terms)
+        return ScalarExpr._raw(dim, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +153,10 @@ class LinearStep:
             terms = {}
             for j in range(n):
                 if self.matrix[i][j]:
-                    exps = [Q(0)] * n
-                    exps[j] = Q(1)
+                    exps = [0] * n
+                    exps[j] = 1
                     terms[tuple(exps)] = self.matrix[i][j]
-            out.append(ScalarExpr(n, terms))
+            out.append(ScalarExpr._raw(n, terms))
         return out
 
 
@@ -422,35 +423,28 @@ def real_volume_form(n: int) -> DiffForm:
 
 def realify_scalar(expr: ScalarExpr) -> Tuple[ScalarExpr, ScalarExpr]:
     """Split a Gaussian polynomial in z_1..z_n into Re/Im over R^{2n}."""
-    n = expr.dim
-    dim2 = 2 * n
     re_terms: dict = {}
     im_terms: dict = {}
     for exps, c in expr.terms.items():
-        c = GR.ensure(c)
-        # expand prod_j (x_{2j-1} + i x_{2j})^{e_j}
-        partial = {tuple([Q(0)] * dim2): c}
-        for j, e in enumerate(exps):
-            if e.denominator != 1 or e < 0:
-                raise NonPolynomial("realification needs polynomial exponents")
-            for _ in range(e.numerator):
-                nxt: dict = {}
-                for key, cv in partial.items():
-                    kx = list(key)
-                    kx[2 * j] += 1
-                    k1 = tuple(kx)
-                    nxt[k1] = nxt.get(k1, GR(0)) + cv
-                    ky = list(key)
-                    ky[2 * j + 1] += 1
-                    k2 = tuple(ky)
-                    nxt[k2] = nxt.get(k2, GR(0)) + cv * GR(0, 1)
-                partial = nxt
-        for key, cv in partial.items():
-            if cv.re:
-                re_terms[key] = re_terms.get(key, Q(0)) + cv.re
-            if cv.im:
-                im_terms[key] = im_terms.get(key, Q(0)) + cv.im
-    return ScalarExpr(dim2, re_terms), ScalarExpr(dim2, im_terms)
+        if any(e.denominator != 1 or e < 0 for e in exps):
+            raise NonPolynomial("realification needs polynomial exponents")
+        a, b, d = _gaussian_parts(c)
+        # (x_{2j-1} + i x_{2j})^e = sum_k C(e, k) x_{2j-1}^(e-k) x_{2j}^k i^k;
+        # the exponents e_j = (e-k) + k tell the terms of expr apart, so no
+        # two (term, picks) pairs share a key and nothing merges
+        factors = [[((e - k, k), math.comb(e, k)) for k in range(e + 1)]
+                   for e in map(int, exps)]
+        for picks in itertools.product(*factors):
+            key = sum((p for p, _ in picks), ())
+            m = math.prod(binom for _, binom in picks)
+            # (a + b*i) * i^k for k the total power of i
+            re, im = ((a, b), (-b, a), (-a, -b), (b, -a))[sum(p[1] for p, _ in picks) % 4]
+            if re:
+                re_terms[key] = Q(re * m, d)
+            if im:
+                im_terms[key] = Q(im * m, d)
+    dim2 = 2 * expr.dim
+    return ScalarExpr._raw(dim2, re_terms), ScalarExpr._raw(dim2, im_terms)
 
 
 def realify_step(step, n: int) -> SmoothMap:

@@ -875,6 +875,8 @@ class RationalExpr:
 
     def substitute(self, components: Sequence["RationalExpr"]) -> "RationalExpr":
         n = self.num.substitute(components)
+        if self.den_is_one:
+            return n
         d = self.den.substitute(components)
         if d.is_zero:
             raise DivisionByZero("denominator vanishes under substitution")

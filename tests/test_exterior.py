@@ -154,6 +154,61 @@ def test_property_ext_d():
     check()
 
 
+def test_property_trusted_paths_return_clean_forms():
+    """wedge, +, -, interior, d and pullback build their results unchecked;
+    each result must be what the validating constructor makes of its
+    coefficients, with no zero coefficient.  x1 is positive, so x1^(1/2)
+    appears in coefficients and map components alike."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ch = chart(4, positive={1})
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    exponents = st.tuples(st.sampled_from([0, 1, 2, Q(1, 2), Q(3, 2)]),
+                          *[st.integers(0, 2)] * 3)
+    zero = RationalExpr.const(4, 0)
+    polys = st.lists(st.tuples(fractions, exponents), min_size=1, max_size=3).map(
+        lambda terms: sum((RationalExpr(ScalarExpr.monomial(4, c, e)) for c, e in terms), zero))
+    coefficients = st.one_of(
+        fractions.map(lambda c: RationalExpr.const(4, c)),
+        st.sampled_from([1, -1]).map(lambda c: RationalExpr.const(4, c)),
+        polys,
+        polys.map(lambda p: p / parse_expression("x2^2 + 1", 4)))
+
+    @st.composite
+    def tensors(draw, kind, min_degree):
+        """Two tensors of one degree, so that they can be added."""
+        p = draw(st.integers(min_degree, 4))
+        pair = []
+        for _ in range(2):
+            keys = draw(st.lists(st.sampled_from(list(combinations(range(1, 5), p))),
+                                 max_size=3, unique=True))
+            pair.append(kind(ch, p, {k: draw(coefficients) for k in keys}))
+        return pair
+
+    # x1 goes to a positive multiple of a power of x1, so pulled-back
+    # fractional powers of x1 stay rational; the rest are polynomials
+    first = st.tuples(st.sampled_from([1, 4]), st.sampled_from([1, 2])).map(
+        lambda ce: RationalExpr(ScalarExpr.monomial(4, ce[0], (ce[1], 0, 0, 0))))
+    maps = st.tuples(first, polys, polys, polys).map(lambda comps: SmoothMap(ch, ch, comps))
+
+    def assert_clean(r):
+        assert r.coeffs == type(r)(r.chart, r.degree, dict(r.coeffs)).coeffs
+        assert all(r.coeffs.values())
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+    @hypothesis.given(tensors(form, 0), tensors(form, 1), tensors(multivec, 1), maps)
+    def check(ab, cd, XY, phi):
+        (a, b), (c, _), (X, Y) = ab, cd, XY
+        results = [a.wedge(b), a.wedge(c), c.wedge(c), a + b, a + (-a), a - b, b - b, -a,
+                   ext_d(a), X + Y, X - X, X.wedge(Y), pullback(phi, a)]
+        if X.degree <= a.degree:
+            results.append(interior(X, a))
+        for r in results:
+            assert_clean(r)
+
+    check()
+
+
 # -- interior product ----------------------------------------------------------
 
 
@@ -430,6 +485,25 @@ def test_fractional_exponent_needs_positivity_flag():
     plain = chart(6)
     with pytest.raises(DomainViolation):
         form(plain, 1, {(1,): parse_expression("x2^(1/2)", 6)})
+
+
+def test_pullback_rejects_a_fractional_component_off_the_positive_set():
+    plain = chart(2)
+    root = SmoothMap(plain, chart(2, positive={1}), ("x1^(1/2)", "x2"))
+    for a in (f(root.target, 2, {(1, 2): 1}), f(root.target, 0, {(): 1})):
+        with pytest.raises(DomainViolation):
+            pullback(root, a)
+
+
+def test_pullback_rejects_a_fractional_coefficient_pulled_off_the_positive_set():
+    # x1^(1/2) is licensed on the target; pulled back it is (x1*x2)^(1/2)
+    plain = chart(2)
+    target = chart(2, positive={1})
+    prod = SmoothMap(plain, target, ("x1*x2", "x2"))
+    for a in (f(target, 1, {(1,): "x1^(1/2)"}), f(target, 0, {(): "x1^(1/2)"}),
+              f(target, 2, {(1, 2): "x1^(1/2)"})):
+        with pytest.raises(DomainViolation):
+            pullback(prod, a)
 
 
 def test_forms_hash_by_coefficient_values():

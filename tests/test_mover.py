@@ -26,6 +26,7 @@ from plectic.scalar import (
     parse_expression,
     parse_gaussian,
 )
+from realify_reference import reference_realify
 
 
 def rand_gauss(rng, span=3):
@@ -177,6 +178,35 @@ def test_realify_scalar_expansion():
     re, im = realify_scalar(z2)
     assert re == parse_expression("x1^2 - x2^2", 2).num
     assert im == parse_expression("2*x1*x2", 2).num
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_realify_scalar_matches_the_repeated_multiplication_reference(seed):
+    rng = random.Random(2600 + seed)
+    for _ in range(10):
+        n = rng.randint(1, 3)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = tuple(rng.randint(0, 5) for _ in range(n))
+            c = rand_gauss(rng) if rng.random() < 0.7 else Q(rng.randint(-4, 4), rng.randint(1, 3))
+            terms[exps] = c
+        expr = ScalarExpr(n, terms)
+        got = realify_scalar(expr)
+        assert got == reference_realify(expr)
+        for part in got:
+            assert part.dim == 2 * n
+            for exps, c in part.terms.items():
+                assert all(type(e) is int for e in exps)
+                assert type(c) is Q and c
+
+
+@pytest.mark.parametrize("exponent", [-1, Q(1, 2)])
+def test_realify_scalar_rejects_non_polynomial_exponents(exponent):
+    expr = ScalarExpr(2, {(1, 0): GR(1), (0, exponent): GR(2, 1)})
+    with pytest.raises(NonPolynomial):
+        realify_scalar(expr)
+    with pytest.raises(NonPolynomial):
+        reference_realify(expr)
 
 
 def test_real_volume_forms():
