@@ -7,6 +7,11 @@ non-degenerate linear types in dimension six, and flatness is then decided
 per type: closedness of the decomposable summands (product type), the
 Nijenhuis tensor of the normalized J (complex type), or involutivity of
 ker J (tangent type).
+
+J (times the volume coefficient) and the contraction map v -> i_v w are each
+built by one function from the form's coefficient dict, in whatever ring the
+coefficients live in: Python int after clearing denominators at a point,
+``RationalExpr`` for symbolic work.
 """
 from __future__ import annotations
 
@@ -32,6 +37,7 @@ from .errors import (
     WrongType,
 )
 from .exterior import (
+    _contraction_columns,
     Chart,
     DiffForm,
     MultiVec,
@@ -167,30 +173,15 @@ def _cleared(values: Dict[tuple, Fraction]) -> Tuple[int, Dict[tuple, int]]:
     return D, {idx: v.numerator * (D // v.denominator) for idx, v in values.items()}
 
 
-def _contraction_matrix_at(w: DiffForm, pt) -> list:
-    """Contraction matrix at a point, scaled by D into int (rows: tuples,
-    cols: basis); ``linalg`` lifts the entries to Fraction."""
-    chart = w.chart
-    _D, values = _cleared(_values_at(w, pt))
-    cols: list = [dict() for _ in range(chart.dim)]
-    tuples = set()
-    for idx, cv in values.items():
-        for pos, i in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1:]
-            col = cols[i - 1]
-            col[rest] = col.get(rest, 0) + (-cv if pos % 2 else cv)
-            tuples.add(rest)
-    rows = sorted(tuples)
-    return [[cols[v].get(t, 0) for v in range(chart.dim)] for t in rows]
-
-
 def nondegenerate(w: DiffForm, point: Optional[Sequence] = None) -> NondegeneracyReport:
     """Is v -> i_v w injective (exactly, at a point or over the fraction field)?"""
     if w.degree < 2:
         raise DegreeError("non-degeneracy test needs a form of degree >= 2")
     chart = w.chart
-    if point is not None:
-        matrix = _contraction_matrix_at(w, chart.check_point(point))
+    if point is not None:  # in int, scaled by the lcm of the denominators
+        _D, values = _cleared(_values_at(w, chart.check_point(point)))
+        cols = _contraction_columns(values, chart.dim)
+        matrix = [[c.get(t, 0) for c in cols] for t in sorted(set().union(*cols))]
     else:
         _rows, matrix = contraction_matrix(w)
     if not matrix:
@@ -347,8 +338,37 @@ def standard_volume(chart: Chart) -> DiffForm:
     return DiffForm(chart, chart.dim, {tuple(range(1, chart.dim + 1)): 1})
 
 
+# (a, b) -> [(ijk, m - 1, sign)] over the triples disjoint from (a, b):
+# dx^ab ^ dx^ijk is sign * (-1)^(m-1) times the 5-form missing index m, the
+# sign row m of J carries (i_{e_m} Vol is (-1)^(m-1) times that 5-form)
+_WEDGE_COLUMNS = {
+    pair: [(idx, m - 1, sign if m % 2 else -sign)
+           for idx in combinations(range(1, 7), 3)
+           for merged, sign in [sort_index_tuple(pair + idx)] if merged
+           for m in [21 - sum(merged)]]
+    for pair in combinations(range(1, 7), 2)
+}
+
+
+def _volume_times_j(coeffs: Dict[Tuple[int, int, int], object], zero) -> List[list]:
+    """Rows of g*J for the 3-form on R^6 with coefficients ``coeffs``, in the
+    ring they live in (``zero`` is its zero), g the volume coefficient:
+    column i is (i_{e_i} w) ^ w read through ``_WEDGE_COLUMNS``."""
+    gj = [[zero] * 6 for _ in range(6)]
+    for i, two in enumerate(_contraction_columns(coeffs, 6)):
+        for pair, ca in two.items():
+            for idx, row, sign in _WEDGE_COLUMNS[pair]:
+                cb = coeffs.get(idx)
+                if cb:
+                    if sign > 0:
+                        gj[row][i] += ca * cb
+                    else:
+                        gj[row][i] -= ca * cb
+    return gj
+
+
 def hitchin_endomorphism(w: DiffForm, vol: DiffForm) -> EndField:
-    """The unique J with (i_v w) ^ w = i_{J(v)} vol, columnwise."""
+    """The unique J with (i_v w) ^ w = i_{J(v)} vol."""
     chart = w.chart
     if chart.dim != 6 or w.degree != 3:
         raise ShapeError("endomorphism extraction needs a 3-form in dimension 6")
@@ -359,22 +379,8 @@ def hitchin_endomorphism(w: DiffForm, vol: DiffForm) -> EndField:
     g = vol.coeffs.get(tuple(range(1, 7)))
     if g is None or not g:
         raise SingularVolume("volume coefficient vanishes identically")
-    all_idx = tuple(range(1, 7))
-    zero = RationalExpr.const(6, 0)
-    cols = []
-    for i in range(1, 7):
-        five = interior(coordinate_vector(chart, i), w).wedge(w)
-        col = []
-        for j in range(1, 7):
-            comp = tuple(k for k in all_idx if k != j)
-            b = five.coeffs.get(comp, zero)
-            entry = b / g
-            if (j - 1) % 2:
-                entry = -entry
-            col.append(entry)
-        cols.append(col)
-    rows = tuple(tuple(cols[i][j] for i in range(6)) for j in range(6))
-    return EndField(chart, rows)
+    gj = _volume_times_j(w.coeffs, RationalExpr.const(6, 0))
+    return EndField(chart, tuple(tuple(v / g if v else v for v in row) for row in gj))
 
 
 # ---------------------------------------------------------------------------
@@ -400,39 +406,14 @@ def _require_closed_3form_dim6(w: DiffForm):
         raise NotClosed("the form is not closed")
 
 
-# (a, b) -> [(ijk, m - 1, sign)] over the triples disjoint from (a, b):
-# dx^ab ^ dx^ijk is sign * (-1)^(m-1) times the 5-form missing index m, the
-# sign J's column m carries (hitchin_endomorphism)
-_WEDGE_COLUMNS = {
-    pair: [(idx, m - 1, sign if m % 2 else -sign)
-           for idx in combinations(range(1, 7), 3)
-           for merged, sign in [sort_index_tuple(pair + idx)] if merged
-           for m in [21 - sum(merged)]]
-    for pair in combinations(range(1, 7), 2)
-}
-
-
 def _pointwise_trace_sq(values: Dict[Tuple[int, int, int], Fraction]) -> Fraction:
     """trace(J(p)^2) for a constant 3-form in dimension 6 with coefficients
-    ``values``, computed in Python int on the coefficients scaled by the lcm
-    D of their denominators (J is quadratic in them, so the trace scales by
-    D^4).  Same contraction/wedge conventions as hitchin_endomorphism.
+    ``values`` and the standard volume.  J is built in Python int on the
+    coefficients scaled by the lcm D of their denominators; J is quadratic in
+    them, so the trace of its square scales by D^4.
     """
     D, values = _cleared(values)
-    J = [[0] * 6 for _ in range(6)]
-    for i in range(1, 7):
-        two: Dict[Tuple[int, int], int] = {}
-        for idx, c in values.items():
-            if i not in idx:
-                continue
-            pos = idx.index(i)
-            rest = idx[:pos] + idx[pos + 1:]
-            two[rest] = two.get(rest, 0) + (-c if pos % 2 else c)
-        for pair, ca in two.items():
-            for idx, col, sign in _WEDGE_COLUMNS[pair]:
-                cb = values.get(idx)
-                if cb:
-                    J[col][i - 1] += sign * ca * cb
+    J = _volume_times_j(values, 0)
     return Fraction(sum(J[i][k] * J[k][i] for i in range(6) for k in range(6)), D ** 4)
 
 
@@ -458,7 +439,9 @@ def _sqrt_rational_expr(expr: RationalExpr) -> RationalExpr:
         raise IrrationalScale(f"no exact square root of {expr}: {exc}") from None
 
 
-def _split_parts(w: DiffForm, J: EndField, s: RationalExpr) -> Tuple[DiffForm, DiffForm]:
+def _split(w: DiffForm, J: EndField, s: RationalExpr) -> Tuple[DiffForm, DiffForm]:
+    """The two summands (1 +- J/s)/2 of w, checked and ordered: they must sum
+    to w and be decomposable."""
     chart = w.chart
     A = J.scale(RationalExpr.const(6, 1) / s)
     half = RationalExpr.const(6, Q(1, 2))
@@ -473,17 +456,21 @@ def _split_parts(w: DiffForm, J: EndField, s: RationalExpr) -> Tuple[DiffForm, D
             if val:
                 coeffs[idx] = val
         parts.append(DiffForm(chart, 3, coeffs))
-    return parts[0], parts[1]
+    p1, p2 = parts
+    if p1 + p2 != w:
+        raise DegenerateForm("projector split failed to reconstruct the form")
+    if not (_is_decomposable(p1) and _is_decomposable(p2)):
+        raise WrongType("split parts are not decomposable; form is not product type")
+    return _tie_break(p1, p2)
 
 
 def _is_decomposable(part: DiffForm) -> bool:
-    """Pointwise decomposability: part ^ part = 0 and contraction rank 3."""
-    if part.wedge(part):
+    """Pointwise decomposability: part != 0, part ^ part = 0 and contraction
+    rank equal to the degree."""
+    if part.is_zero or part.wedge(part):
         return False
     _rows, matrix = contraction_matrix(part)
-    if not matrix:
-        return False
-    return linalg.rank(matrix) == 3
+    return linalg.rank(matrix) == part.degree
 
 
 def _tie_break(a: DiffForm, b: DiffForm) -> Tuple[DiffForm, DiffForm]:
@@ -519,31 +506,19 @@ def split_product(w: DiffForm, point: Optional[Sequence] = None,
         if point is None:
             raise ShapeError("float split is pointwise; supply a point")
         return _split_product_float(w, J, lam, point)
-    if point is not None:
-        pt = w.chart.check_point(point)
-        lam_v = lam.eval(pt)
-        if lam_v <= 0:
-            raise WrongType(f"trace sign is not positive at {list(point)}")
-        root = fraction_root(lam_v, 2)
-        if root is None:
-            raise IrrationalScale(f"sqrt({lam_v}) is irrational; rerun in float mode")
-        w_here = w.eval_at(pt)
-        J_here = J.eval_at(pt)
-        s = RationalExpr.const(6, root)
-        p1, p2 = _split_parts(w_here, J_here, s)
-        w_used = w_here
-    else:
+    if point is None:
         sign = sign_on_chart(lam, w.chart)
         if sign.sign != "+":
             raise WrongType(f"trace sign is {sign.sign}, not positive")
-        s = _sqrt_rational_expr(lam)
-        p1, p2 = _split_parts(w, J, s)
-        w_used = w
-    if p1 + p2 != w_used:
-        raise DegenerateForm("projector split failed to reconstruct the form")
-    if not (_is_decomposable(p1) and _is_decomposable(p2)):
-        raise WrongType("split parts are not decomposable; form is not product type")
-    return _tie_break(p1, p2)
+        return _split(w, J, _sqrt_rational_expr(lam))
+    pt = w.chart.check_point(point)
+    lam_v = lam.eval(pt)
+    if lam_v <= 0:
+        raise WrongType(f"trace sign is not positive at {list(point)}")
+    root = fraction_root(lam_v, 2)
+    if root is None:
+        raise IrrationalScale(f"sqrt({lam_v}) is irrational; rerun in float mode")
+    return _split(w.eval_at(pt), J.eval_at(pt), RationalExpr.const(6, root))
 
 
 def _split_product_float(w: DiffForm, J: EndField, lam: RationalExpr,
@@ -613,16 +588,7 @@ def verify_product_decomposition(w: DiffForm, parts: Sequence[DiffForm]) -> bool
         total = total + p
     if total != w:
         return False
-    m = w.degree
-    for p in parts:
-        if p.degree != m or p.is_zero:
-            return False
-        if p.wedge(p):
-            return False
-        _rows, matrix = contraction_matrix(p)
-        if linalg.rank(matrix) != m:
-            return False
-    return True
+    return all(p.degree == w.degree and _is_decomposable(p) for p in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -827,14 +793,15 @@ def flatness_report(w: DiffForm) -> TypeReport:
                           notes=notes + ["sign sampling inconclusive"])
 
     if sig.sign == "+":
+        lam = t / RationalExpr.const(6, 6)
         try:
-            w1, w2 = split_product(w)
+            w1, w2 = _split(w, J, _sqrt_rational_expr(lam))
         except IrrationalScale as exc:
             extra = [f"exact split unavailable: {exc}"]
             sample = _float_sample_point(w, chart)
             if sample is not None:
                 try:
-                    split_product(w, point=sample, mode="float")
+                    _split_product_float(w, J, lam, sample)
                     extra.append(
                         "float split at "
                         f"{[str(v) for v in sample]} decomposes within 1e-9; "

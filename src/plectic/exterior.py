@@ -399,17 +399,28 @@ def interior(X: MultiVec, a: DiffForm) -> DiffForm:
     return DiffForm._raw(a.chart, a.degree - X.degree, out)
 
 
+def _contraction_columns(coeffs: Mapping[IndexTuple, object], dim: int) -> List[dict]:
+    """Columns of v -> i_v w, read off w's coefficient dict in whatever ring
+    the coefficients live in: entry v - 1 maps each index tuple to its
+    coefficient in i_{e_v} w, with the position sign of ``interior``.  Each
+    (tuple, v) comes from one index tuple of w, so nothing is summed."""
+    cols: List[dict] = [{} for _ in range(dim)]
+    for idx, c in coeffs.items():
+        for pos, i in enumerate(idx):
+            cols[i - 1][idx[:pos] + idx[pos + 1:]] = -c if pos % 2 else c
+    return cols
+
+
 def contraction_matrix(w: DiffForm):
     """Matrix of the contraction map v -> i_v w in the coordinate basis.
 
     Column v holds i_{e_v} w; the rows are the sorted index tuples met in
     those contractions.  Returns (row tuples, matrix).
     """
-    ch = w.chart
-    cols = [interior(coordinate_vector(ch, v), w) for v in range(1, ch.dim + 1)]
-    rows = sorted({t for c in cols for t in c.coeffs})
-    zero = RationalExpr.const(ch.dim, 0)
-    return rows, [[c.coeffs.get(t, zero) for c in cols] for t in rows]
+    cols = _contraction_columns(w.coeffs, w.chart.dim)
+    rows = sorted(set().union(*cols))
+    zero = RationalExpr.const(w.chart.dim, 0)
+    return rows, [[c.get(t, zero) for c in cols] for t in rows]
 
 
 def lie_derivative(X: MultiVec, a: DiffForm) -> DiffForm:

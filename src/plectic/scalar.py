@@ -752,7 +752,7 @@ class RationalExpr:
 
     @property
     def den_is_one(self) -> bool:
-        return self.den.is_constant and self.den.constant_value() == 1
+        return self.den.is_constant  # a constant monic denominator is 1
 
     @property
     def is_constant(self) -> bool:

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from plectic import catalog
+from plectic import catalog, classify
 from plectic.classify import (
     _pointwise_trace_sq,
     COMPLEX,
@@ -47,7 +47,7 @@ from plectic.exterior import (
 from plectic.hdw import multiphase_forms
 from plectic.linalg import det
 from plectic.scalar import GaussianRational, RationalExpr, parse_expression
-from util import rand_rational_gl
+from util import rand_form, rand_rational_gl
 
 C6 = chart(6)
 HALF = catalog.half_space6()
@@ -112,6 +112,17 @@ def test_hitchin_product_form():
 def test_hitchin_degenerate_gives_zero():
     J = hitchin_endomorphism(form(C6, 3, {(1, 2, 3): 1}), standard_volume(C6))
     assert all(not J.matrix[i][j] for i in range(6) for j in range(6))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hitchin_defining_identity_under_a_nonconstant_volume(seed):
+    rng = random.Random(900 + seed)
+    vol = form(C6, 6, {tuple(range(1, 7)): "x1^2+1"})
+    w = rand_form(rng, C6, 3, max_terms=6)
+    J = hitchin_endomorphism(w, vol)
+    for i in range(1, 7):
+        lhs = wedge(interior(coordinate_vector(C6, i), w), w)
+        assert lhs == interior(J.column_field(i), vol), i
 
 
 # -- classification ----------------------------------------------------------------
@@ -184,6 +195,22 @@ def test_pointwise_nondegenerate_matches_symbolic_on_constant_forms(seed):
         here, everywhere = nondegenerate(moved, point), nondegenerate(moved)
         assert bool(here) == bool(everywhere)
         assert here.kernel == everywhere.kernel
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pointwise_nondegenerate_matches_the_evaluated_form(seed):
+    rng = random.Random(1000 + seed)
+    point = [1, -2, Q(3, 4), 0, 5, Q(-1, 6)]
+    for w in [
+        rand_form(rng, C6, 2, max_terms=5),
+        catalog.symplectic_form(3) + rand_form(rng, C6, 2),
+        rand_form(rng, C6, 3, max_terms=6),
+        catalog.tangent6() + rand_form(rng, C6, 3),
+        rand_form(rng, C6, 4, max_terms=6),
+    ]:
+        here, evaluated = nondegenerate(w, point), nondegenerate(w.eval_at(point))
+        assert bool(here) == bool(evaluated)
+        assert here.kernel == evaluated.kernel
 
 
 @pytest.mark.parametrize("coeff", [
@@ -456,6 +483,30 @@ def test_flatness_perturbed_product_flips():
     assert rep.flat == NONFLAT
     p1, p2 = split_product(w)
     assert not ext_d(p1).is_zero and not ext_d(p2).is_zero
+
+
+@pytest.mark.parametrize("w", [
+    catalog.omega_f(1),
+    catalog.omega_f("x2"),
+    catalog.omega_f("-x2"),
+    catalog.omega_f(2),
+    catalog.tangent6(),
+], ids=["f=1", "f=x2", "f=-x2", "f=2", "tangent6"])
+def test_flatness_report_builds_j_and_checks_closedness_once(monkeypatch, w):
+    calls = []
+
+    def count(name):
+        original = getattr(classify, name)
+
+        def counting(*args):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(classify, name, counting)
+
+    count("hitchin_endomorphism")
+    count("_require_closed_3form_dim6")
+    flatness_report(w)
+    assert sorted(calls) == ["_require_closed_3form_dim6", "hitchin_endomorphism"]
 
 
 def test_flatness_undetermined_irrational_scale():

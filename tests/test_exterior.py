@@ -17,6 +17,7 @@ from plectic.exterior import (
     basis_one_form,
     chart,
     constant_linear_pullback,
+    contraction_matrix,
     contraction_solve,
     coordinate_vector,
     ext_d,
@@ -265,6 +266,19 @@ def test_interior_decomposable_and_nilpotent(seed):
             uv = uv + MultiVec(c5, 2, {key: term})
     assert interior(uv, a) == interior(v, interior(u, a))
     assert interior(u, interior(u, a)).is_zero
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_contraction_matrix_columns_are_interior_products(seed):
+    rng = random.Random(90 + seed)
+    c5 = chart(5)
+    for degree in range(1, 5):
+        w = rand_form(rng, c5, degree, max_terms=4)
+        rows, matrix = contraction_matrix(w)
+        assert rows == sorted(rows)
+        for v in range(1, 6):
+            column = f(c5, degree - 1, {t: row[v - 1] for t, row in zip(rows, matrix)})
+            assert column == interior(coordinate_vector(c5, v), w), (degree, v)
 
 
 # -- Lie derivative -------------------------------------------------------------
