@@ -11,15 +11,19 @@ ker J (tangent type).
 J (times the volume coefficient) and the contraction map v -> i_v w are each
 built by one function from the form's coefficient dict, in whatever ring the
 coefficients live in: Python int after clearing denominators at a point,
-``RationalExpr`` for symbolic work.
+``RationalExpr`` for symbolic work.  trace(J^2) is summed by one function
+over J's rows in the same way, and a pointwise split evaluates the form
+before it builds J.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import lcm
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -38,6 +42,7 @@ from .errors import (
 )
 from .exterior import (
     _contraction_columns,
+    _minor_sums,
     Chart,
     DiffForm,
     MultiVec,
@@ -233,9 +238,6 @@ class EndField:
             chart, [[1 if i == j else 0 for j in range(d)] for i in range(d)]
         )
 
-    def entry(self, row: int, col: int) -> RationalExpr:
-        return self.matrix[row - 1][col - 1]
-
     def column_field(self, col: int) -> MultiVec:
         coeffs = {
             (k,): self.matrix[k - 1][col - 1]
@@ -262,16 +264,18 @@ class EndField:
     def compose(self, other: "EndField") -> "EndField":
         if other.chart != self.chart:
             raise ChartMismatch("composing endomorphisms on different charts")
-        d = self.chart.dim
+        # summing only the nonzero products prints the same as the dense sum:
+        # adding a zero leaves a RationalExpr's numerator and denominator as
+        # they are
+        zero = RationalExpr.const(self.chart.dim, 0)
+        cols = list(zip(*other.matrix))
         rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = RationalExpr.const(d, 0)
-                for k in range(d):
-                    acc = acc + self.matrix[i][k] * other.matrix[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
+        for row in self.matrix:
+            out = []
+            for col in cols:
+                terms = [a * b for a, b in zip(row, col) if a and b]
+                out.append(reduce(add, terms) if terms else zero)
+            rows.append(tuple(out))
         return EndField(self.chart, tuple(rows))
 
     def square(self) -> "EndField":
@@ -312,12 +316,6 @@ class EndField:
             return False
         return all(
             a == b for ra, rb in zip(self.matrix, other.matrix) for a, b in zip(ra, rb)
-        )
-
-    def eval_at(self, point) -> "EndField":
-        pt = self.chart.check_point(point)
-        return EndField.from_rows(
-            self.chart, [[v.eval(pt) for v in row] for row in self.matrix]
         )
 
     def is_multiple_of_identity(self) -> Optional[RationalExpr]:
@@ -367,6 +365,22 @@ def _volume_times_j(coeffs: Dict[Tuple[int, int, int], object], zero) -> List[li
     return gj
 
 
+def _trace_sq(rows: Sequence[Sequence], zero):
+    """trace(J^2) for the rows of J in any ring (``zero`` is its zero): the
+    sum of J[i][k] * J[k][i] over the pairs with both entries nonzero, summed
+    row by row like the diagonal of the full square, so it prints the same."""
+    total = zero
+    for i, row in enumerate(rows):
+        acc = zero
+        for k, a in enumerate(row):
+            if a:
+                b = rows[k][i]
+                if b:
+                    acc += a * b
+        total += acc
+    return total
+
+
 def hitchin_endomorphism(w: DiffForm, vol: DiffForm) -> EndField:
     """The unique J with (i_v w) ^ w = i_{J(v)} vol."""
     chart = w.chart
@@ -413,8 +427,7 @@ def _pointwise_trace_sq(values: Dict[Tuple[int, int, int], Fraction]) -> Fractio
     them, so the trace of its square scales by D^4.
     """
     D, values = _cleared(values)
-    J = _volume_times_j(values, 0)
-    return Fraction(sum(J[i][k] * J[k][i] for i in range(6) for k in range(6)), D ** 4)
+    return Fraction(_trace_sq(_volume_times_j(values, 0), 0), D ** 4)
 
 
 def classify6(w: DiffForm, point: Sequence) -> TypeReport:
@@ -494,31 +507,33 @@ def split_product(w: DiffForm, point: Optional[Sequence] = None,
                   mode: str = "exact"):
     """Split a product-type form into its two decomposable summands.
 
-    Symbolic when ``point`` is None; otherwise pointwise.  Exact mode raises
+    Symbolic when ``point`` is None; otherwise pointwise, on the form
+    evaluated at the point after the closedness check.  Exact mode raises
     :class:`IrrationalScale` when sqrt(trace(J^2)/6) leaves the ring; float
     mode (pointwise only) returns coefficient dictionaries with a residual
     checked against 1e-9.
     """
     _require_closed_3form_dim6(w)
+    if mode == "float" and point is None:
+        raise ShapeError("float split is pointwise; supply a point")
+    if point is not None and mode != "float":
+        w = w.eval_at(point)
     J = hitchin_endomorphism(w, standard_volume(w.chart))
-    lam = J.square().trace() / RationalExpr.const(6, 6)
+    lam = _trace_sq(J.matrix, RationalExpr.const(6, 0)) / RationalExpr.const(6, 6)
     if mode == "float":
-        if point is None:
-            raise ShapeError("float split is pointwise; supply a point")
         return _split_product_float(w, J, lam, point)
     if point is None:
         sign = sign_on_chart(lam, w.chart)
         if sign.sign != "+":
             raise WrongType(f"trace sign is {sign.sign}, not positive")
         return _split(w, J, _sqrt_rational_expr(lam))
-    pt = w.chart.check_point(point)
-    lam_v = lam.eval(pt)
+    lam_v = lam.constant_value()
     if lam_v <= 0:
         raise WrongType(f"trace sign is not positive at {list(point)}")
     root = fraction_root(lam_v, 2)
     if root is None:
         raise IrrationalScale(f"sqrt({lam_v}) is irrational; rerun in float mode")
-    return _split(w.eval_at(pt), J.eval_at(pt), RationalExpr.const(6, root))
+    return _split(w, J, RationalExpr.const(6, root))
 
 
 def _split_product_float(w: DiffForm, J: EndField, lam: RationalExpr,
@@ -536,33 +551,11 @@ def _split_product_float(w: DiffForm, J: EndField, lam: RationalExpr,
     P = [[((1.0 if i == j else 0.0) + Jv[i][j] / s) / 2.0 for j in range(d)]
          for i in range(d)]
     wv = {idx: float(c.eval(pt, mode="float")) for idx, c in w.coeffs.items()}
-
-    def tri(Pm, i, j, k):
-        total = 0.0
-        for (a, b, c), cv in wv.items():
-            acc = 0.0
-            for pa, pb, pc in (
-                (a, b, c), (b, c, a), (c, a, b),
-            ):
-                acc += Pm[pa - 1][i] * Pm[pb - 1][j] * Pm[pc - 1][k]
-            for pa, pb, pc in (
-                (b, a, c), (a, c, b), (c, b, a),
-            ):
-                acc -= Pm[pa - 1][i] * Pm[pb - 1][j] * Pm[pc - 1][k]
-            total += cv * acc
-        return total
-
     Pminus = [[(1.0 if i == j else 0.0) - P[i][j] for j in range(d)]
               for i in range(d)]
-    # P- = I - P
-    parts = []
-    for Pm in (P, Pminus):
-        coeffs = {}
-        for idx in combinations(range(1, 7), 3):
-            v = tri(Pm, idx[0] - 1, idx[1] - 1, idx[2] - 1)
-            if abs(v) > 1e-12:
-                coeffs[idx] = v
-        parts.append(coeffs)
+    # the part of w along P is w(P., P., P.), the pullback of w along P
+    parts = [{K: v for K, v in _minor_sums(wv, Pm, d, 3, 0.0).items()
+              if abs(v) > 1e-12} for Pm in (P, Pminus)]
     residual = 0.0
     for idx in set(wv) | set(parts[0]) | set(parts[1]):
         residual = max(
@@ -780,7 +773,7 @@ def flatness_report(w: DiffForm) -> TypeReport:
     _require_closed_3form_dim6(w)
     chart = w.chart
     J = hitchin_endomorphism(w, standard_volume(chart))
-    t = J.square().trace()
+    t = _trace_sq(J.matrix, RationalExpr.const(6, 0))
     sig = sign_on_chart(t, chart)
     notes = [] if sig.certified else ["trace sign decided by rational sampling"]
 

@@ -386,12 +386,12 @@ def _cmd_classify(req: Request):
     rep = classify6(a["omega"], a["point"])
     out = type_report_to_json(rep)
     if req.mode == "float":
-        from .classify import hitchin_endomorphism, standard_volume
+        from .classify import _trace_sq, hitchin_endomorphism, standard_volume
 
         J = hitchin_endomorphism(a["omega"], standard_volume(a["omega"].chart))
-        tv = J.square().trace().eval(a["point"], mode="float")
+        t = _trace_sq(J.matrix, RationalExpr.const(6, 0))
         out["mode"] = "float"
-        out["trace_of_J_squared"] = _float_str(tv)
+        out["trace_of_J_squared"] = _float_str(t.eval(a["point"], mode="float"))
     return out, EXIT_OK
 
 

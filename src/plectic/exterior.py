@@ -563,6 +563,24 @@ def pullback(f: SmoothMap, a: DiffForm) -> DiffForm:
     return out
 
 
+def _minor_sums(coeffs: Mapping[IndexTuple, object], M: Sequence[Sequence],
+                dim: int, deg: int, zero) -> Dict[IndexTuple, object]:
+    """{K: sum over I of c_I * det(M[I][K])} over the increasing K of length
+    ``deg`` in 1..dim whose sum is nonzero, in the ring of ``coeffs`` and M
+    (``zero`` is its zero); rows I, columns K.  These are the coefficients
+    of the pullback of sum c_I dx^I along x -> M x, and, with M the
+    transposed Jacobian, those of Lambda^deg of the Jacobian applied to
+    sum c_I e_I."""
+    out = {}
+    for K in combinations(range(1, dim + 1), deg):
+        acc = zero
+        for I, cv in coeffs.items():
+            acc += cv * linalg.det([[M[i - 1][k - 1] for k in K] for i in I])
+        if acc:
+            out[K] = acc
+    return out
+
+
 def constant_linear_pullback(a: DiffForm, matrix: Sequence[Sequence[Fraction]]) -> DiffForm:
     """Pullback of a constant-coefficient form along x -> M x (fast path).
 
@@ -575,15 +593,10 @@ def constant_linear_pullback(a: DiffForm, matrix: Sequence[Sequence[Fraction]]) 
     m = [[Fraction(v) for v in row] for row in matrix]
     D = lcm(*(v.denominator for row in m for v in row))
     m = [[v.numerator * (D // v.denominator) for v in row] for row in m]
-    vals = [(I, c.constant_value()) for I, c in a.coeffs.items()]
-    out: Dict[IndexTuple, RationalExpr] = {}
-    for K in combinations(range(1, dim + 1), deg):
-        acc = 0
-        for I, cv in vals:
-            acc += cv * linalg.det([[m[i - 1][k - 1] for k in K] for i in I])
-        if acc:
-            out[K] = RationalExpr.const(dim, acc / D ** deg)
-    return DiffForm(a.chart, deg, out)
+    vals = {I: c.constant_value() for I, c in a.coeffs.items()}
+    out = _minor_sums(vals, m, dim, deg, 0)
+    return DiffForm(a.chart, deg,
+                    {K: RationalExpr.const(dim, v / D ** deg) for K, v in out.items()})
 
 
 def pushforward_at(f: SmoothMap, X: MultiVec, point: Sequence) -> MultiVec:
@@ -591,24 +604,15 @@ def pushforward_at(f: SmoothMap, X: MultiVec, point: Sequence) -> MultiVec:
     if X.chart != f.source:
         raise ChartMismatch("multivector does not live on the map's source chart")
     pt = f.source.check_point(point)
-    image = f.apply(pt)
-    jac = [[c.partial(s).eval(pt) for s in range(1, f.source.dim + 1)]
-           for c in f.components]
+    f.apply(pt)  # the image must lie in the target chart's domain
+    jac_t = [[v.eval(pt) for v in col] for col in zip(*f.jacobian())]
     m = X.degree
     tgt = f.target
     if m > tgt.dim:
         raise DegreeError("pushforward degree exceeds target dimension")
-    out: Dict[IndexTuple, Fraction] = {}
-    for I, c in X.coeffs.items():
-        cv = c.eval(pt)
-        if not cv:
-            continue
-        for K in combinations(range(1, tgt.dim + 1), m):
-            minor = linalg.det([[jac[k - 1][i - 1] for i in I] for k in K])
-            if minor:
-                out[K] = out.get(K, Fraction(0)) + cv * minor
-    coeffs = {k: RationalExpr.const(tgt.dim, v) for k, v in out.items() if v}
-    return MultiVec(tgt, m, coeffs)
+    vals = {I: c.eval(pt) for I, c in X.coeffs.items()}
+    out = _minor_sums(vals, jac_t, tgt.dim, m, Fraction(0))
+    return MultiVec(tgt, m, {K: RationalExpr.const(tgt.dim, v) for K, v in out.items()})
 
 
 def poincare_homotopy(a: DiffForm) -> DiffForm:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -26,6 +25,7 @@ from .errors import (
     ShapeError,
 )
 from .exterior import (
+    _minor_sums,
     Chart,
     DiffForm,
     MultiVec,
@@ -128,9 +128,6 @@ class MultiphaseModel:
     labels: Tuple[str, ...]
     theta: DiffForm
     omega: DiffForm
-
-    def x_index(self, mu: int) -> int:
-        return mu
 
     def q_index(self, a: int) -> int:
         return self.n + a
@@ -261,19 +258,13 @@ def ham_curve_check_symbolic(psi: SmoothMap, gamma: MultiVec,
     """Best-effort symbolic curve check; None when composition leaves the ring."""
     if gamma.degree != X.degree:
         raise DegreeError("gamma and X must have equal degrees")
-    m = gamma.degree
-    src, tgt = psi.source, psi.target
+    zero = RationalExpr.const(psi.source.dim, 0)
     try:
-        jac = psi.jacobian()
+        jac_t = list(zip(*psi.jacobian()))
+        pushed = _minor_sums(gamma.coeffs, jac_t, psi.target.dim, gamma.degree, zero)
         comps = list(psi.components)
-        for K in combinations(range(1, tgt.dim + 1), m):
-            acc = RationalExpr.const(src.dim, 0)
-            for I, c in gamma.coeffs.items():
-                minor = linalg.det([[jac[k - 1][i - 1] for i in I] for k in K])
-                acc = acc + c * minor
-            target = X.coeffs.get(K, RationalExpr.const(tgt.dim, 0)).substitute(comps)
-            if not (acc == target):
-                return False
-        return True
+        return all(pushed.get(K, zero)
+                   == (X.coeffs[K].substitute(comps) if K in X.coeffs else zero)
+                   for K in sorted(set(pushed) | set(X.coeffs)))
     except PlecticError:
         return None

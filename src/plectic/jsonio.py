@@ -169,21 +169,22 @@ def smooth_map_from_json(obj, path: str = "map") -> SmoothMap:
 # -- points ------------------------------------------------------------------
 
 
+def _rational_from_json(v, path: str) -> Fraction:
+    """An integer or a rational string such as "-3/4"."""
+    if isinstance(v, int):
+        return Q(v)
+    if not isinstance(v, str):
+        _fail(path, "must be an integer or rational string")
+    try:
+        return parse_fraction(v)
+    except Exception as exc:
+        _fail(path, str(exc))
+
+
 def point_from_json(obj, dim: int, path: str) -> List[Fraction]:
     _expect(isinstance(obj, list) and len(obj) == dim, path,
             f"must be a list of {dim} rationals")
-    out = []
-    for i, v in enumerate(obj):
-        if isinstance(v, int):
-            out.append(Q(v))
-        elif isinstance(v, str):
-            try:
-                out.append(parse_fraction(v))
-            except Exception as exc:
-                _fail(f"{path}[{i}]", str(exc))
-        else:
-            _fail(f"{path}[{i}]", "must be an integer or rational string")
-    return out
+    return [_rational_from_json(v, f"{path}[{i}]") for i, v in enumerate(obj)]
 
 
 def gaussian_point_from_json(obj, n: int, path: str) -> List[GaussianRational]:
@@ -226,19 +227,8 @@ def algebra_from_json(obj, path: str = "algebra") -> LieAlgebraData:
         for j, vec in enumerate(row):
             _expect(isinstance(vec, list) and len(vec) == dim,
                     f"{path}.c[{i}][{j}]", f"must list {dim} rationals")
-            cvec = []
-            for k, v in enumerate(vec):
-                if isinstance(v, int):
-                    cvec.append(Q(v))
-                elif isinstance(v, str):
-                    try:
-                        cvec.append(parse_fraction(v))
-                    except Exception as exc:
-                        _fail(f"{path}.c[{i}][{j}][{k}]", str(exc))
-                else:
-                    _fail(f"{path}.c[{i}][{j}][{k}]",
-                          "must be an integer or rational string")
-            crow.append(tuple(cvec))
+            crow.append(tuple(_rational_from_json(v, f"{path}.c[{i}][{j}][{k}]")
+                              for k, v in enumerate(vec)))
         conv.append(tuple(crow))
     try:
         return LieAlgebraData(dim, tuple(conv))

@@ -342,13 +342,6 @@ class LieAction:
     def chart(self) -> Chart:
         return self.generators[0].chart
 
-    def zeta(self, xi: Sequence) -> MultiVec:
-        out = MultiVec(self.chart, 1, {})
-        for k, coeff in enumerate(xi):
-            if coeff:
-                out = out + self.generators[k].scale(Q(coeff))
-        return out
-
     def preserves(self, w: DiffForm) -> bool:
         return all(lie_derivative(X, w).is_zero for X in self.generators)
 
@@ -381,6 +374,13 @@ class ObstructionReport:
         return bool(self.vanishes)
 
 
+def _contract_generators(act: LieAction, T: Sequence[int], a: DiffForm) -> DiffForm:
+    """i_{z(e_tk)} .. i_{z(e_t1)} a for T = (t1, .., tk)."""
+    for t in T:
+        a = interior(act.generators[t - 1], a)
+    return a
+
+
 def obstruction_cochain(act: LieAction, w: DiffForm, index: int) -> ObstructionReport:
     """The iterated-contraction cochain (xi_1..xi_i) -> i_{z(xi_i)}..i_{z(xi_1)} w."""
     n = w.degree - 1
@@ -391,12 +391,8 @@ def obstruction_cochain(act: LieAction, w: DiffForm, index: int) -> ObstructionR
     if not act.preserves(w):
         raise NotSymmetryAction("the action does not preserve the form")
     d = act.algebra.dim
-    cochain = {}
-    for T in combinations(range(1, d + 1), index):
-        res = w
-        for t in T:
-            res = interior(act.generators[t - 1], res)
-        cochain[T] = res
+    cochain = {T: _contract_generators(act, T, w)
+               for T in combinations(range(1, d + 1), index)}
     if index <= n:
         exact: Dict[Tuple[int, ...], Optional[bool]] = {}
         for T, val in cochain.items():
@@ -450,9 +446,6 @@ class ComomentData:
     n: int
     maps: tuple  # maps[i-1] is a dict tuple -> DiffForm
 
-    def component(self, i: int) -> dict:
-        return self.maps[i - 1]
-
     def evaluate(self, i: int, indices: Sequence[int]) -> DiffForm:
         """Antisymmetric evaluation on (possibly unsorted) basis indices."""
         key, sign = sort_index_tuple(indices)
@@ -495,9 +488,7 @@ def comoment_from_potential(act: LieAction, eta: DiffForm, w: DiffForm,
         sign = 1 if ((k + k * (k + 1) // 2) % 2 == 0) else -1
         comp = {}
         for T in combinations(range(1, d + 1), k):
-            res = eta
-            for t in T:
-                res = interior(act.generators[t - 1], res)
+            res = _contract_generators(act, T, eta)
             comp[T] = res if sign > 0 else -res
         maps.append(comp)
     return ComomentData(act.algebra, n, tuple(maps))
@@ -513,9 +504,7 @@ class ComomentReport:
 
 def _f1_star_l(act: LieAction, w: DiffForm, T: Sequence[int]) -> DiffForm:
     """l_{i+1}(f1(xi_1),..,f1(xi_{i+1})) using the action fields."""
-    res = w
-    for t in T:
-        res = interior(act.generators[t - 1], res)
+    res = _contract_generators(act, T, w)
     return res if _bracket_sign(len(T)) > 0 else -res
 
 

@@ -53,10 +53,6 @@ class Poly:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls(())
-
-    @classmethod
     def interpolate(cls, xs: Sequence[GaussianRational],
                     ys: Sequence[GaussianRational]) -> "Poly":
         """Lagrange interpolation through (xs[t], ys[t])."""
@@ -358,12 +354,9 @@ def move_points(src: Sequence[Sequence], dst: Sequence[Sequence],
 
 def _step_jacobian_det(step) -> ScalarExpr:
     """Symbolic Jacobian determinant of one elementary step."""
-    if isinstance(step, LinearStep):
-        comps = step.components()
-    elif isinstance(step, ShearStep):
-        comps = step.components()
-    else:
+    if not isinstance(step, (LinearStep, ShearStep)):
         raise ShapeError(f"unknown step {step!r}")
+    comps = step.components()
     n = len(comps)
     jac = [[RationalExpr(comps[i].partial(j + 1)) for j in range(n)]
            for i in range(n)]

@@ -379,10 +379,6 @@ class ScalarExpr:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, dim: int) -> "ScalarExpr":
-        return cls(dim, {})
-
-    @classmethod
     def const(cls, dim: int, c) -> "ScalarExpr":
         if dim < 1:
             raise ShapeError("chart dimension must be positive")

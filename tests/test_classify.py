@@ -6,6 +6,7 @@ import pytest
 from plectic import catalog, classify
 from plectic.classify import (
     _pointwise_trace_sq,
+    _trace_sq,
     COMPLEX,
     DEGENERATE,
     FLAT,
@@ -28,6 +29,7 @@ from plectic.classify import (
 )
 from plectic.errors import (
     DependentFrame,
+    IrrationalValue,
     NotAlmostComplex,
     NotClosed,
     PlecticError,
@@ -123,6 +125,77 @@ def test_hitchin_defining_identity_under_a_nonconstant_volume(seed):
     for i in range(1, 7):
         lhs = wedge(interior(coordinate_vector(C6, i), w), w)
         assert lhs == interior(J.column_field(i), vol), i
+
+
+def _dense_square(J: EndField):
+    """Rows of J^2 with every entry the sum of all d products, from zero."""
+    d = J.chart.dim
+    zero = RationalExpr.const(d, 0)
+    rows = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            acc = zero
+            for k in range(d):
+                acc = acc + J.matrix[i][k] * J.matrix[k][j]
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+def _trace_forms():
+    """(name, form, volume coefficient): the w^f family, the normal forms,
+    random rational conjugates and forms with quotient coefficients."""
+    out = [(f"f={f}", catalog.omega_f(f), "1")
+           for f in ("1", "x2", "x2^(1/2)", "1/x2", "x2^2", "x2^2+1", "-1", "-x2",
+                     "2", "3*x2^2+5", "x2^(1/2)+1", "(7*x2-5)^2-1/100", "x2/(x2+1)")]
+    out += [(name, getattr(catalog, name)(), "1")
+            for name in ("product6", "complex6", "tangent6", "s6_pole_form")]
+    rng = random.Random(1200)
+    for t in range(6):
+        w = (catalog.product6(), catalog.complex6(), catalog.tangent6())[t % 3]
+        moved = constant_linear_pullback(w, rand_rational_gl(rng, 6))
+        out.append((f"conjugate{t}", moved, "1"))
+    quotient = form(C6, 3, {(1, 2, 3): "1/(x1^2+1)", (4, 5, 6): "x4/(x5^2+1)",
+                            (1, 4, 6): 1})
+    # summed over all pairs at once, this trace would print differently
+    mixed = form(C6, 3, {(1, 2, 3): 1, (3, 5, 6): -1, (1, 3, 4): -2, (1, 2, 4): "1/(x4+2)",
+                         (4, 5, 6): "x4/(x4^2+1)", (2, 3, 5): "x5/(x5^2+1)"})
+    out += [("quotient", quotient, "1"), ("quotient, (x1^2+1) vol", quotient, "x1^2+1"),
+            ("x2, (x1^2+1) vol", catalog.omega_f("x2", C6), "x1^2+1"),
+            ("mixed denominators", mixed, "1")]
+    return out
+
+
+TRACE_FORMS = _trace_forms()
+
+
+@pytest.mark.parametrize("name,w,g", TRACE_FORMS, ids=[n for n, _w, _g in TRACE_FORMS])
+def test_trace_sq_and_square_print_as_the_dense_square(name, w, g):
+    J = hitchin_endomorphism(w, form(w.chart, 6, {tuple(range(1, 7)): g}))
+    dense = _dense_square(J)
+    trace = RationalExpr.const(6, 0)
+    for i in range(6):
+        trace = trace + dense[i][i]
+    got = _trace_sq(J.matrix, RationalExpr.const(6, 0))
+    assert got == trace and str(got) == str(trace)
+    assert got == J.square().trace() and str(got) == str(J.square().trace())
+    square = J.square()
+    assert [[str(v) for v in row] for row in square.matrix] == \
+        [[str(v) for v in row] for row in dense]
+
+
+def test_trace_sq_over_int_and_float_rows():
+    rows = [[0, 2, 0], [3, 1, 0], [0, 0, -1]]
+    assert _trace_sq(rows, 0) == 2 * 3 + 3 * 2 + 1 + 1
+    assert _trace_sq([[float(v) for v in row] for row in rows], 0.0) == 14.0
+
+
+def test_acs_squares_print_as_the_dense_square():
+    for m in (3, 4):
+        J = extract_acs(catalog.complex_volume_re(m))
+        assert [[str(v) for v in row] for row in J.square().matrix] == \
+            [[str(v) for v in row] for row in _dense_square(J)]
 
 
 # -- classification ----------------------------------------------------------------
@@ -289,6 +362,17 @@ def test_split_float_mode():
 def test_split_wrong_type():
     with pytest.raises(WrongType):
         split_product(catalog.complex6())
+
+
+def test_split_pointwise_evaluates_the_form_first():
+    w = form(HALF, 3, {(1, 2, 3): "x2^(1/2)", (4, 5, 6): 1})
+    # sqrt(x2) at x2 = 2 fails in the evaluation, before any trace is taken
+    with pytest.raises(IrrationalValue):
+        split_product(w, point=[0, 2, 0, 0, 0, 0])
+    p = [0, 4, 0, 0, 0, 0]
+    assert split_product(w, point=p) == split_product(w.eval_at(p))
+    w1, w2 = split_product(w, point=[0, 2, 0, 0, 0, 0], mode="float")
+    assert abs(w1[(1, 2, 3)] - 2 ** 0.5) < 1e-12 and w2 == {(4, 5, 6): 1.0}
 
 
 def test_split_pointwise_irrational_scale():

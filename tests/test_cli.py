@@ -260,6 +260,24 @@ def test_schema_errors_with_paths():
         go("classify", {"point": [0] * 6})
 
 
+@pytest.mark.parametrize("cmd,payload,violation", [
+    ("classify", {"point": [0, 0, 1.5, 0, 0, 0]},
+     "$.point[2]: must be an integer or rational string"),
+    ("classify", {"point": [0, 0, "a", 0, 0, 0]},
+     "$.point[2]: bad rational literal 'a': Invalid literal for Fraction: 'a'"),
+    ("lie-validate", {"algebra": {"dim": 2, "c": [[[0, 0], [0, 0.5]], [[0, 0], [0, 0]]]}},
+     "$.algebra.c[0][1][1]: must be an integer or rational string"),
+    ("lie-validate", {"algebra": {"dim": 2, "c": [[[0, 0], [0, "x"]], [[0, 0], [0, 0]]]}},
+     "$.algebra.c[0][1][1]: bad rational literal 'x': Invalid literal for Fraction: 'x'"),
+])
+def test_rational_entries_share_paths_and_messages(cmd, payload, violation):
+    if cmd == "classify":
+        payload = {"omega": W6_product(), **payload}
+    with pytest.raises(SchemaError) as err:
+        go(cmd, payload)
+    assert err.value.violations == [violation]
+
+
 def test_form_json_roundtrip_byte_identical():
     from plectic.jsonio import form_from_json, form_to_json
 

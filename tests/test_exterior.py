@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as Q
 from itertools import combinations
 
@@ -12,6 +13,7 @@ from plectic.errors import (
     HomotopyPole,
 )
 from plectic.exterior import (
+    _minor_sums,
     MultiVec,
     SmoothMap,
     basis_one_form,
@@ -384,6 +386,53 @@ def test_constant_linear_pullback_clears_denominators(seed):
     assert constant_linear_pullback(w8, M8) == pullback(linear_map(c8, M8), w8)
     h = function_form(c6, "3/2")
     assert constant_linear_pullback(h, M6) == pullback(linear_map(c6, M6), h) == h
+
+
+def _three_form_along(wv, P):
+    """w(P., P., P.) by the six signed terms per coefficient: the reference
+    loop the float split used before it called ``_minor_sums``."""
+    out = {}
+    for K in combinations(range(1, 7), 3):
+        i, j, k = (x - 1 for x in K)
+        total = 0.0
+        for (a, b, c), cv in wv.items():
+            acc = 0.0
+            for pa, pb, pc in ((a, b, c), (b, c, a), (c, a, b)):
+                acc += P[pa - 1][i] * P[pb - 1][j] * P[pc - 1][k]
+            for pa, pb, pc in ((b, a, c), (a, c, b), (c, b, a)):
+                acc -= P[pa - 1][i] * P[pb - 1][j] * P[pc - 1][k]
+            total += cv * acc
+        out[K] = total
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_float_minor_sums_match_the_six_term_reference(seed):
+    rng = random.Random(1300 + seed)
+    P = [[rng.uniform(-2, 2) for _ in range(6)] for _ in range(6)]
+    tuples = list(combinations(range(1, 7), 3))
+    wv = {I: rng.uniform(-3, 3) for I in rng.sample(tuples, 5)}
+    got = _minor_sums(wv, P, 6, 3, 0.0)
+    want = _three_form_along(wv, P)
+    # the 3x3 determinant sums in another order: allow rounding of each term
+    bound = 6 * max(abs(v) for row in P for v in row) ** 3 * sum(map(abs, wv.values()))
+    tol = 64 * sys.float_info.epsilon * bound
+    assert all(abs(got.get(K, 0.0) - v) <= tol for K, v in want.items())
+
+
+def test_minor_sums_over_the_transposed_jacobian_push_multivectors():
+    c2, c3 = chart(2), chart(3)
+    fmap = SmoothMap(c2, c3, (parse_expression("x1", 2), parse_expression("x2^2", 2),
+                              parse_expression("x1*x2", 2)))
+    jac_t = list(zip(*fmap.jacobian()))
+    X = multivec(c2, 2, {(1, 2): "x1"})
+    pushed = _minor_sums(X.coeffs, jac_t, 3, 2, RationalExpr.const(2, 0))
+    assert pushed == {(1, 2): parse_expression("2*x1*x2", 2),
+                      (1, 3): parse_expression("x1^2", 2),
+                      (2, 3): parse_expression("-2*x1*x2^2", 2)}
+    for p in ([1, 2], [Q(-1, 3), 5]):
+        at = pushforward_at(fmap, X, p)
+        assert at.coeffs == {K: RationalExpr.const(3, v.eval(p)) for K, v in pushed.items()}
 
 
 # -- pushforward ------------------------------------------------------------------

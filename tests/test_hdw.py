@@ -293,3 +293,33 @@ def test_ham_curve_check():
     assert ham_curve_check(psi, gamma.scale(2), X, pts) == [False] * 4
     assert ham_curve_check_symbolic(psi, gamma, X) is True
     assert ham_curve_check_symbolic(psi_bad, gamma, X) is False
+
+
+def _curve_fixtures():
+    """(psi, gamma, X): the curves above, and a surface in R^3 whose tangent
+    bivector field is pushed through the 2x2 minors of the Jacobian."""
+    H = function_form(C2, "x2")
+    X = ham_vector_field(W2, H)
+    c1 = chart(1)
+    psi = SmoothMap(c1, C2, (parse_expression("-x1", 1), parse_expression("5", 1)))
+    psi_bad = SmoothMap(c1, C2, (parse_expression("x1", 1), parse_expression("5", 1)))
+    gamma = coordinate_vector(c1, 1)
+    surface = SmoothMap(C2, C3, (parse_expression("x1", 2), parse_expression("x2", 2),
+                                 parse_expression("x1*x2", 2)))
+    tangent = multivec(C2, 2, {(1, 2): 1})
+    pushed = multivec(C3, 2, {(1, 2): 1, (1, 3): "x1", (2, 3): "-x2"})
+    swapped = multivec(C3, 2, {(1, 2): 1, (1, 3): "x2", (2, 3): "-x1"})
+    return [(psi, gamma, X), (psi_bad, gamma, X), (psi, gamma.scale(2), X),
+            (surface, tangent, pushed), (surface, tangent, swapped),
+            (surface, tangent.scale("x2"), pushed.scale("x2"))]
+
+
+def test_symbolic_curve_check_agrees_with_the_pointwise_one():
+    verdicts = []
+    for psi, gamma, X in _curve_fixtures():
+        pts = [[Q(t, 3)] + [Q(7, 5)] * (psi.source.dim - 1) for t in (-2, 1, 4)]
+        pointwise = ham_curve_check(psi, gamma, X, pts)
+        symbolic = ham_curve_check_symbolic(psi, gamma, X)
+        assert symbolic is all(pointwise) and len(set(pointwise)) == 1
+        verdicts.append(symbolic)
+    assert verdicts == [True, False, False, True, False, True]
