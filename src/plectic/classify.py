@@ -42,7 +42,6 @@ from .errors import (
 )
 from .exterior import (
     _contraction_columns,
-    _minor_sums,
     Chart,
     DiffForm,
     MultiVec,
@@ -503,25 +502,18 @@ def _tie_break(a: DiffForm, b: DiffForm) -> Tuple[DiffForm, DiffForm]:
     return a, b
 
 
-def split_product(w: DiffForm, point: Optional[Sequence] = None,
-                  mode: str = "exact"):
+def split_product(w: DiffForm, point: Optional[Sequence] = None):
     """Split a product-type form into its two decomposable summands.
 
     Symbolic when ``point`` is None; otherwise pointwise, on the form
-    evaluated at the point after the closedness check.  Exact mode raises
-    :class:`IrrationalScale` when sqrt(trace(J^2)/6) leaves the ring; float
-    mode (pointwise only) returns coefficient dictionaries with a residual
-    checked against 1e-9.
+    evaluated at the point after the closedness check.  Raises
+    :class:`IrrationalScale` when sqrt(trace(J^2)/6) leaves the ring.
     """
     _require_closed_3form_dim6(w)
-    if mode == "float" and point is None:
-        raise ShapeError("float split is pointwise; supply a point")
-    if point is not None and mode != "float":
+    if point is not None:
         w = w.eval_at(point)
     J = hitchin_endomorphism(w, standard_volume(w.chart))
     lam = _trace_sq(J.matrix, RationalExpr.const(6, 0)) / RationalExpr.const(6, 6)
-    if mode == "float":
-        return _split_product_float(w, J, lam, point)
     if point is None:
         sign = sign_on_chart(lam, w.chart)
         if sign.sign != "+":
@@ -532,39 +524,8 @@ def split_product(w: DiffForm, point: Optional[Sequence] = None,
         raise WrongType(f"trace sign is not positive at {list(point)}")
     root = fraction_root(lam_v, 2)
     if root is None:
-        raise IrrationalScale(f"sqrt({lam_v}) is irrational; rerun in float mode")
+        raise IrrationalScale(f"sqrt({lam_v}) is irrational")
     return _split(w, J, RationalExpr.const(6, root))
-
-
-def _split_product_float(w: DiffForm, J: EndField, lam: RationalExpr,
-                         point: Sequence):
-    import math
-
-    pt = w.chart.check_point(point)
-    lam_v = lam.eval(pt, mode="float")
-    if lam_v <= 0:
-        raise WrongType(f"trace sign is not positive at {list(point)}")
-    s = math.sqrt(lam_v)
-    d = w.chart.dim
-    Jv = [[float(J.matrix[i][j].eval(pt, mode="float")) for j in range(d)]
-          for i in range(d)]
-    P = [[((1.0 if i == j else 0.0) + Jv[i][j] / s) / 2.0 for j in range(d)]
-         for i in range(d)]
-    wv = {idx: float(c.eval(pt, mode="float")) for idx, c in w.coeffs.items()}
-    Pminus = [[(1.0 if i == j else 0.0) - P[i][j] for j in range(d)]
-              for i in range(d)]
-    # the part of w along P is w(P., P., P.), the pullback of w along P
-    parts = [{K: v for K, v in _minor_sums(wv, Pm, d, 3, 0.0).items()
-              if abs(v) > 1e-12} for Pm in (P, Pminus)]
-    residual = 0.0
-    for idx in set(wv) | set(parts[0]) | set(parts[1]):
-        residual = max(
-            residual,
-            abs(parts[0].get(idx, 0.0) + parts[1].get(idx, 0.0) - wv.get(idx, 0.0)),
-        )
-    if residual > 1e-9:
-        raise WrongType(f"float split residual {residual} exceeds 1e-9")
-    return parts[0], parts[1]
 
 
 def verify_product_decomposition(w: DiffForm, parts: Sequence[DiffForm]) -> bool:
@@ -687,14 +648,21 @@ def nijenhuis(J: EndField):
         raise NotAlmostComplex("J^2 != -I")
     values: Dict[Tuple[int, int], MultiVec] = {}
     cols = [J.column_field(i) for i in range(1, d + 1)]
+
+    def partial_field(X: MultiVec, j: int) -> MultiVec:
+        """[e_j, X] = d_j X = -[X, e_j]; and [e_i, e_j] = 0."""
+        out = {}
+        for k, c in X.coeffs.items():
+            p = c.partial(j)
+            if p:
+                out[k] = p
+        return MultiVec._raw(chart, 1, out)
+
     for i in range(1, d + 1):
         for j in range(i + 1, d + 1):
-            ei = coordinate_vector(chart, i)
-            ej = coordinate_vector(chart, j)
             term = vf_bracket(cols[i - 1], cols[j - 1])
-            term = term - J.apply(vf_bracket(cols[i - 1], ej))
-            term = term - J.apply(vf_bracket(ei, cols[j - 1]))
-            term = term - vf_bracket(ei, ej)
+            term = term - J.apply(-partial_field(cols[i - 1], j))
+            term = term - J.apply(partial_field(cols[j - 1], i))
             if term:
                 values[(i, j)] = term
     return NijenhuisReport(chart, values)
@@ -757,19 +725,13 @@ def involutive(frame: Sequence[MultiVec]) -> InvolutivityReport:
 # ---------------------------------------------------------------------------
 
 
-def _float_sample_point(w: DiffForm, chart: Chart):
-    """A deterministic admissible sample point for float fallbacks."""
-    point = [Q(1) if i in chart.positive else Q(1, 2)
-             for i in range(1, chart.dim + 1)]
-    try:
-        w.eval_at(point)
-    except PlecticError:
-        return None
-    return point
-
-
 def flatness_report(w: DiffForm) -> TypeReport:
-    """Full trichotomy with the per-type flatness obstruction."""
+    """Full trichotomy with the per-type flatness obstruction.
+
+    Every verdict comes from the exact split or normalization; when the
+    needed square root leaves the ring, the report is ``Undetermined`` and a
+    note names the irrational scale.
+    """
     _require_closed_3form_dim6(w)
     chart = w.chart
     J = hitchin_endomorphism(w, standard_volume(chart))
@@ -786,23 +748,11 @@ def flatness_report(w: DiffForm) -> TypeReport:
                           notes=notes + ["sign sampling inconclusive"])
 
     if sig.sign == "+":
-        lam = t / RationalExpr.const(6, 6)
         try:
-            w1, w2 = _split(w, J, _sqrt_rational_expr(lam))
+            w1, w2 = _split(w, J, _sqrt_rational_expr(t / RationalExpr.const(6, 6)))
         except IrrationalScale as exc:
-            extra = [f"exact split unavailable: {exc}"]
-            sample = _float_sample_point(w, chart)
-            if sample is not None:
-                try:
-                    _split_product_float(w, J, lam, sample)
-                    extra.append(
-                        "float split at "
-                        f"{[str(v) for v in sample]} decomposes within 1e-9; "
-                        "flatness not exactly certifiable"
-                    )
-                except (PlecticError, ZeroDivisionError, OverflowError, ValueError):
-                    pass
-            return TypeReport(PRODUCT, "+", UNDETERMINED, notes=notes + extra)
+            return TypeReport(PRODUCT, "+", UNDETERMINED,
+                              notes=notes + [f"exact split unavailable: {exc}"])
         d1, d2 = ext_d(w1), ext_d(w2)
         if d1.is_zero and d2.is_zero:
             return TypeReport(PRODUCT, "+", FLAT, notes=notes)

@@ -22,6 +22,8 @@ from itertools import combinations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .classify import (
+    _pointwise_trace_sq,
+    _values_at,
     classify6,
     flatness_report,
     involutive,
@@ -385,13 +387,11 @@ def _cmd_classify(req: Request):
     a = req.parsed
     rep = classify6(a["omega"], a["point"])
     out = type_report_to_json(rep)
-    if req.mode == "float":
-        from .classify import _trace_sq, hitchin_endomorphism, standard_volume
-
-        J = hitchin_endomorphism(a["omega"], standard_volume(a["omega"].chart))
-        t = _trace_sq(J.matrix, RationalExpr.const(6, 0))
+    if req.mode == "float":  # the exact trace at the point, rounded once
+        w = a["omega"]
+        t = _pointwise_trace_sq(_values_at(w, w.chart.check_point(a["point"])))
         out["mode"] = "float"
-        out["trace_of_J_squared"] = _float_str(t.eval(a["point"], mode="float"))
+        out["trace_of_J_squared"] = _float_str(t)
     return out, EXIT_OK
 
 

@@ -187,9 +187,6 @@ class GaussianRational:
 
     __repr__ = __str__
 
-    def to_complex(self) -> complex:
-        return complex(self._a / self._d, self._b / self._d)
-
 
 _SET_A = GaussianRational._a.__set__
 _SET_B = GaussianRational._b.__set__
@@ -292,14 +289,6 @@ def fraction_pow(base: Fraction, e: Fraction) -> Fraction:
     if root is None:
         raise IrrationalValue(f"{base}^(1/{e.denominator}) is irrational")
     return fraction_pow(root, Fraction(e.numerator))
-
-
-def float_pow(base: float, e: Fraction) -> float:
-    if base < 0 and e.denominator != 1:
-        raise DomainViolation(f"fractional power of negative value {base}")
-    if base == 0 and e < 0:
-        raise DivisionByZero("0 raised to a negative power")
-    return float(base) ** float(e)
 
 
 def _norm_exp(e):
@@ -544,24 +533,14 @@ class ScalarExpr:
                 out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
         return ScalarExpr._raw(self.dim, out)
 
-    def eval(self, point: Sequence, mode: str = "exact"):
-        """Evaluate at a rational (or Gaussian-rational) point.
+    def eval(self, point: Sequence):
+        """Evaluate exactly at a rational (or Gaussian-rational) point.
 
-        Exact mode demands every fractional power to stay rational and
-        raises :class:`IrrationalValue` otherwise.
+        Every fractional power must stay rational; :class:`IrrationalValue`
+        is raised otherwise.
         """
         if len(point) != self.dim:
             raise ShapeError(f"point of length {len(point)}, expected {self.dim}")
-        if mode == "float":
-            fpoint = [float(v) for v in point]
-            total = 0.0
-            for exps, c in self.terms.items():
-                acc = float(c) if not isinstance(c, GaussianRational) else c.to_complex()
-                for v, e in zip(fpoint, exps):
-                    if e:
-                        acc *= float_pow(v, e)
-                total += acc
-            return total
         pt = [v if isinstance(v, GaussianRational) else _as_fraction(v) for v in point]
         total = None
         for exps, c in self.terms.items():
@@ -575,16 +554,10 @@ class ScalarExpr:
                             "fractional power of a Gaussian rational"
                         )
                     k = e.numerator
-                    if k >= 0:
-                        p = GaussianRational(1)
-                        for _ in range(k):
-                            p = p * v
-                    else:
-                        p = GaussianRational(1)
-                        for _ in range(-k):
-                            p = p * v
-                        p = GaussianRational(1) / p
-                    acc = acc * p
+                    p = GaussianRational(1)
+                    for _ in range(abs(k)):
+                        p = p * v
+                    acc = acc * (p if k >= 0 else GaussianRational(1) / p)
                 else:
                     acc = acc * fraction_pow(v, e)
             total = acc if total is None else total + acc
@@ -858,13 +831,10 @@ class RationalExpr:
         dn = self.num.partial(index) * self.den - self.num * self.den.partial(index)
         return RationalExpr(dn, self.den * self.den)
 
-    def eval(self, point: Sequence, mode: str = "exact"):
-        nv = self.num.eval(point, mode)
-        dv = self.den.eval(point, mode)
-        if mode == "float":
-            if dv == 0.0:
-                raise DivisionByZero("denominator vanishes at evaluation point")
-            return nv / dv
+    def eval(self, point: Sequence):
+        """Evaluate exactly at a point, as :meth:`ScalarExpr.eval` does."""
+        nv = self.num.eval(point)
+        dv = self.den.eval(point)
         if not dv:
             raise DivisionByZero("denominator vanishes at evaluation point")
         return nv / dv

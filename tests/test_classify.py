@@ -347,18 +347,6 @@ def test_split_pointwise_exact():
     assert w2 == sym2.eval_at(p)
 
 
-def test_split_float_mode():
-    w = catalog.omega_f("x2")
-    w1, w2 = split_product(w, point=[0, 2, 0, 0, 0, 0], mode="float")
-    total = {}
-    for d in (w1, w2):
-        for k, v in d.items():
-            total[k] = total.get(k, 0.0) + v
-    expect = {(1, 3, 5): 1.0, (1, 4, 6): -1.0, (2, 3, 6): -1.0, (2, 4, 5): 2.0}
-    for k, v in expect.items():
-        assert abs(total.get(k, 0.0) - v) < 1e-9
-
-
 def test_split_wrong_type():
     with pytest.raises(WrongType):
         split_product(catalog.complex6())
@@ -371,8 +359,6 @@ def test_split_pointwise_evaluates_the_form_first():
         split_product(w, point=[0, 2, 0, 0, 0, 0])
     p = [0, 4, 0, 0, 0, 0]
     assert split_product(w, point=p) == split_product(w.eval_at(p))
-    w1, w2 = split_product(w, point=[0, 2, 0, 0, 0, 0], mode="float")
-    assert abs(w1[(1, 2, 3)] - 2 ** 0.5) < 1e-12 and w2 == {(4, 5, 6): 1.0}
 
 
 def test_split_pointwise_irrational_scale():
@@ -381,9 +367,6 @@ def test_split_pointwise_irrational_scale():
     w = catalog.omega_f("x2")
     with pytest.raises(IrrationalScale):
         split_product(w, point=[0, 2, 0, 0, 0, 0])  # sqrt(8) leaves Q
-    # the float fallback succeeds at the same point
-    w1, w2 = split_product(w, point=[0, 2, 0, 0, 0, 0], mode="float")
-    assert w1 and w2
 
 
 def test_verify_product_decomposition_three_parts():
@@ -594,12 +577,13 @@ def test_flatness_report_builds_j_and_checks_closedness_once(monkeypatch, w):
 
 
 def test_flatness_undetermined_irrational_scale():
-    # f = 2 gives lambda = 8: sqrt leaves the rationals, the report degrades
-    # to Undetermined and records the float-sampled decomposability
+    # f = 2 gives lambda = 8: sqrt leaves the rationals, so the report is
+    # Undetermined and says why; no float split stands in for the exact one
     rep = flatness_report(catalog.omega_f(2))
     assert rep.linear_type == PRODUCT
     assert rep.flat == "Undetermined"
-    assert any("1e-9" in note for note in rep.notes)
+    assert any(note.startswith("exact split unavailable") for note in rep.notes)
+    assert not any("float" in note or "1e-9" in note for note in rep.notes)
 
 
 def test_sign_on_chart_monomial_rule():
@@ -613,7 +597,7 @@ def test_sign_on_chart_monomial_rule():
 def test_sign_on_chart_lets_faults_through(monkeypatch):
     # only deliberate errors (a vanishing denominator, ...) skip a sample; a
     # fault in the arithmetic must surface instead of reading as a sign
-    def broken(self, point, mode="exact"):
+    def broken(self, point):
         raise TypeError("injected fault")
 
     monkeypatch.setattr(RationalExpr, "eval", broken)

@@ -393,3 +393,12 @@ def test_float_mode_only_for_classify(tmp_path, capsys, cmd):
     rep = json.loads(capsys.readouterr().out)
     assert rep["error"]["kind"] == "SchemaError"
     assert [v for v in rep["error"]["detail"] if v.startswith("$.options.mode")]
+
+
+def test_float_trace_is_the_exact_trace_rounded_once():
+    # trace(J^2) of w^(1/x2) at x2 = 5/3 is exactly 72/5
+    point = ["0", "5/3", "0", "0", "0", "0"]
+    rep, code = go("classify", {"omega": W_family("1/x2"), "point": point},
+                   mode="float")
+    assert code == EXIT_OK and rep["type"] == "ProductType"
+    assert rep["trace_of_J_squared"] == "14.4"

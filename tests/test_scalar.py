@@ -87,11 +87,6 @@ def test_evaluate_negative_fractional_power():
         expr("x2^(1/2)").eval([0, -1, 0])
 
 
-def test_evaluate_float_mode():
-    v = expr("x2^(1/2)").eval([0, 2, 0], mode="float")
-    assert abs(v - 2 ** 0.5) < 1e-15
-
-
 def test_parse_rejects_unknown_function():
     with pytest.raises(ParseError):
         expr("sin(x2)")
