@@ -610,27 +610,15 @@ def extract_acs(w: DiffForm) -> EndField:
     if sgn.sign != "+":
         raise WrongType("traceless solution squares to +I; not complex-volume type")
     sigma = _sqrt_rational_expr(neg_s)
-    J = T.scale(RationalExpr.const(d, 1) / sigma)
-    # orientation: the frame (e1, J e1, e2', J e2', ...) must be positive
-    frame_cols: List[List[RationalExpr]] = []
-
-    def add_col(vec: MultiVec):
-        frame_cols.append([vec.coeffs.get((k,), zero) for k in range(1, d + 1)])
-
-    used = []
-    for i in range(1, d + 1):
-        cand = [c for c in frame_cols]
-        col = [RationalExpr.const(d, 1) if k == i else zero for k in range(1, d + 1)]
-        if linalg.rank([[cand[j][k] for j in range(len(cand))] + [col[k]]
-                        for k in range(d)]) <= len(cand):
-            continue
-        e_i = coordinate_vector(chart, i)
-        add_col(e_i)
-        add_col(J.apply(e_i))
-        used.append(i)
-        if len(frame_cols) == d:
-            break
-    det = linalg.det([[frame_cols[j][k] for j in range(d)] for k in range(d)])
+    one = RationalExpr.const(d, 1)
+    J = T.scale(one / sigma)
+    # orientation: the frame (e1, J e1, e2', J e2', ...) must be positive.
+    # It is the pivot columns of [e1, J e1, .., ed, J ed]: the span of the
+    # columns before e_i is J-invariant, so e_i and J e_i are pivots together.
+    cols = [[v for i in range(d) for v in (one if k == i else zero, J.matrix[k][i])]
+            for k in range(d)]
+    pivots = linalg.eliminate(cols)[2]
+    det = linalg.det([[row[p] for p in pivots] for row in cols])
     det_sign = sign_on_chart(det, chart)
     if det_sign.sign == "-":
         J = -J
@@ -825,30 +813,22 @@ def verify_standard_subspace(w: DiffForm, frame: Sequence[MultiVec]) -> Standard
     d = chart.dim
     n = w.degree - 1
     zero = RationalExpr.const(d, 0)
-    cols = [[X.coeffs.get((k,), zero) for X in frame] for k in range(1, d + 1)]
-    if linalg.rank(cols) != len(frame):
-        raise DependentFrame("frame is linearly dependent over the fraction field")
+    one = RationalExpr.const(d, 1)
+    # pivot columns of [frame | I]: the frame's, then unit vectors completing it
+    pivots = linalg.eliminate([
+        [X.coeffs.get((k,), zero) for X in frame]
+        + [one if j == k else zero for j in range(1, d + 1)]
+        for k in range(1, d + 1)])[2]
     r = len(frame)
+    if pivots[:r] != list(range(r)):
+        raise DependentFrame("frame is linearly dependent over the fraction field")
     for a in range(r):
         for b in range(a + 1, r):
             if interior(frame[b], interior(frame[a], w)):
                 return StandardSubspaceReport(
                     False, False, 0, r, 0, failing_pair=(a + 1, b + 1)
                 )
-    # complement basis: standard vectors extending the frame to full rank
-    complement: List[MultiVec] = []
-    one = RationalExpr.const(d, 1)
-    current = [list(row) for row in cols]
-    rank_now = r
-    for i in range(1, d + 1):
-        trial = [current[k] + [one if k == i - 1 else zero] for k in range(d)]
-        new_rank = linalg.rank(trial)
-        if new_rank > rank_now:
-            rank_now = new_rank
-            current = trial
-            complement.append(coordinate_vector(chart, i))
-        if rank_now == d:
-            break
+    complement = [coordinate_vector(chart, c - r + 1) for c in pivots[r:]]
     quotient_dim = len(complement)
     power = list(combinations(range(quotient_dim), n))
     matrix = []

@@ -357,19 +357,26 @@ def _parse_verify(p):
 def _comoment_from_json(obj, algebra, n, chart_hint, path="$.maps") -> ComomentData:
     _expect(isinstance(obj, list) and len(obj) == n, path,
             f"must list {n} components")
+    d = algebra.dim
     maps = []
     for i, comp in enumerate(obj, start=1):
         _expect(isinstance(comp, list), f"{path}[{i - 1}]", "must be a list")
+        subsets = list(combinations(range(1, d + 1), i))
         entries = {}
         for t, entry in enumerate(comp):
             ep = f"{path}[{i - 1}][{t}]"
             _expect(isinstance(entry, dict), ep, "must be an object")
             idx = _get(entry, "idx", ep)
-            _expect(isinstance(idx, list) and len(idx) == i, f"{ep}.idx",
-                    f"must list {i} indices")
-            val = form_from_json(_get(entry, "form", ep), f"{ep}.form",
-                                 chart_hint=chart_hint)
-            entries[tuple(idx)] = val
+            key = (tuple(idx) if isinstance(idx, list)
+                   and all(type(v) is int for v in idx) else None)
+            _expect(key in subsets, f"{ep}.idx",
+                    f"must list {i} strictly increasing indices in 1..{d}")
+            _expect(key not in entries, f"{ep}.idx", "repeats an earlier idx")
+            entries[key] = form_from_json(_get(entry, "form", ep), f"{ep}.form",
+                                          chart_hint=chart_hint)
+        missing = [list(T) for T in subsets if T not in entries]
+        _expect(not missing, f"{path}[{i - 1}]",
+                f"must list every {i}-subset of 1..{d}; missing {missing}")
         maps.append(entries)
     return ComomentData(algebra, n, tuple(maps))
 

@@ -98,7 +98,7 @@ def ham_vector_field(w: DiffForm, H: DiffForm,
 
 def hdw_residual(w: DiffForm, X: MultiVec, H: DiffForm,
                  sign_convention: str = SIGN_HDW) -> DiffForm:
-    """i_X w + dH (zero exactly when the couple solves the equation)."""
+    """i_X w minus the right-hand side ``_rhs`` builds (zero on a solution)."""
     if X.chart != w.chart or H.chart != w.chart:
         raise ChartMismatch("operands live on different charts")
     n = w.degree - 1
@@ -107,9 +107,8 @@ def hdw_residual(w: DiffForm, X: MultiVec, H: DiffForm,
             f"degrees inconsistent: deg X + deg H = {X.degree + H.degree} != {n}"
         )
     contraction = interior(X, w)
-    if sign_convention == SIGN_FIN1 and (n % 2 == 0):
-        return contraction - ext_d(H)
-    return contraction + ext_d(H)
+    rhs = _rhs(w, H, sign_convention)
+    return contraction - DiffForm._raw(w.chart, contraction.degree, rhs)
 
 
 # ---------------------------------------------------------------------------

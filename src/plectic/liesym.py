@@ -2,12 +2,15 @@
 conserved quantities.
 
 Structure constants are rational: [e_i, e_j] = sum_k c[i][j][k] e_k.  The
-Chevalley-Eilenberg cochain differential follows the usual sign
+homology operator delta on the exterior algebra is normalized so that
+delta(x ^ y) = [x, y]:
 
-    (d phi)(x_1,..,x_{k+1}) = sum_{i<j} (-1)^(i+j) phi([x_i,x_j], ..),
+    delta(x_1 ^ .. ^ x_k) = sum_{i<j} (-1)^(i+j+1) [x_i,x_j] ^ .. ,
 
-so (d phi)(x, y) = -phi([x, y]) on 1-cochains; the homology operator delta
-on the exterior algebra is normalized so that delta(x ^ y) = [x, y].
+and it is the one signed bracket sum here.  The Chevalley-Eilenberg cochain
+differential is d_CE phi = -phi o delta, so (d phi)(x, y) = -phi([x, y]) on
+1-cochains.  On Lambda^3 g, delta o delta is minus the Jacobiator, so the
+Jacobi check is delta^2 = 0; the comoment relations subtract f_i o delta.
 
 Group actions enter at the algebra level: a :class:`LieAction` is a list of
 generator vector fields realizing the structure constants; the left-invariant
@@ -77,22 +80,12 @@ class LieAlgebraData:
         self._check_jacobi()
 
     def _check_jacobi(self):
-        d = self.dim
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    total = [Q(0)] * d
-                    for (a, b, e) in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.c[a][b]
-                        for m in range(d):
-                            if inner[m]:
-                                outer = self.c[m][e]
-                                for l in range(d):
-                                    total[l] += inner[m] * outer[l]
-                    if any(total):
-                        raise JacobiViolation(
-                            f"Jacobi identity fails on (e{i+1}, e{j+1}, e{k+1})"
-                        )
+        """delta(delta(e_i ^ e_j ^ e_k)) is minus the Jacobiator of the triple."""
+        ce = CEOperators(self)
+        for T in combinations(range(1, self.dim + 1), 3):
+            if ce.boundary(ce.boundary({T: Q(1)}, 3), 2):
+                i, j, k = T
+                raise JacobiViolation(f"Jacobi identity fails on (e{i}, e{j}, e{k})")
 
     def bracket(self, u: Sequence, v: Sequence) -> List[Fraction]:
         d = self.dim
@@ -250,22 +243,13 @@ class CEOperators:
         return out
 
     def co_differential(self, cochain: Chain, k: int) -> Chain:
-        """d_CE: C^k -> C^{k+1}, (d phi)(x,y) = -phi([x,y]) on 1-cochains."""
-        d = self.g.dim
+        """d_CE: C^k -> C^{k+1}, (d phi)(T) = -phi(delta T)."""
         out: Chain = {}
         for T in self.basis(k + 1):
-            acc = Q(0)
-            for a in range(k + 1):
-                for b in range(a + 1, k + 1):
-                    sign = -1 if (a + b) % 2 else 1  # (-1)^(a+b), 1-based
-                    br = self.g.basis_bracket(T[a], T[b])
-                    rest = tuple(T[t] for t in range(k + 1) if t not in (a, b))
-                    for merged, cv in _insert_wedge(br, rest, d):
-                        phi = cochain.get(merged)
-                        if phi:
-                            acc += sign * cv * phi
+            acc = sum((c * cochain.get(S, 0)
+                       for S, c in self.boundary({T: Q(1)}, k + 1).items()), Q(0))
             if acc:
-                out[T] = acc
+                out[T] = -acc
         return out
 
     def coboundary_test(self, cochain: Chain, k: int) -> Optional[Chain]:
@@ -274,16 +258,13 @@ class CEOperators:
         cols = self.basis(k - 1)
         if not cols:
             return {} if not any(cochain.values()) else None
-        matrix = [[Q(0)] * len(cols) for _ in rows]
-        for cidx, S in enumerate(cols):
-            img = self.co_differential({S: Q(1)}, k - 1)
-            for ridx, T in enumerate(rows):
-                v = img.get(T)
-                if v:
-                    matrix[ridx][cidx] = v
-        rhs = [cochain.get(T, Q(0)) for T in rows]
         if not rows:
             return {}
+        matrix = []
+        for T in rows:  # row T of d_CE is -delta(T)
+            dT = self.boundary({T: Q(1)}, k)
+            matrix.append([-dT.get(S, Q(0)) for S in cols])
+        rhs = [cochain.get(T, Q(0)) for T in rows]
         sol, _free = linalg.solve(matrix, rhs)
         if sol is None:
             return None
@@ -455,19 +436,6 @@ class ComomentData:
         val = self.maps[i - 1][key]
         return val if sign > 0 else -val
 
-    def evaluate_leading_vector(self, i: int, vec: Sequence[Fraction],
-                                rest: Sequence[int]) -> DiffForm:
-        """f_i(sum_k vec_k e_k, e_rest...), linear in the first slot."""
-        chart0 = next(iter(self.maps[0].values())).chart
-        out = DiffForm(chart0, self.n - i, {})
-        for k, coeff in enumerate(vec, start=1):
-            if not coeff:
-                continue
-            if k in rest:
-                continue
-            out = out + self.evaluate(i, [k] + list(rest)).scale(Q(coeff))
-        return out
-
 
 def comoment_from_potential(act: LieAction, eta: DiffForm, w: DiffForm,
                             potential_sign: int = 1) -> ComomentData:
@@ -511,9 +479,10 @@ def _f1_star_l(act: LieAction, w: DiffForm, T: Sequence[int]) -> DiffForm:
 def comoment_verify(act: LieAction, w: DiffForm, cm: ComomentData) -> ComomentReport:
     """Residuals of the lifting condition and the homotopy-morphism relations.
 
-    Relation residual for i: d f_i + l_1 f_{i+1} + f_1^* l_{i+1} on basis
-    (i+1)-tuples, with f_{n+1} = 0.  Locally constant shifts of any f_{i+1}
-    are invisible to l_1 f_{i+1}; the kernel note records this freedom.
+    Relation residual for i on a basis (i+1)-tuple T:
+    -f_i(delta T) + l_1 f_{i+1}(T) + f_1^* l_{i+1}(T), with f_{n+1} = 0.
+    Locally constant shifts of any f_{i+1} are invisible to l_1 f_{i+1}; the
+    kernel note records this freedom.
     """
     n = cm.n
     d = act.algebra.dim
@@ -521,17 +490,13 @@ def comoment_verify(act: LieAction, w: DiffForm, cm: ComomentData) -> ComomentRe
     for i in range(1, d + 1):
         f1 = cm.evaluate(1, [i])
         lifting[i] = ext_d(f1) + interior(act.generators[i - 1], w)
+    ce = CEOperators(act.algebra)
     relations = {}
     for i in range(1, n + 1):
         for T in combinations(range(1, d + 1), i + 1):
             acc = DiffForm(w.chart, n - i, {})
-            for a in range(i + 1):
-                for b in range(a + 1, i + 1):
-                    sign = -1 if (a + b) % 2 else 1  # (-1)^(a+b) 1-based
-                    br = act.algebra.basis_bracket(T[a], T[b])
-                    rest = [T[t] for t in range(i + 1) if t not in (a, b)]
-                    term = cm.evaluate_leading_vector(i, br, rest)
-                    acc = acc + (term if sign > 0 else -term)
+            for S, c in ce.boundary({T: Q(1)}, i + 1).items():
+                acc = acc - cm.evaluate(i, S).scale(c)
             if i + 1 <= n:
                 acc = acc + ext_d(cm.evaluate(i + 1, list(T)))
             acc = acc + _f1_star_l(act, w, T)

@@ -55,33 +55,21 @@ class Poly:
     @classmethod
     def interpolate(cls, xs: Sequence[GaussianRational],
                     ys: Sequence[GaussianRational]) -> "Poly":
-        """Lagrange interpolation through (xs[t], ys[t])."""
+        """Newton interpolation through (xs[t], ys[t]): divided differences,
+        then Horner's rule into ascending coefficients."""
         if len(xs) != len(ys):
             raise ShapeError("interpolation needs matching point lists")
         if len(set(xs)) != len(xs):
             raise DuplicatePoints("interpolation nodes must be distinct")
-        total = [GR(0)]
-        for t, (xt, yt) in enumerate(zip(xs, ys)):
-            if not yt:
-                continue
-            basis = [GR(1)]
-            denom = GR(1)
-            for s, xs_ in enumerate(xs):
-                if s == t:
-                    continue
-                # multiply basis by (X - xs_)
-                new = [GR(0)] * (len(basis) + 1)
-                for p, c in enumerate(basis):
-                    new[p] = new[p] + c * (-xs_)
-                    new[p + 1] = new[p + 1] + c
-                basis = new
-                denom = denom * (xt - xs_)
-            scale = yt / denom
-            if len(basis) > len(total):
-                total += [GR(0)] * (len(basis) - len(total))
-            for p, c in enumerate(basis):
-                total[p] = total[p] + c * scale
-        return cls(tuple(total))
+        c = list(ys)
+        for j in range(1, len(xs)):
+            for t in range(len(xs) - 1, j - 1, -1):
+                c[t] = (c[t] - c[t - 1]) / (xs[t] - xs[t - j])
+        coeffs: List[GaussianRational] = []
+        for t in reversed(range(len(xs))):  # c[t] + (X - xs[t]) * coeffs
+            coeffs = [s - xs[t] * a for s, a in zip([GR(0)] + coeffs, coeffs + [GR(0)])]
+            coeffs[0] = coeffs[0] + c[t]
+        return cls(tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -284,14 +272,10 @@ def separating_linear_map(points: Sequence[Point], n: int) -> LinearStep:
         if ok:
             phi = vec
             break
-    rows = [phi]
-    for i in range(n):
-        e = [GR(1) if j == i else GR(0) for j in range(n)]
-        trial = rows + [e]
-        if linalg.rank([list(r) for r in trial]) == len(trial):
-            rows = trial
-        if len(rows) == n:
-            break
+    # phi and the unit rows away from phi's last nonzero entry are a basis
+    last = max(i for i, v in enumerate(phi) if v)
+    rows = [phi] + [[GR(1) if j == i else GR(0) for j in range(n)]
+                    for i in range(n) if i != last]
     d = linalg.det([list(r) for r in rows])
     inv = GR(1) / d
     rows[-1] = [v * inv for v in rows[-1]]

@@ -150,6 +150,15 @@ class GaussianRational:
             return NotImplemented
         return _gaussian_quotient(*o, self._a, self._b, self._d)
 
+    def __pow__(self, k):
+        """Integer power; a negative power of zero raises DivisionByZero."""
+        if type(k) is not int:
+            return NotImplemented
+        p = GaussianRational(1)
+        for _ in range(abs(k)):
+            p = p * self
+        return p if k >= 0 else 1 / p
+
     def __neg__(self):
         return _gaussian_raw(-self._a, -self._b, self._d)
 
@@ -553,11 +562,7 @@ class ScalarExpr:
                         raise IrrationalValue(
                             "fractional power of a Gaussian rational"
                         )
-                    k = e.numerator
-                    p = GaussianRational(1)
-                    for _ in range(abs(k)):
-                        p = p * v
-                    acc = acc * (p if k >= 0 else GaussianRational(1) / p)
+                    acc = acc * v ** e.numerator
                 else:
                     acc = acc * fraction_pow(v, e)
             total = acc if total is None else total + acc
@@ -813,10 +818,7 @@ class RationalExpr:
         if isinstance(c, GaussianRational):
             if e.denominator != 1:
                 raise IrrationalValue("fractional power of a Gaussian coefficient")
-            acc = GaussianRational(1)
-            for _ in range(-e.numerator):
-                acc = acc * c
-            newc: Coeff = GaussianRational(1) / acc
+            newc: Coeff = c ** e.numerator
         else:
             newc = fraction_pow(c, e)
         return RationalExpr(

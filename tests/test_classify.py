@@ -188,7 +188,8 @@ def test_trace_sq_and_square_print_as_the_dense_square(name, w, g):
 def test_trace_sq_over_int_and_float_rows():
     rows = [[0, 2, 0], [3, 1, 0], [0, 0, -1]]
     assert _trace_sq(rows, 0) == 2 * 3 + 3 * 2 + 1 + 1
-    assert _trace_sq([[float(v) for v in row] for row in rows], 0.0) == 14.0
+    fractions = [[Q(v, 3) for v in row] for row in rows]
+    assert _trace_sq(fractions, Q(0)) == Q(14, 9)
 
 
 def test_acs_squares_print_as_the_dense_square():

@@ -182,6 +182,31 @@ def test_comoment_command():
     assert code == EXIT_FAILED_CHECK and not rep["verified"]
 
 
+F1, F2 = {"degree": 1, "terms": []}, {"degree": 0, "terms": []}
+
+
+@pytest.mark.parametrize("maps,violation", [
+    ([[{"idx": [1], "form": F1}], [{"idx": [1, 2], "form": F2}]],
+     "$.maps[0]: must list every 1-subset of 1..2; missing [[2]]"),
+    ([[{"idx": [1], "form": F1}, {"idx": [7], "form": F1}], [{"idx": [1, 2], "form": F2}]],
+     "$.maps[0][1].idx: must list 1 strictly increasing indices in 1..2"),
+    ([[{"idx": [1], "form": F1}, {"idx": [2], "form": F1}], [{"idx": [2, 1], "form": F2}]],
+     "$.maps[1][0].idx: must list 2 strictly increasing indices in 1..2"),
+    ([[{"idx": [1], "form": F1}, {"idx": [1], "form": F1}], [{"idx": [1, 2], "form": F2}]],
+     "$.maps[0][1].idx: repeats an earlier idx"),
+    ([[{"idx": [[1]], "form": F1}], []],
+     "$.maps[0][0].idx: must list 1 strictly increasing indices in 1..2"),
+], ids=["missing", "out-of-range", "decreasing", "repeated", "nested"])
+def test_comoment_verify_schema_checks_the_maps(tmp_path, capsys, maps, violation):
+    payload = abelian_volume_payload()
+    payload.update(mode="verify", maps=maps)
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    assert main(["comoment", str(path)]) == EXIT_ERROR
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["error"] == {"kind": "SchemaError", "detail": [violation]}
+
+
 def test_obstruction_command():
     payload = abelian_volume_payload()
     payload["i"] = 2

@@ -1,5 +1,4 @@
 import random
-import sys
 from fractions import Fraction as Q
 from itertools import combinations
 
@@ -394,9 +393,9 @@ def _three_form_along(wv, P):
     out = {}
     for K in combinations(range(1, 7), 3):
         i, j, k = (x - 1 for x in K)
-        total = 0.0
+        total = 0
         for (a, b, c), cv in wv.items():
-            acc = 0.0
+            acc = 0
             for pa, pb, pc in ((a, b, c), (b, c, a), (c, a, b)):
                 acc += P[pa - 1][i] * P[pb - 1][j] * P[pc - 1][k]
             for pa, pb, pc in ((b, a, c), (a, c, b), (c, b, a)):
@@ -408,16 +407,17 @@ def _three_form_along(wv, P):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_float_minor_sums_match_the_six_term_reference(seed):
+    """Exact rows: seeds 0-1 over Fraction, seeds 2-3 over int (the ring of
+    ``constant_linear_pullback``)."""
     rng = random.Random(1300 + seed)
-    P = [[rng.uniform(-2, 2) for _ in range(6)] for _ in range(6)]
+    zero = Q(0) if seed < 2 else 0
+    P = [[Q(rng.randint(-9, 9), rng.randint(1, 5)) if seed < 2 else rng.randint(-4, 4)
+          for _ in range(6)] for _ in range(6)]
     tuples = list(combinations(range(1, 7), 3))
-    wv = {I: rng.uniform(-3, 3) for I in rng.sample(tuples, 5)}
-    got = _minor_sums(wv, P, 6, 3, 0.0)
+    wv = {I: zero + rng.choice([-3, -1, 1, 2]) for I in rng.sample(tuples, 5)}
+    got = _minor_sums(wv, P, 6, 3, zero)
     want = _three_form_along(wv, P)
-    # the 3x3 determinant sums in another order: allow rounding of each term
-    bound = 6 * max(abs(v) for row in P for v in row) ** 3 * sum(map(abs, wv.values()))
-    tol = 64 * sys.float_info.epsilon * bound
-    assert all(abs(got.get(K, 0.0) - v) <= tol for K, v in want.items())
+    assert got == {K: v for K, v in want.items() if v}
 
 
 def test_minor_sums_over_the_transposed_jacobian_push_multivectors():

@@ -6,7 +6,7 @@ import pytest
 from plectic import hdw
 from plectic.catalog import omega_f
 from plectic.classify import nondegenerate
-from plectic.errors import DegenerateForm, DegreeError, NotHamiltonian
+from plectic.errors import DegenerateForm, DegreeError, NotHamiltonian, ShapeError
 from plectic.exterior import (
     SmoothMap,
     chart,
@@ -145,6 +145,16 @@ def test_residual_multivector_couple():
     assert hdw_residual(w, X, H).is_zero
     Hp = H + form(c4, 1, {(2,): "x1"})
     assert hdw_residual(w, X, Hp) == form(c4, 2, {(1, 2): 1})
+
+
+def test_residual_follows_the_solver_sign_conventions():
+    H = form(C3, 1, {(2,): "x1*x3"})
+    assert hdw_residual(W3, ham_vector_field(W3, H, SIGN_FIN1), H, SIGN_FIN1).is_zero
+    c4 = chart(4)
+    w4, H4 = form(c4, 4, {(1, 2, 3, 4): 1}), form(c4, 2, {(1, 2): "x3"})
+    assert hdw_residual(w4, ham_vector_field(w4, H4, SIGN_FIN1), H4, SIGN_FIN1).is_zero
+    with pytest.raises(ShapeError):
+        hdw_residual(W3, ham_vector_field(W3, H), H, "bogus")
 
 
 def test_residual_degree_check():

@@ -41,6 +41,7 @@ from plectic.liesym import (
     translation_action,
 )
 from plectic.scalar import RationalExpr, parse_expression
+from ce_reference import reference_check_jacobi, reference_co_differential
 
 C2 = chart(2)
 C3 = chart(3)
@@ -62,6 +63,45 @@ def test_jacobi_violation_detected():
     c[2][1] = [0, -1, 0]
     with pytest.raises(JacobiViolation):
         LieAlgebraData(3, tuple(tuple(tuple(v) for v in row) for row in c))
+
+
+def _verdict(build):
+    try:
+        build()
+    except JacobiViolation as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_jacobi_check_matches_the_triple_loop_reference(seed):
+    rng = random.Random(3100 + seed)
+    verdicts = set()
+    for _ in range(40):
+        d = rng.randint(2, 4)
+        c = [[[Q(0)] * d for _ in range(d)] for _ in range(d)]
+        for i, j in combinations(range(d), 2):
+            if rng.random() < 0.5:
+                c[i][j] = [Q(rng.choice([0, 0, 0, 1, -1, 2])) for _ in range(d)]
+                c[j][i] = [-v for v in c[i][j]]
+        want = _verdict(lambda: reference_check_jacobi(c, d))
+        got = _verdict(lambda: LieAlgebraData(d, tuple(tuple(map(tuple, row)) for row in c)))
+        assert got == want
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("g", [so3(), sl2(), abelian(3)])
+def test_co_differential_matches_the_signed_loop_reference(g):
+    ce = ce_operators(g)
+    rng = random.Random(3200 + g.dim)
+    for k in range(g.dim + 1):
+        for _ in range(5):
+            cochain = {T: Q(rng.randint(-3, 3), rng.randint(1, 3))
+                       for T in combinations(range(1, g.dim + 1), k) if rng.random() < 0.7}
+            image = ce.co_differential(cochain, k)
+            assert image == reference_co_differential(g, cochain, k)
+            assert ce.co_differential(ce.coboundary_test(image, k + 1), k) == image
 
 
 def test_so3_killing():

@@ -26,6 +26,7 @@ from plectic.scalar import (
     parse_expression,
     parse_gaussian,
 )
+from interpolation_reference import reference_interpolate
 from realify_reference import reference_realify
 
 
@@ -58,6 +59,19 @@ def test_lagrange_interpolation():
 def test_interpolation_duplicate_nodes():
     with pytest.raises(DuplicatePoints):
         Poly.interpolate([GR(1), GR(1)], [GR(0), GR(1)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_interpolation_matches_the_lagrange_reference(seed):
+    rng = random.Random(2700 + seed)
+    for k in range(1, 7):
+        xs = []
+        while len(xs) < k:
+            x = rand_gauss(rng)
+            if x not in xs:
+                xs.append(x)
+        ys = [rand_gauss(rng) if rng.random() < 0.8 else GR(0) for _ in range(k)]
+        assert Poly.interpolate(xs, ys).coeffs == reference_interpolate(xs, ys)
 
 
 # -- separating map ---------------------------------------------------------------

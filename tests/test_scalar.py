@@ -256,9 +256,16 @@ def test_gaussian_matches_the_two_fraction_reference(seed):
             for op in binary:
                 _assert_same(_outcome(op, x, q), _outcome(op, rx, q))
                 _assert_same(_outcome(op, q, x), _outcome(op, q, rx))
+        for k in (-2, 0, 3):  # integer powers by repeated reference products
+            want = ReferenceGaussian(1)
+            for _ in range(abs(k)):
+                want = want * rx
+            if k < 0:
+                want = _outcome(operator.truediv, ReferenceGaussian(1), want)
+            _assert_same(_outcome(operator.pow, x, k), want)
         for other in (0.5, "1", None):
             assert (x == other) == (rx == other)
-            for op in binary:
+            for op in binary + (operator.pow,):
                 with pytest.raises(TypeError):
                     op(x, other)
                 with pytest.raises(TypeError):
