@@ -2,18 +2,21 @@
 type-specific flatness obstructions.
 
 The classification runs through the endomorphism field J defined by
-``(i_v w) ^ w = i_{J(v)} Vol``; the sign of trace(J^2) separates the three
-non-degenerate linear types in dimension six, and flatness is then decided
-per type: closedness of the decomposable summands (product type), the
-Nijenhuis tensor of the normalized J (complex type), or involutivity of
-ker J (tangent type).
+``(i_v w) ^ w = i_{J(v)} Vol``.  At a point, two numbers read off g*J (g the
+volume coefficient) decide the linear type in dimension six: the sign of
+trace(J^2) gives product (+) or complex (-) type, and at trace zero the form
+is tangent when g*J has rank >= 2 and degenerate when its rank is <= 1 (see
+``classify6``).  Flatness is then decided per type: closedness of the
+decomposable summands (product type), the Nijenhuis tensor of the normalized
+J (complex type), or involutivity of ker J (tangent type).
 
 J (times the volume coefficient) and the contraction map v -> i_v w are each
 built by one function from the form's coefficient dict, in whatever ring the
 coefficients live in: Python int after clearing denominators at a point,
 ``RationalExpr`` for symbolic work.  trace(J^2) is summed by one function
-over J's rows in the same way, and a pointwise split evaluates the form
-before it builds J.
+over J's rows in the same way, so the pointwise trichotomy stays in Python
+int from the coefficients to the verdict; a pointwise split evaluates the
+form before it builds J.
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import lcm
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,6 +43,7 @@ from .errors import (
     WrongType,
 )
 from .exterior import (
+    _cleared,
     _contraction_columns,
     Chart,
     DiffForm,
@@ -169,12 +172,6 @@ def _rational(v) -> Fraction:
             raise ShapeError(f"not an exact rational: {v!r}")
         return v.re
     return Q(v)
-
-
-def _cleared(values: Dict[tuple, Fraction]) -> Tuple[int, Dict[tuple, int]]:
-    """(D, {idx: D * value}) in Python int, D the lcm of the denominators."""
-    D = lcm(*(v.denominator for v in values.values()))
-    return D, {idx: v.numerator * (D // v.denominator) for idx, v in values.items()}
 
 
 def nondegenerate(w: DiffForm, point: Optional[Sequence] = None) -> NondegeneracyReport:
@@ -419,28 +416,47 @@ def _require_closed_3form_dim6(w: DiffForm):
         raise NotClosed("the form is not closed")
 
 
-def _pointwise_trace_sq(values: Dict[Tuple[int, int, int], Fraction]) -> Fraction:
-    """trace(J(p)^2) for a constant 3-form in dimension 6 with coefficients
-    ``values`` and the standard volume.  J is built in Python int on the
-    coefficients scaled by the lcm D of their denominators; J is quadratic in
-    them, so the trace of its square scales by D^4.
-    """
-    D, values = _cleared(values)
-    return Fraction(_trace_sq(_volume_times_j(values, 0), 0), D ** 4)
+def _rank_at_least_two(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether two rows of an int matrix are linearly independent.  With r
+    the first nonzero row and r[k] its first nonzero entry, a row s is a
+    multiple of r exactly when r[k] * s[j] == s[k] * r[j] for every j."""
+    for r in rows:
+        for k, a in enumerate(r):
+            if a:
+                return any(a * s[j] != s[k] * r[j] for s in rows for j in range(len(r)))
+    return False
+
+
+def _classify_at(w: DiffForm, point: Sequence) -> Tuple[TypeReport, Fraction]:
+    """``classify6``'s report together with the exact trace(J(p)^2) for the
+    standard volume."""
+    _require_closed_3form_dim6(w)
+    D, values = _cleared(_values_at(w, w.chart.check_point(point)))
+    gj = _volume_times_j(values, 0)
+    tv = _trace_sq(gj, 0)  # trace(J^2) times D^4 > 0: the sign is exact
+    if tv > 0:
+        linear_type, sign = PRODUCT, "+"
+    elif tv < 0:
+        linear_type, sign = COMPLEX, "-"
+    else:
+        linear_type, sign = (TANGENT if _rank_at_least_two(gj) else DEGENERATE), "0"
+    return TypeReport(linear_type, sign, points=[list(point)]), Fraction(tv, D ** 4)
 
 
 def classify6(w: DiffForm, point: Sequence) -> TypeReport:
-    """Linear type of a closed 3-form on a 6-chart at a point."""
-    _require_closed_3form_dim6(w)
-    pt = w.chart.check_point(point)
-    tv = _pointwise_trace_sq(_values_at(w, pt))
-    if tv > 0:
-        return TypeReport(PRODUCT, "+", points=[list(point)])
-    if tv < 0:
-        return TypeReport(COMPLEX, "-", points=[list(point)])
-    if nondegenerate(w, point):
-        return TypeReport(TANGENT, "0", points=[list(point)])
-    return TypeReport(DEGENERATE, "0", points=[list(point)])
+    """Linear type of a closed 3-form on a 6-chart at a point.
+
+    The coefficients are read once and cleared of denominators by their lcm
+    D, so J (for the standard volume) is built in Python int, scaled by D^2,
+    and trace(J^2) comes out scaled by D^4 > 0.  The sign of trace(J^2)
+    separates product (+) and complex (-) type.  At trace zero, w is tangent
+    exactly when J has rank >= 2: if w is degenerate, some v != 0 has
+    i_v w = 0, so w is pulled back from the 5-dimensional V/<v>, every
+    (i_u w) ^ w lies in the line of 5-forms of that quotient, and J has
+    rank <= 1; a non-degenerate w with trace zero is GL(6)-conjugate to
+    ``catalog.tangent6``, whose J has rank 3.
+    """
+    return _classify_at(w, point)[0]
 
 
 def _sqrt_rational_expr(expr: RationalExpr) -> RationalExpr:

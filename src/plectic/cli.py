@@ -22,9 +22,7 @@ from itertools import combinations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .classify import (
-    _pointwise_trace_sq,
-    _values_at,
-    classify6,
+    _classify_at,
     flatness_report,
     involutive,
     nondegenerate,
@@ -392,11 +390,9 @@ def _float_str(x) -> str:
 
 def _cmd_classify(req: Request):
     a = req.parsed
-    rep = classify6(a["omega"], a["point"])
+    rep, t = _classify_at(a["omega"], a["point"])
     out = type_report_to_json(rep)
     if req.mode == "float":  # the exact trace at the point, rounded once
-        w = a["omega"]
-        t = _pointwise_trace_sq(_values_at(w, w.chart.check_point(a["point"])))
         out["mode"] = "float"
         out["trace_of_J_squared"] = _float_str(t)
     return out, EXIT_OK

@@ -581,11 +581,22 @@ def _minor_sums(coeffs: Mapping[IndexTuple, object], M: Sequence[Sequence],
     return out
 
 
+def _cleared(values: Mapping[IndexTuple, object]) -> Tuple[int, Dict[IndexTuple, object]]:
+    """(E, {idx: E * value}) with E the lcm of the values' denominators: a
+    Fraction becomes a Python int, a GaussianRational a Gaussian integer."""
+    E = lcm(*(v.denominator for v in values.values()))
+    return E, {idx: v.numerator * (E // v.denominator) if type(v) is Fraction else v * E
+               for idx, v in values.items()}
+
+
 def constant_linear_pullback(a: DiffForm, matrix: Sequence[Sequence[Fraction]]) -> DiffForm:
     """Pullback of a constant-coefficient form along x -> M x (fast path).
 
-    The minors are computed in Python int, as those of D M with D the lcm of
-    M's denominators; each coefficient is divided by D^deg at the end.
+    Both sides are cleared of denominators first: the form's coefficients by
+    their lcm E, the matrix by the lcm D of its entries' denominators.  The
+    minor sums of the integer form along D M then run in Python int (a
+    Gaussian coefficient stays a Gaussian integer), and each is divided once
+    by E * D^deg, as a degree-deg form picks up D^deg from the minors.
     """
     dim, deg = a.chart.dim, a.degree
     if not deg:
@@ -593,10 +604,11 @@ def constant_linear_pullback(a: DiffForm, matrix: Sequence[Sequence[Fraction]]) 
     m = [[Fraction(v) for v in row] for row in matrix]
     D = lcm(*(v.denominator for row in m for v in row))
     m = [[v.numerator * (D // v.denominator) for v in row] for row in m]
-    vals = {I: c.constant_value() for I, c in a.coeffs.items()}
-    out = _minor_sums(vals, m, dim, deg, 0)
-    return DiffForm(a.chart, deg,
-                    {K: RationalExpr.const(dim, v / D ** deg) for K, v in out.items()})
+    E, vals = _cleared({I: c.constant_value() for I, c in a.coeffs.items()})
+    scale = E * D ** deg
+    return DiffForm._raw(a.chart, deg, {
+        K: RationalExpr.const(dim, Fraction(v, scale) if type(v) is int else v / scale)
+        for K, v in _minor_sums(vals, m, dim, deg, 0).items()})
 
 
 def pushforward_at(f: SmoothMap, X: MultiVec, point: Sequence) -> MultiVec:

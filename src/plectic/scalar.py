@@ -93,6 +93,11 @@ class GaussianRational:
         raise AttributeError("GaussianRational is immutable")
 
     @property
+    def denominator(self) -> int:
+        """The least d > 0 that makes d times the value a Gaussian integer."""
+        return self._d
+
+    @property
     def re(self) -> Fraction:
         return Fraction(self._a, self._d)
 

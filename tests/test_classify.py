@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
 from plectic import catalog, classify
 from plectic.classify import (
-    _pointwise_trace_sq,
+    _classify_at,
     _trace_sq,
     COMPLEX,
     DEGENERATE,
@@ -207,6 +208,11 @@ def test_classify_trichotomy():
     assert classify6(catalog.complex6(), ORIGIN6).linear_type == COMPLEX
     assert classify6(catalog.tangent6(), ORIGIN6).linear_type == TANGENT
     assert classify6(form(C6, 3, {(1, 2, 3): 1}), ORIGIN6).linear_type == DEGENERATE
+    # dx1 ^ (dx23 + dx45) is degenerate (kernel e6), but its J is not zero
+    rank_one = form(C6, 3, {(1, 2, 3): 1, (1, 4, 5): 1})
+    J = hitchin_endomorphism(rank_one, standard_volume(C6))
+    assert any(v for row in J.matrix for v in row)
+    assert classify6(rank_one, ORIGIN6).linear_type == DEGENERATE
 
 
 def test_classify_requires_closed():
@@ -246,11 +252,40 @@ def test_pointwise_path_on_rational_conjugates(seed):
         (catalog.tangent6(), TANGENT),
     ]:
         moved = constant_linear_pullback(w, M)
-        values = {idx: c.constant_value() for idx, c in moved.coeffs.items()}
-        assert any(v.denominator > 1 for v in values.values())
+        assert any(c.constant_value().denominator > 1 for c in moved.coeffs.values())
         trace = hitchin_endomorphism(moved, vol).square().trace().eval(ORIGIN6)
-        assert _pointwise_trace_sq(values) == trace
-        assert classify6(moved, ORIGIN6).linear_type == expected
+        report, exact = _classify_at(moved, ORIGIN6)
+        assert exact == trace
+        assert report == classify6(moved, ORIGIN6)
+        assert report.linear_type == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_criterion_matches_nondegenerate_at_trace_zero(seed):
+    """At trace(J^2) = 0, classify6 tells tangent from degenerate by the rank
+    of g*J; the verdict must be that of the kernel computation.  Inputs:
+    integer conjugates of tangent6, of dx123 and of dx123 + dx145 (J of rank
+    1), and random sparse forms with coefficients in +-{1, 2}."""
+    rng = random.Random(1500 + seed)
+    forms = [constant_linear_pullback(w, rand_gl6(rng))
+             for w in (catalog.tangent6(), form(C6, 3, {(1, 2, 3): 1}),
+                       form(C6, 3, {(1, 2, 3): 1, (1, 4, 5): 1}))
+             for _ in range(3)]
+    tuples = list(combinations(range(1, 7), 3))
+    while len(forms) < 60:
+        w = form(C6, 3, {I: rng.choice([-2, -1, 1, 2])
+                         for I in rng.sample(tuples, rng.randint(1, 6))})
+        if not _classify_at(w, ORIGIN6)[1]:
+            forms.append(w)
+    verdicts = set()
+    for w in forms:
+        report, trace = _classify_at(w, ORIGIN6)
+        assert trace == 0 and report.trace_sign == "0"
+        expected = TANGENT if nondegenerate(w, ORIGIN6) else DEGENERATE
+        assert report.linear_type == expected
+        assert classify6(w, ORIGIN6) == report
+        verdicts.add(expected)
+    assert verdicts == {TANGENT, DEGENERATE}
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -35,7 +35,7 @@ from plectic.exterior import (
     vf_bracket,
     wedge,
 )
-from plectic.scalar import RationalExpr, ScalarExpr, parse_expression
+from plectic.scalar import GaussianRational, RationalExpr, ScalarExpr, parse_expression
 from util import linear_map, rand_form, rand_rational_gl, rand_vector_field
 
 C3 = chart(3)
@@ -385,6 +385,36 @@ def test_constant_linear_pullback_clears_denominators(seed):
     assert constant_linear_pullback(w8, M8) == pullback(linear_map(c8, M8), w8)
     h = function_form(c6, "3/2")
     assert constant_linear_pullback(h, M6) == pullback(linear_map(c6, M6), h) == h
+    # a Gaussian coefficient is cleared to a Gaussian integer, not to an int
+    g6 = f(c6, 3, {(1, 2, 3): GaussianRational(Q(1, 3)),
+                   (1, 4, 6): GaussianRational(Q(1, 2), Q(-2, 5)), (2, 5, 6): Q(2, 7)})
+    assert constant_linear_pullback(g6, M6) == pullback(linear_map(c6, M6), g6)
+
+
+def test_constant_linear_pullback_matches_sympy_minors():
+    """The pullback along x -> M x is sum_I c_I sum_K det(M[I][K]) dx^K;
+    the 3x3 minors here come from sympy, for coefficients of mixed
+    denominators and a rational M."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1400)
+    c6 = chart(6)
+    tuples = list(combinations(range(1, 7), 3))
+    for _ in range(4):
+        M = rand_rational_gl(rng, 6)
+        coeffs = {I: Q(rng.choice([-9, -4, -1, 1, 2, 5]), rng.choice([1, 2, 3, 5, 7, 12]))
+                  for I in rng.sample(tuples, 5)}
+        assert len({c.denominator for c in coeffs.values()}) > 1
+        S = sympy.Matrix(6, 6, lambda i, j: sympy.Rational(M[i][j].numerator,
+                                                           M[i][j].denominator))
+        want = {}
+        for K in tuples:
+            total = sum(sympy.Rational(c.numerator, c.denominator)
+                        * S.extract([i - 1 for i in I], [k - 1 for k in K]).det()
+                        for I, c in coeffs.items())
+            if total != 0:
+                want[K] = Q(int(total.p), int(total.q))
+        got = constant_linear_pullback(f(c6, 3, coeffs), M)
+        assert {K: c.constant_value() for K, c in got.coeffs.items()} == want
 
 
 def _three_form_along(wv, P):
