@@ -210,9 +210,10 @@ def test_classify_trichotomy():
     assert classify6(form(C6, 3, {(1, 2, 3): 1}), ORIGIN6).linear_type == DEGENERATE
     # dx1 ^ (dx23 + dx45) is degenerate (kernel e6), but its J is not zero
     rank_one = form(C6, 3, {(1, 2, 3): 1, (1, 4, 5): 1})
-    J = hitchin_endomorphism(rank_one, standard_volume(C6))
-    assert any(v for row in J.matrix for v in row)
-    assert classify6(rank_one, ORIGIN6).linear_type == DEGENERATE
+    for w in (rank_one, constant_linear_pullback(rank_one, rand_gl6(random.Random(1600)))):
+        J = hitchin_endomorphism(w, standard_volume(C6))
+        assert any(v for row in J.matrix for v in row)
+        assert classify6(w, ORIGIN6).linear_type == DEGENERATE
 
 
 def test_classify_requires_closed():
