@@ -18,37 +18,32 @@ from .scalar import RationalExpr, parse_expression
 Q = Fraction
 
 
-def product6(ch: Optional[Chart] = None) -> DiffForm:
+def product6() -> DiffForm:
     """dx123 + dx456, the product-type normal form."""
-    ch = ch or chart(6)
-    return DiffForm(ch, 3, {(1, 2, 3): 1, (4, 5, 6): 1})
+    return DiffForm(chart(6), 3, {(1, 2, 3): 1, (4, 5, 6): 1})
 
 
-def complex6(ch: Optional[Chart] = None) -> DiffForm:
+def complex6() -> DiffForm:
     """dx135 - dx146 - dx236 - dx245 = Re(dz1 ^ dz2 ^ dz3) interleaved."""
-    ch = ch or chart(6)
-    return DiffForm(ch, 3, {(1, 3, 5): 1, (1, 4, 6): -1, (2, 3, 6): -1, (2, 4, 5): -1})
+    return DiffForm(chart(6), 3, {(1, 3, 5): 1, (1, 4, 6): -1, (2, 3, 6): -1, (2, 4, 5): -1})
 
 
-def tangent6(ch: Optional[Chart] = None) -> DiffForm:
+def tangent6() -> DiffForm:
     """dx156 - dx246 + dx345, the tangent-type normal form."""
-    ch = ch or chart(6)
-    return DiffForm(ch, 3, {(1, 5, 6): 1, (2, 4, 6): -1, (3, 4, 5): 1})
+    return DiffForm(chart(6), 3, {(1, 5, 6): 1, (2, 4, 6): -1, (3, 4, 5): 1})
 
 
-def g2_form(ch: Optional[Chart] = None) -> DiffForm:
+def g2_form() -> DiffForm:
     """The closed G2-structure 3-form on R^7."""
-    ch = ch or chart(7)
-    return DiffForm(ch, 3, {
+    return DiffForm(chart(7), 3, {
         (1, 2, 3): 1, (1, 4, 5): 1, (1, 6, 7): -1,
         (2, 4, 6): 1, (2, 5, 7): 1, (3, 4, 7): 1, (3, 5, 6): -1,
     })
 
 
-def s6_pole_form(ch: Optional[Chart] = None) -> DiffForm:
+def s6_pole_form() -> DiffForm:
     """Restriction of the G2 form to the tangent space of S^6 at the pole."""
-    ch = ch or chart(6)
-    return DiffForm(ch, 3, {(1, 2, 3): 1, (1, 4, 5): 1, (2, 4, 6): 1, (3, 5, 6): -1})
+    return DiffForm(chart(6), 3, {(1, 2, 3): 1, (1, 4, 5): 1, (2, 4, 6): 1, (3, 5, 6): -1})
 
 
 def half_space6() -> Chart:
@@ -67,15 +62,14 @@ def omega_f(f: Union[str, RationalExpr, int, Fraction],
     })
 
 
-def symplectic_form(m: int, ch: Optional[Chart] = None) -> DiffForm:
+def symplectic_form(m: int) -> DiffForm:
     """dx1^dx2 + ... + dx(2m-1)^dx(2m) on R^{2m}."""
-    ch = ch or chart(2 * m)
-    return DiffForm(ch, 2, {(2 * i - 1, 2 * i): 1 for i in range(1, m + 1)})
+    return DiffForm(chart(2 * m), 2, {(2 * i - 1, 2 * i): 1 for i in range(1, m + 1)})
 
 
-def symplectic_power(m: int, j: int, ch: Optional[Chart] = None) -> DiffForm:
+def symplectic_power(m: int, j: int) -> DiffForm:
     """j-th wedge power of the standard symplectic form on R^{2m}."""
-    w = symplectic_form(m, ch)
+    w = symplectic_form(m)
     out = w
     for _ in range(j - 1):
         out = wedge(out, w)

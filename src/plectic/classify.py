@@ -77,6 +77,7 @@ UNDETERMINED = "Undetermined"
 
 _SAMPLE_POOL_POS = [Q(1, 3), Q(1, 2), Q(1), Q(3, 2), Q(2), Q(3), Q(4)]
 _SAMPLE_POOL_ANY = [Q(-3), Q(-2), Q(-1), Q(-1, 2), Q(1, 2), Q(1), Q(2), Q(3)]
+_SIGN_SAMPLES = 48  # points drawn when no certificate decides the sign
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ def _monomial_sign(expr: RationalExpr, chart: Chart) -> Optional[str]:
     return "+" if c > 0 else "-"
 
 
-def sign_on_chart(expr: RationalExpr, chart: Chart, samples: int = 48) -> SignReport:
+def sign_on_chart(expr: RationalExpr, chart: Chart) -> SignReport:
     """Decide the sign of an expression on the chart.
 
     Certified for the zero expression, constants, and monomials supported on
@@ -119,7 +120,7 @@ def sign_on_chart(expr: RationalExpr, chart: Chart, samples: int = 48) -> SignRe
     pos_w = None
     neg_w = None
     seen_nonzero = False
-    for _ in range(samples):
+    for _ in range(_SIGN_SAMPLES):
         point = [
             rng.choice(_SAMPLE_POOL_POS if i in chart.positive else _SAMPLE_POOL_ANY)
             for i in range(1, chart.dim + 1)

@@ -16,10 +16,9 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .classify import (
     _classify_at,
@@ -55,7 +54,6 @@ from .jsonio import (
     auto_to_json,
     chart_to_json,
     expr_from_json,
-    expr_to_str,
     form_from_json,
     form_to_json,
     gaussian_point_from_json,
@@ -78,7 +76,7 @@ from .linfty import (
     make_observable,
 )
 from .mover import jacobian_determinant, move_points, realify_and_check
-from .scalar import RationalExpr, ScalarExpr
+from .scalar import RationalExpr, ScalarExpr, format_rational
 
 Q = Fraction
 
@@ -92,50 +90,32 @@ EXIT_ERROR = 1
 EXIT_FAILED_CHECK = 2
 
 
-@dataclass
-class Request:
+class Request(NamedTuple):
+    """A validated request: its command, parsed payload and options."""
+
     command: str
-    payload: dict
-    options: dict = field(default_factory=dict)
-    parsed: Optional[dict] = None
-
-    @property
-    def mode(self) -> str:
-        return self.options.get("mode", "exact")
-
-    @property
-    def sign_convention(self) -> str:
-        return self.options.get("sign_convention", SIGN_HDW)
-
-    @property
-    def seed(self) -> int:
-        return int(self.options.get("seed", 0))
+    parsed: dict
+    mode: str
+    sign_convention: str
+    seed: int
 
 
-def parse_request(raw: bytes, command: Optional[str] = None,
+def parse_request(raw: bytes, command: str,
                   options: Optional[dict] = None) -> Request:
-    """Parse and schema-validate a request before dispatch.
+    """Parse and schema-validate the JSON payload ``raw`` of ``command``.
 
-    When ``command`` is None the JSON must be an envelope
-    {"command": .., "payload": .., "options": {..}}; otherwise the JSON is
-    the payload for that command.
+    ``options`` may set ``mode`` ("exact", or "float" for classify only),
+    ``sign_convention`` and an integer ``seed``.  Every violation raises
+    :class:`SchemaError` with its JSON path (``$.options.seed`` and so on).
     """
     try:
-        obj = json.loads(raw.decode("utf-8"))
+        payload = json.loads(raw.decode("utf-8"))
     except Exception as exc:
         raise SchemaError([f"$: invalid JSON: {exc}"]) from None
-    if command is None:
-        _expect(isinstance(obj, dict), "$", "request must be an object")
-        command = _get(obj, "command", "$")
-        payload = obj.get("payload", {})
-        opts = obj.get("options", {})
-    else:
-        payload = obj
-        opts = dict(options or {})
-    _expect(isinstance(command, str) and command in COMMANDS, "$.command",
+    opts = options or {}
+    _expect(command in COMMANDS, "$.command",
             f"must be one of {', '.join(COMMANDS)}")
     _expect(isinstance(payload, dict), "$.payload", "must be an object")
-    _expect(isinstance(opts, dict), "$.options", "must be an object")
     mode = opts.get("mode", "exact")
     _expect(mode in ("exact", "float"), "$.options.mode",
             "must be 'exact' or 'float'")
@@ -144,8 +124,9 @@ def parse_request(raw: bytes, command: Optional[str] = None,
     sign = opts.get("sign_convention", SIGN_HDW)
     _expect(sign in (SIGN_HDW, SIGN_FIN1), "$.options.sign_convention",
             f"must be '{SIGN_HDW}' or '{SIGN_FIN1}'")
-    parsed = COMMANDS[command][0](payload)
-    return Request(command, payload, opts, parsed)
+    seed = opts.get("seed", 0)
+    _expect(isinstance(seed, int), "$.options.seed", "must be an integer")
+    return Request(command, COMMANDS[command][0](payload), mode, sign, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -160,29 +141,32 @@ def _int_field(payload, key, minimum=1):
     return v
 
 
+def _form(p, key, hint=None, kind=None):
+    """The form (or ``kind`` "multivector") under payload key ``key``."""
+    return form_from_json(_get(p, key, "$"), f"$.{key}", expect_kind=kind,
+                          chart_hint=hint)
+
+
 def _parse_classify(p):
-    w = form_from_json(_get(p, "omega", "$"), "$.omega")
+    w = _form(p, "omega")
     point = point_from_json(_get(p, "point", "$"), w.chart.dim, "$.point")
     return {"omega": w, "point": point}
 
 
 def _parse_flat(p):
-    return {"omega": form_from_json(_get(p, "omega", "$"), "$.omega")}
+    return {"omega": _form(p, "omega")}
 
 
 def _parse_hamvf(p):
-    w = form_from_json(_get(p, "omega", "$"), "$.omega")
-    H = form_from_json(_get(p, "hamiltonian", "$"), "$.hamiltonian",
-                       chart_hint=w.chart)
+    w = _form(p, "omega")
+    H = _form(p, "hamiltonian", w.chart)
     return {"omega": w, "hamiltonian": H}
 
 
 def _parse_hdw_residual(p):
-    w = form_from_json(_get(p, "omega", "$"), "$.omega")
-    X = form_from_json(_get(p, "field", "$"), "$.field",
-                       expect_kind="multivector", chart_hint=w.chart)
-    H = form_from_json(_get(p, "hamiltonian", "$"), "$.hamiltonian",
-                       chart_hint=w.chart)
+    w = _form(p, "omega")
+    X = _form(p, "field", w.chart, "multivector")
+    H = _form(p, "hamiltonian", w.chart)
     return {"omega": w, "field": X, "hamiltonian": H}
 
 
@@ -221,10 +205,8 @@ def _parse_curve_check(p):
     from .jsonio import smooth_map_from_json
 
     psi = smooth_map_from_json(_get(p, "map", "$"), "$.map")
-    gamma = form_from_json(_get(p, "gamma", "$"), "$.gamma",
-                           expect_kind="multivector", chart_hint=psi.source)
-    X = form_from_json(_get(p, "field", "$"), "$.field",
-                       expect_kind="multivector", chart_hint=psi.target)
+    gamma = _form(p, "gamma", psi.source, "multivector")
+    X = _form(p, "field", psi.target, "multivector")
     pts_json = _get(p, "points", "$")
     _expect(isinstance(pts_json, list) and pts_json, "$.points",
             "must be a nonempty list of points")
@@ -234,7 +216,7 @@ def _parse_curve_check(p):
 
 
 def _parse_bracket(p):
-    w = form_from_json(_get(p, "omega", "$"), "$.omega")
+    w = _form(p, "omega")
     args_json = _get(p, "args", "$")
     _expect(isinstance(args_json, list) and len(args_json) >= 2, "$.args",
             "must list at least two forms")
@@ -258,14 +240,13 @@ def _parse_lie_validate(p):
 
 def _parse_comoment(p):
     act = action_from_json(_get(p, "action", "$"), "$.action")
-    w = form_from_json(_get(p, "omega", "$"), "$.omega", chart_hint=act.chart)
+    w = _form(p, "omega", act.chart)
     mode = _get(p, "mode", "$")
     _expect(mode in ("from-potential", "verify"), "$.mode",
             "must be 'from-potential' or 'verify'")
     out = {"action": act, "omega": w, "mode": mode}
     if mode == "from-potential":
-        out["potential"] = form_from_json(_get(p, "potential", "$"),
-                                          "$.potential", chart_hint=w.chart)
+        out["potential"] = _form(p, "potential", w.chart)
         sign = p.get("potential_sign", 1)
         _expect(sign in (1, -1), "$.potential_sign", "must be 1 or -1")
         out["potential_sign"] = sign
@@ -278,17 +259,16 @@ def _parse_comoment(p):
 
 def _parse_obstruction(p):
     act = action_from_json(_get(p, "action", "$"), "$.action")
-    w = form_from_json(_get(p, "omega", "$"), "$.omega", chart_hint=act.chart)
+    w = _form(p, "omega", act.chart)
     i = _get(p, "i", "$")
     _expect(isinstance(i, int) and i >= 1, "$.i", "must be a positive integer")
     return {"action": act, "omega": w, "i": i}
 
 
 def _parse_conserved(p):
-    w = form_from_json(_get(p, "omega", "$"), "$.omega")
-    H = form_from_json(_get(p, "hamiltonian", "$"), "$.hamiltonian",
-                       chart_hint=w.chart)
-    alpha = form_from_json(_get(p, "alpha", "$"), "$.alpha", chart_hint=w.chart)
+    w = _form(p, "omega")
+    H = _form(p, "hamiltonian", w.chart)
+    alpha = _form(p, "alpha", w.chart)
     return {"omega": w, "hamiltonian": H, "alpha": alpha}
 
 
@@ -322,7 +302,7 @@ def _parse_verify(p):
                 "must be a positive integer")
         out.update(dim=dim, samples=samples)
     elif check in ("linfty-relation", "jacobiator"):
-        w = form_from_json(_get(p, "omega", "$"), "$.omega")
+        w = _form(p, "omega")
         args_json = _get(p, "args", "$")
         if check == "linfty-relation":
             k = _get(p, "k", "$")
@@ -342,7 +322,7 @@ def _parse_verify(p):
                 "must be a nonempty list of vector fields")
         hint = None
         if check == "standard-subspace":
-            out["omega"] = form_from_json(_get(p, "omega", "$"), "$.omega")
+            out["omega"] = _form(p, "omega")
             hint = out["omega"].chart
         out["frame"] = [
             form_from_json(x, f"$.frame[{i}]", expect_kind="multivector",
@@ -352,17 +332,17 @@ def _parse_verify(p):
     return out
 
 
-def _comoment_from_json(obj, algebra, n, chart_hint, path="$.maps") -> ComomentData:
-    _expect(isinstance(obj, list) and len(obj) == n, path,
+def _comoment_from_json(obj, algebra, n, chart_hint) -> ComomentData:
+    _expect(isinstance(obj, list) and len(obj) == n, "$.maps",
             f"must list {n} components")
     d = algebra.dim
     maps = []
     for i, comp in enumerate(obj, start=1):
-        _expect(isinstance(comp, list), f"{path}[{i - 1}]", "must be a list")
+        _expect(isinstance(comp, list), f"$.maps[{i - 1}]", "must be a list")
         subsets = list(combinations(range(1, d + 1), i))
         entries = {}
         for t, entry in enumerate(comp):
-            ep = f"{path}[{i - 1}][{t}]"
+            ep = f"$.maps[{i - 1}][{t}]"
             _expect(isinstance(entry, dict), ep, "must be an object")
             idx = _get(entry, "idx", ep)
             key = (tuple(idx) if isinstance(idx, list)
@@ -373,7 +353,7 @@ def _comoment_from_json(obj, algebra, n, chart_hint, path="$.maps") -> ComomentD
             entries[key] = form_from_json(_get(entry, "form", ep), f"{ep}.form",
                                           chart_hint=chart_hint)
         missing = [list(T) for T in subsets if T not in entries]
-        _expect(not missing, f"{path}[{i - 1}]",
+        _expect(not missing, f"$.maps[{i - 1}]",
                 f"must list every {i}-subset of 1..{d}; missing {missing}")
         maps.append(entries)
     return ComomentData(algebra, n, tuple(maps))
@@ -441,7 +421,7 @@ def _cmd_volterra(req: Request):
                                            a["section"])
     ok = all(r.is_zero for r in residuals)
     return ({
-        "residuals": [expr_to_str(r) for r in residuals],
+        "residuals": [format_rational(r) for r in residuals],
         "zero": ok,
     }, EXIT_OK if ok else EXIT_FAILED_CHECK)
 
@@ -560,14 +540,14 @@ def _cmd_move(req: Request):
     return {
         "auto": auto_to_json(auto),
         "eval": table,
-        "jacobian": expr_to_str(jac),
+        "jacobian": format_rational(jac),
         "realified_preserves_volume": preserved,
     }, EXIT_OK
 
 
-def _random_scalar(rng: random.Random, dim: int, max_terms: int = 3) -> RationalExpr:
+def _random_scalar(rng: random.Random, dim: int) -> RationalExpr:
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         exps = tuple(Q(rng.randint(0, 2)) for _ in range(dim))
         terms[exps] = Q(rng.randint(-4, 4))
     return RationalExpr(ScalarExpr(dim, terms))
@@ -665,18 +645,23 @@ COMMANDS: Dict[str, Tuple[Callable[[dict], dict],
 }
 
 
+def _error_report(exc: Exception) -> dict:
+    """A SchemaError reports its paths, a PlecticError its kind, and any
+    other exception is an InternalError."""
+    if isinstance(exc, SchemaError):
+        return {"error": {"kind": "SchemaError", "detail": exc.violations}}
+    if isinstance(exc, PlecticError):
+        return {"error": {"kind": exc.kind, "detail": str(exc)}}
+    detail = f"{type(exc).__name__}: {exc}"
+    return {"error": {"kind": "InternalError", "detail": detail}}
+
+
 def run(req: Request) -> Tuple[dict, int]:
     """Dispatch a validated request; returns (report, exit code)."""
     try:
         return COMMANDS[req.command][1](req)
-    except SchemaError as exc:
-        return ({"error": {"kind": "SchemaError", "detail": exc.violations}},
-                EXIT_ERROR)
-    except PlecticError as exc:
-        return {"error": {"kind": exc.kind, "detail": str(exc)}}, EXIT_ERROR
     except Exception as exc:
-        detail = f"{type(exc).__name__}: {exc}"
-        return {"error": {"kind": "InternalError", "detail": detail}}, EXIT_ERROR
+        return _error_report(exc), EXIT_ERROR
 
 
 def _render_text(obj, indent: int = 0) -> List[str]:
@@ -736,9 +721,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         req = parse_request(raw, command=args.command, options=options)
-    except SchemaError as exc:
-        report = {"error": {"kind": "SchemaError", "detail": exc.violations}}
-        print(json.dumps(report, sort_keys=True))
+    except Exception as exc:
+        print(json.dumps(_error_report(exc), sort_keys=True))
         return EXIT_ERROR
     report, code = run(req)
     if args.out == "json":

@@ -44,20 +44,20 @@ IndexTuple = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class Chart:
-    """A named coordinate system; positivity flags license fractional powers."""
+    """A coordinate system on positional variables x1..x(dim).
+
+    Variables indexed in ``positive`` are positive on the chart, which
+    licenses fractional powers of them.  On a ``star_shaped`` chart a closed
+    form is exact, so the radial homotopy may be used to decide exactness.
+    """
 
     dim: int
-    var_names: Tuple[str, ...]
     positive: frozenset = frozenset()
     star_shaped: bool = True
 
     def __post_init__(self):
         if self.dim < 1:
             raise ShapeError("chart dimension must be positive")
-        if len(self.var_names) != self.dim:
-            raise ShapeError("variable name count differs from dimension")
-        if len(set(self.var_names)) != self.dim:
-            raise ShapeError("variable names must be unique")
         if not set(self.positive) <= set(range(1, self.dim + 1)):
             raise ShapeError("positive_vars outside 1..dim")
 
@@ -68,20 +68,13 @@ class Chart:
         for i in self.positive:
             if pt[i - 1] <= 0:
                 raise DomainViolation(
-                    f"coordinate {self.var_names[i - 1]} must be positive, got {pt[i - 1]}"
+                    f"coordinate x{i} must be positive, got {pt[i - 1]}"
                 )
         return pt
 
 
-def chart(dim: int, positive: Iterable[int] = (), names: Optional[Sequence[str]] = None,
-          star_shaped: bool = True) -> Chart:
-    if names is None:
-        names = tuple(f"x{i}" for i in range(1, dim + 1))
-    return Chart(dim, tuple(names), frozenset(positive), star_shaped)
-
-
-def euclidean(dim: int) -> Chart:
-    return chart(dim)
+def chart(dim: int, positive: Iterable[int] = (), star_shaped: bool = True) -> Chart:
+    return Chart(dim, frozenset(positive), star_shaped)
 
 
 def _coerce_coeff(c, dim: int) -> RationalExpr:
@@ -240,15 +233,6 @@ class _Alternating:
             key = (self.degree, frozenset(self.coeffs.items())) if self.coeffs else ()
             object.__setattr__(self, "_hash", hash((type(self).__name__, self.chart, key)))
         return self._hash
-
-    def coeff(self, idx: Sequence[int]) -> RationalExpr:
-        key, sign = sort_index_tuple(tuple(idx))
-        if key is None:
-            return RationalExpr.const(self.chart.dim, 0)
-        c = self.coeffs.get(key)
-        if c is None:
-            return RationalExpr.const(self.chart.dim, 0)
-        return c if sign == 1 else -c
 
     def wedge(self, other):
         self._check(other)
@@ -521,9 +505,8 @@ def projection(product: Chart, factor: Chart, offset: int) -> SmoothMap:
 
 
 def product_chart(a: Chart, b: Chart) -> Chart:
-    names = tuple(f"x{i}" for i in range(1, a.dim + b.dim + 1))
     pos = frozenset(a.positive) | frozenset(i + a.dim for i in b.positive)
-    return Chart(a.dim + b.dim, names, pos, a.star_shaped and b.star_shaped)
+    return Chart(a.dim + b.dim, pos, a.star_shaped and b.star_shaped)
 
 
 def pullback(f: SmoothMap, a: DiffForm) -> DiffForm:

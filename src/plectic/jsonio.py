@@ -8,7 +8,8 @@ Wire formats:
   multivector: same with "kind": "multivector"
 * map:     {"source": chart, "target": chart, "components": ["<expr>", ..]}
 * Lie algebra: {"dim": d, "c": [[[...]]]} (c[i][j][k] rationals)
-* points:  rationals as strings; Gaussian rationals as "a/b+c/d i"
+* points:  rationals as integers or "p/q" strings; Gaussian rationals as
+  "a/b+c/d i"
 
 Expression printing is canonical: terms in graded-lex order, rational
 exponents as ^(p/q).
@@ -78,16 +79,12 @@ def chart_from_json(obj, path: str = "chart") -> Chart:
 # -- expressions, forms, multivectors ----------------------------------------
 
 
-def expr_to_str(e: RationalExpr) -> str:
-    return format_rational(e)
-
-
-def expr_from_json(obj, dim: int, path: str, gaussian: bool = False) -> RationalExpr:
+def expr_from_json(obj, dim: int, path: str) -> RationalExpr:
     if isinstance(obj, int):
         return RationalExpr.const(dim, obj)
     _expect(isinstance(obj, str), path, "must be an expression string or integer")
     try:
-        return parse_expression(obj, dim, gaussian=gaussian)
+        return parse_expression(obj, dim)
     except Exception as exc:
         _fail(path, f"bad expression: {exc}")
 
@@ -97,7 +94,7 @@ def form_to_json(a) -> dict:
         "chart": chart_to_json(a.chart),
         "degree": a.degree,
         "terms": [
-            {"idx": list(idx), "coeff": expr_to_str(c)}
+            {"idx": list(idx), "coeff": format_rational(c)}
             for idx, c in sorted(a.coeffs.items())
         ],
     }

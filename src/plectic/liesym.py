@@ -39,9 +39,9 @@ from .exterior import (
     Chart,
     DiffForm,
     MultiVec,
+    chart,
     coordinate_vector,
     ext_d,
-    euclidean,
     interior,
     lie_derivative,
     poincare_homotopy,
@@ -182,7 +182,7 @@ def killing_form(g: LieAlgebraData) -> KillingReport:
 def canonical_three_form(g: LieAlgebraData) -> DiffForm:
     """Constant 3-form w(x,y,z) = K(x,[y,z]) on the chart R^d."""
     d = g.dim
-    ch = euclidean(d)
+    ch = chart(d)
     K = killing_form(g)
     coeffs = {}
     for (i, j, k) in combinations(range(1, d + 1), 3):
@@ -336,7 +336,7 @@ def translation_action(g: LieAlgebraData, chart_: Chart,
 def left_invariant_surrogate(g: LieAlgebraData) -> LieAction:
     """Constant coordinate frame on R^d standing in for the left-invariant
     frame of a group; bracket relations are carried by the algebra."""
-    ch = euclidean(g.dim)
+    ch = chart(g.dim)
     gens = tuple(coordinate_vector(ch, i) for i in range(1, g.dim + 1))
     return LieAction(g, gens, surrogate=True)
 

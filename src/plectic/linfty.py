@@ -43,15 +43,11 @@ class Observable:
         return self.ham_field is not None
 
 
-def plectic_degree(w: DiffForm) -> int:
-    return w.degree - 1
-
-
 def make_observable(w: DiffForm, alpha: DiffForm) -> Observable:
     """Wrap a form as an observable, solving for its field at top degree."""
     if alpha.chart != w.chart:
         raise ChartMismatch("observable lives on a different chart")
-    n = plectic_degree(w)
+    n = w.degree - 1
     if alpha.degree > n - 1:
         raise DegreeError(f"observables have degree at most {n - 1}")
     if alpha.degree == n - 1:
@@ -66,7 +62,7 @@ def _bracket_sign(k: int) -> int:
 def l_k(w: DiffForm, args: Sequence[Observable]) -> DiffForm:
     """The k-ary bracket on Hamiltonian top-degree observables."""
     k = len(args)
-    n = plectic_degree(w)
+    n = w.degree - 1
     if not 2 <= k <= n + 1:
         raise DegreeError(f"bracket arity {k} outside 2..{n + 1}")
     if any(not a.is_top for a in args):
@@ -89,7 +85,7 @@ def l2(w: DiffForm, a: Observable, b: Observable) -> DiffForm:
 
 def _ce_sum(w: DiffForm, k: int, args: Sequence[Observable]) -> DiffForm:
     """sum_{i<j} (-1)^(i+j) l_k(l_2(a_i,a_j), rest), 1-based signs."""
-    n = plectic_degree(w)
+    n = w.degree - 1
     total = DiffForm(w.chart, n + 1 - k, {})
     m = len(args)
     for i in range(m):
@@ -106,7 +102,7 @@ def _ce_sum(w: DiffForm, k: int, args: Sequence[Observable]) -> DiffForm:
 def linfty_relation_residual(w: DiffForm, k: int,
                              args: Sequence[Observable]) -> DiffForm:
     """(d l_k)(args) - l_1(l_{k+1}(args)); zero for a genuine n-plectic form."""
-    n = plectic_degree(w)
+    n = w.degree - 1
     if not 2 <= k <= n + 1:
         raise DegreeError(f"relation index {k} outside 2..{n + 1}")
     if len(args) != k + 1:

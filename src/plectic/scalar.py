@@ -639,15 +639,14 @@ def _format_coeff(c: Coeff) -> str:
     return str(c)
 
 
-def format_scalar(expr: ScalarExpr, var_names: Optional[Sequence[str]] = None) -> str:
+def format_scalar(expr: ScalarExpr) -> str:
     """Canonical printing: graded-lex descending, exponents as p/q."""
     if expr.is_zero:
         return "0"
-    names = var_names or [f"x{i}" for i in range(1, expr.dim + 1)]
     parts = []
     for exps, c in expr.sorted_terms():
         factors = [
-            f"{names[i]}{_format_exponent(e)}" for i, e in enumerate(exps) if e
+            f"x{i}{_format_exponent(e)}" for i, e in enumerate(exps, start=1) if e
         ]
         if not factors:
             body = _format_coeff(c)
@@ -896,10 +895,10 @@ _SET_NUM = RationalExpr.num.__set__
 _SET_DEN = RationalExpr.den.__set__
 
 
-def format_rational(expr: RationalExpr, var_names: Optional[Sequence[str]] = None) -> str:
+def format_rational(expr: RationalExpr) -> str:
     if expr.den_is_one:
-        return format_scalar(expr.num, var_names)
-    return f"({format_scalar(expr.num, var_names)})/({format_scalar(expr.den, var_names)})"
+        return format_scalar(expr.num)
+    return f"({format_scalar(expr.num)})/({format_scalar(expr.den)})"
 
 
 # ---------------------------------------------------------------------------
@@ -958,20 +957,10 @@ class _Tokens:
         return t
 
 
-def parse_expression(
-    text: str,
-    dim: int,
-    var_names: Optional[Sequence[str]] = None,
-    gaussian: bool = False,
-) -> RationalExpr:
+def parse_expression(text: str, dim: int, gaussian: bool = False) -> RationalExpr:
     """Parse the CLI expression grammar into a RationalExpr."""
     toks = _Tokens(text)
-    names = {}
-    for k in range(1, dim + 1):
-        names[f"x{k}"] = k
-    if var_names:
-        for k, nm in enumerate(var_names, start=1):
-            names.setdefault(nm, k)
+    names = {f"x{k}": k for k in range(1, dim + 1)}
 
     def parse_expr():
         node = parse_term()
@@ -1056,6 +1045,10 @@ def parse_expression(
 
 
 def parse_fraction(text: str) -> Fraction:
+    """An integer or p/q.  Fraction's decimal, exponent and underscore forms
+    are refused before it sees them: the cost of "1e<k>" grows faster than k."""
+    if any(ch in text for ch in "._eE"):
+        raise ParseError(f"bad rational literal {text!r}: write an integer or p/q")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

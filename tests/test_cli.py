@@ -344,17 +344,18 @@ def test_main_end_to_end(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_envelope_parse_request():
-    raw = json.dumps({
-        "command": "verify",
-        "payload": {"check": "ring-laws", "dim": 2, "samples": 3},
-        "options": {"seed": 2},
-    }).encode()
-    req = parse_request(raw)
+def test_parse_request_checks_the_command_and_seed():
+    raw = json.dumps({"check": "ring-laws", "dim": 2, "samples": 3}).encode()
+    req = parse_request(raw, "verify", {"seed": 2})
+    assert req.seed == 2
     rep, code = run(req)
     assert code == EXIT_OK and rep["ok"]
-    with pytest.raises(SchemaError):
-        parse_request(json.dumps({"command": "nope", "payload": {}}).encode())
+    with pytest.raises(SchemaError) as err:
+        parse_request(b"{}", "nope")
+    assert [v for v in err.value.violations if v.startswith("$.command")]
+    with pytest.raises(SchemaError) as err:
+        parse_request(raw, "verify", {"seed": "2"})
+    assert err.value.violations == ["$.options.seed: must be an integer"]
 
 
 def run_cli(tmp_path, cmd, payload):
@@ -402,6 +403,30 @@ def test_internal_fault_is_reported_as_json(monkeypatch):
     rep, code = go("flat", {"omega": W_family("1")})
     assert code == EXIT_ERROR
     assert rep == {"error": {"kind": "InternalError", "detail": "ZeroDivisionError: boom"}}
+
+
+def test_parse_fault_in_main_is_reported_as_json(tmp_path, capsys, monkeypatch):
+    def broken(payload):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "flat", (broken, cli.COMMANDS["flat"][1]))
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps({"omega": W_family("1")}))
+    assert main(["flat", str(path)]) == EXIT_ERROR
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == {"error": {"kind": "InternalError", "detail": "ZeroDivisionError: boom"}}
+
+
+@pytest.mark.parametrize("literal", ["1e3", "1.5", "1_0"])
+def test_decimal_exponent_and_underscore_literals_are_refused(literal):
+    msg = f"bad rational literal {literal!r}: write an integer or p/q"
+    with pytest.raises(SchemaError) as err:
+        go("classify", {"omega": W6_product(), "point": [0, 0, literal, 0, 0, 0]})
+    assert err.value.violations == [f"$.point[2]: {msg}"]
+    c = [[[0, 0], [0, literal]], [[0, 0], [0, 0]]]
+    with pytest.raises(SchemaError) as err:
+        go("lie-validate", {"algebra": {"dim": 2, "c": c}})
+    assert err.value.violations == [f"$.algebra.c[0][1][1]: {msg}"]
 
 
 @pytest.mark.parametrize("cmd", list(cli.COMMANDS))

@@ -2,9 +2,10 @@
 
 A module-level function, class or constant whose name appears in ``src/``,
 ``tests/`` and ``perfbench/`` only where it is defined, or a non-dunder
-method that is never named as an attribute (``.name``) there, is dead API
-and fails this test.  Methods are matched through ``.name`` only, because
-names such as ``zero`` or ``entry`` occur all over as plain words.
+method that is never read as an attribute (``obj.name`` in the syntax tree)
+there, is dead API and fails this test.  Methods are matched through
+attribute nodes only, because names such as ``zero`` or ``entry`` occur all
+over as plain words, and a string such as ``"$.coeff"`` is not a use.
 """
 import ast
 import re
@@ -40,10 +41,11 @@ def test_every_definition_is_referenced():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined += [(path.name, qual, line) for qual, line in _definitions(tree)]
     def_count = Counter(qual.rsplit(".", 1)[-1] for _f, qual, _l in defined)
-    text = "\n".join(p.read_text(encoding="utf-8")
-                     for d in SEARCHED for p in sorted((ROOT / d).rglob("*.py")))
-    words = Counter(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
-    attributes = Counter(re.findall(r"\.([A-Za-z_][A-Za-z0-9_]*)", text))
+    sources = [p.read_text(encoding="utf-8")
+               for d in SEARCHED for p in sorted((ROOT / d).rglob("*.py"))]
+    words = Counter(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", "\n".join(sources)))
+    attributes = Counter(node.attr for src in sources for node in ast.walk(ast.parse(src))
+                         if isinstance(node, ast.Attribute))
 
     def referenced(qual):
         if "." in qual:
