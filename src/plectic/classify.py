@@ -160,14 +160,28 @@ class NondegeneracyReport:
         return self.nondegenerate
 
 
-def _values_at(w: DiffForm, pt) -> Dict[tuple, Fraction]:
-    """Coefficients of w at pt; constant ones are read, not evaluated."""
-    return {idx: _rational(c.constant_value() if c.is_constant else c.eval(pt))
-            for idx, c in w.coeffs.items()}
+def _split_constants(w: DiffForm) -> Tuple[Dict[tuple, object], DiffForm]:
+    """(the values of w's constant coefficients, the form of its other
+    terms); each constant coefficient is read once."""
+    constants = {idx: c.constant_value() for idx, c in w.coeffs.items() if c.is_constant}
+    varying = {idx: c for idx, c in w.coeffs.items() if idx not in constants}
+    return constants, DiffForm._raw(w.chart, w.degree, varying)
+
+
+def _values_at(constants: Dict[tuple, object], varying: DiffForm,
+               point: Sequence) -> Dict[tuple, Fraction]:
+    """w's coefficients at the point, from the parts ``_split_constants``
+    returns: the constant ones as read, the others evaluated."""
+    pt = varying.chart.check_point(point)
+    values = {idx: _rational(v) for idx, v in constants.items()}
+    values.update((idx, _rational(c.eval(pt))) for idx, c in varying.coeffs.items())
+    return values
 
 
 def _rational(v) -> Fraction:
     """v as a Fraction; a Gaussian value must be real."""
+    if type(v) is Fraction:
+        return v
     if isinstance(v, GaussianRational):
         if not v.is_real:
             raise ShapeError(f"not an exact rational: {v!r}")
@@ -181,7 +195,7 @@ def nondegenerate(w: DiffForm, point: Optional[Sequence] = None) -> Nondegenerac
         raise DegreeError("non-degeneracy test needs a form of degree >= 2")
     chart = w.chart
     if point is not None:  # in int, scaled by the lcm of the denominators
-        _D, values = _cleared(_values_at(w, chart.check_point(point)))
+        _D, values = _cleared(_values_at(*_split_constants(w), point))
         cols = _contraction_columns(values, chart.dim)
         matrix = [[c.get(t, 0) for c in cols] for t in sorted(set().union(*cols))]
     else:
@@ -431,8 +445,9 @@ def _rank_at_least_two(rows: Sequence[Sequence[int]]) -> bool:
 def _classify_at(w: DiffForm, point: Sequence) -> Tuple[TypeReport, Fraction]:
     """``classify6``'s report together with the exact trace(J(p)^2) for the
     standard volume."""
-    _require_closed_3form_dim6(w)
-    D, values = _cleared(_values_at(w, w.chart.check_point(point)))
+    constants, varying = _split_constants(w)
+    _require_closed_3form_dim6(varying)  # d of a constant is zero
+    D, values = _cleared(_values_at(constants, varying, point))
     gj = _volume_times_j(values, 0)
     tv = _trace_sq(gj, 0)  # trace(J^2) times D^4 > 0: the sign is exact
     if tv > 0:

@@ -722,11 +722,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         req = parse_request(raw, command=args.command, options=options)
     except Exception as exc:
-        print(json.dumps(_error_report(exc), sort_keys=True))
-        return EXIT_ERROR
-    report, code = run(req)
+        report, code, indent = _error_report(exc), EXIT_ERROR, None  # one JSON line
+    else:
+        report, code = run(req)
+        indent = 2
     if args.out == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(json.dumps(report, sort_keys=True, indent=indent))
     else:
         print("\n".join(_render_text(report)))
     return code

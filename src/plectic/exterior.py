@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from . import linalg
 from .errors import (
     ChartMismatch,
     DegreeError,
@@ -546,6 +546,17 @@ def pullback(f: SmoothMap, a: DiffForm) -> DiffForm:
     return out
 
 
+@lru_cache(maxsize=None)
+def _laplace_plan(dim: int, deg: int) -> Tuple[Tuple[Tuple[int, int, bool], ...], ...]:
+    """How each deg x deg minor expands along its first row: for every
+    increasing tuple K of deg columns in 0..dim-1 (``combinations`` order),
+    the triples (column k of K, position of the minor on K without k among
+    the (deg-1)-tuples, whether the term is subtracted)."""
+    position = {K: n for n, K in enumerate(combinations(range(dim), deg - 1))}
+    return tuple(tuple((k, position[K[:j] + K[j + 1:]], j % 2 == 1) for j, k in enumerate(K))
+                 for K in combinations(range(dim), deg))
+
+
 def _minor_sums(coeffs: Mapping[IndexTuple, object], M: Sequence[Sequence],
                 dim: int, deg: int, zero) -> Dict[IndexTuple, object]:
     """{K: sum over I of c_I * det(M[I][K])} over the increasing K of length
@@ -553,15 +564,33 @@ def _minor_sums(coeffs: Mapping[IndexTuple, object], M: Sequence[Sequence],
     (``zero`` is its zero); rows I, columns K.  These are the coefficients
     of the pullback of sum c_I dx^I along x -> M x, and, with M the
     transposed Jacobian, those of Lambda^deg of the Jacobian applied to
-    sum c_I e_I."""
-    out = {}
-    for K in combinations(range(1, dim + 1), deg):
-        acc = zero
-        for I, cv in coeffs.items():
-            acc += cv * linalg.det([[M[i - 1][k - 1] for k in K] for i in I])
-        if acc:
-            out[K] = acc
-    return out
+    sum c_I e_I.
+
+    For each I the minors are built from its last row up: the entries of
+    that row are its 1 x 1 minors, and the minors on the last n rows expand
+    along their first row into those on the last n - 1 (``_laplace_plan``),
+    skipping zero products."""
+    plans = [_laplace_plan(dim, n) for n in range(2, deg + 1)]
+    sums = [zero] * comb(dim, deg)
+    for I, cv in coeffs.items():
+        minors = M[I[-1] - 1]
+        for i, plan in zip(reversed(I[:-1]), plans):
+            row = M[i - 1]
+            expanded = []
+            for terms in plan:
+                acc = zero
+                for k, sub, subtract in terms:
+                    a = row[k]
+                    if a:
+                        b = minors[sub]
+                        if b:
+                            acc = acc - a * b if subtract else acc + a * b
+                expanded.append(acc)
+            minors = expanded
+        for n, m in enumerate(minors):
+            if m:
+                sums[n] += cv * m
+    return {K: v for K, v in zip(combinations(range(1, dim + 1), deg), sums) if v}
 
 
 def _cleared(values: Mapping[IndexTuple, object]) -> Tuple[int, Dict[IndexTuple, object]]:
@@ -584,13 +613,18 @@ def constant_linear_pullback(a: DiffForm, matrix: Sequence[Sequence[Fraction]]) 
     dim, deg = a.chart.dim, a.degree
     if not deg:
         return a
-    m = [[Fraction(v) for v in row] for row in matrix]
+    m = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in matrix]
     D = lcm(*(v.denominator for row in m for v in row))
     m = [[v.numerator * (D // v.denominator) for v in row] for row in m]
     E, vals = _cleared({I: c.constant_value() for I, c in a.coeffs.items()})
     scale = E * D ** deg
+    # Fraction(v, scale) and a Gaussian division reduce, so each value is
+    # already a normal-form coefficient (nonzero, as _minor_sums drops zeros).
+    origin = (0,) * dim
+    one = ScalarExpr._raw(dim, {origin: Fraction(1)})
     return DiffForm._raw(a.chart, deg, {
-        K: RationalExpr.const(dim, Fraction(v, scale) if type(v) is int else v / scale)
+        K: RationalExpr._raw(ScalarExpr._raw(dim, {
+            origin: Fraction(v, scale) if type(v) is int else v / scale}), one)
         for K, v in _minor_sums(vals, m, dim, deg, 0).items()})
 
 

@@ -412,14 +412,14 @@ class ScalarExpr:
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(k) for k in self.terms)
+        # Keys are unique, so a constant has no term or one with an all-zero key.
+        terms = self.terms
+        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
 
     def constant_value(self) -> Coeff:
-        if self.is_zero:
-            return ZERO
         if not self.is_constant:
             raise ShapeError("expression is not constant")
-        return next(iter(self.terms.values()))
+        return next(iter(self.terms.values()), ZERO)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -739,7 +739,7 @@ class RationalExpr:
     def constant_value(self) -> Coeff:
         if not self.is_constant:
             raise ShapeError("expression is not constant")
-        return self.num.constant_value()  # a constant monic denominator is 1
+        return next(iter(self.num.terms.values()), ZERO)  # a constant monic denominator is 1
 
     def fractional_vars(self) -> set:
         return self.num.fractional_vars() | self.den.fractional_vars()

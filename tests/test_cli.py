@@ -417,6 +417,18 @@ def test_parse_fault_in_main_is_reported_as_json(tmp_path, capsys, monkeypatch):
     assert rep == {"error": {"kind": "InternalError", "detail": "ZeroDivisionError: boom"}}
 
 
+def test_parse_fault_honours_out_text(tmp_path, capsys):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps({"omega": 1}))
+    assert main(["--out", "text", "classify", str(path)]) == EXIT_ERROR
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "error:" and "  kind: SchemaError" in lines
+    assert main(["classify", str(path)]) == EXIT_ERROR  # the default stays one-line JSON
+    assert capsys.readouterr().out == json.dumps(
+        {"error": {"kind": "SchemaError", "detail": ["$.omega: must be an object"]}},
+        sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("literal", ["1e3", "1.5", "1_0"])
 def test_decimal_exponent_and_underscore_literals_are_refused(literal):
     msg = f"bad rational literal {literal!r}: write an integer or p/q"

@@ -36,7 +36,7 @@ from plectic.exterior import (
     wedge,
 )
 from plectic.scalar import GaussianRational, RationalExpr, ScalarExpr, parse_expression
-from util import linear_map, rand_form, rand_rational_gl, rand_vector_field
+from util import det_minor_sums, linear_map, rand_form, rand_rational_gl, rand_vector_field
 
 C3 = chart(3)
 C6 = chart(6, positive={2})
@@ -448,6 +448,40 @@ def test_float_minor_sums_match_the_six_term_reference(seed):
     got = _minor_sums(wv, P, 6, 3, zero)
     want = _three_form_along(wv, P)
     assert got == {K: v for K, v in want.items() if v}
+
+
+def test_property_minor_sums_match_the_det_of_each_submatrix():
+    """The Laplace-plan minor sums equal a sum of ``linalg.det`` over every
+    (I, K) submatrix, for int, Fraction and GaussianRational coefficients
+    and entries (each ring drawn on its own), columns 1..6 and every degree
+    up to the column count; entries are often zero, so skipped products are
+    exercised."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    rings = {"int": st.integers(-3, 3), "Fraction": fractions,
+             "GaussianRational": st.builds(GaussianRational, fractions, fractions)}
+    zeros = {"int": 0, "Fraction": Q(0), "GaussianRational": GaussianRational(0)}
+
+    @st.composite
+    def cases(draw):
+        dim = draw(st.integers(1, 6))
+        deg = draw(st.integers(1, dim))
+        rows = draw(st.integers(deg, 6))
+        entries = rings[draw(st.sampled_from(sorted(rings)))]
+        entry = st.one_of(st.just(0), entries)
+        M = [[draw(entry) for _ in range(dim)] for _ in range(rows)]
+        ring = draw(st.sampled_from(sorted(rings)))
+        keys = draw(st.lists(st.sampled_from(list(combinations(range(1, rows + 1), deg))),
+                             min_size=1, max_size=6, unique=True))
+        return {I: draw(rings[ring]) for I in keys}, M, dim, deg, zeros[ring]
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        assert _minor_sums(*case) == det_minor_sums(*case)
+
+    check()
 
 
 def test_minor_sums_over_the_transposed_jacobian_push_multivectors():

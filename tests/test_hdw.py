@@ -9,6 +9,7 @@ from plectic.classify import nondegenerate
 from plectic.errors import DegenerateForm, DegreeError, NotHamiltonian, ShapeError
 from plectic.exterior import (
     SmoothMap,
+    _minor_sums,
     chart,
     coordinate_vector,
     ext_d,
@@ -29,7 +30,7 @@ from plectic.hdw import (
     multiphase_forms,
 )
 from plectic.scalar import RationalExpr, parse_expression
-from util import rand_form
+from util import det_minor_sums, rand_form
 
 C2 = chart(2)
 C3 = chart(3)
@@ -322,6 +323,21 @@ def _curve_fixtures():
     return [(psi, gamma, X), (psi_bad, gamma, X), (psi, gamma.scale(2), X),
             (surface, tangent, pushed), (surface, tangent, swapped),
             (surface, tangent.scale("x2"), pushed.scale("x2"))]
+
+
+def test_symbolic_curve_check_pushes_through_the_det_minors():
+    """On RationalExpr entries the transposed Jacobian's minor sums equal
+    the ``linalg.det`` reference, and the symbolic check keeps its verdicts,
+    None included when composition leaves the ring."""
+    for psi, gamma, X in _curve_fixtures():
+        zero = RationalExpr.const(psi.source.dim, 0)
+        jac_t = list(zip(*psi.jacobian()))
+        case = (gamma.coeffs, jac_t, psi.target.dim, gamma.degree, zero)
+        assert _minor_sums(*case) == det_minor_sums(*case)
+    c1, half_plane = chart(1), chart(2, positive=[1])
+    line = SmoothMap(c1, half_plane, (parse_expression("x1 + 1", 1), parse_expression("5", 1)))
+    root = multivec(half_plane, 1, {(1,): "x1^(1/2)"})
+    assert ham_curve_check_symbolic(line, coordinate_vector(c1, 1), root) is None
 
 
 def test_symbolic_curve_check_agrees_with_the_pointwise_one():

@@ -1,6 +1,7 @@
 import operator
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from plectic.errors import (
     IrrationalValue,
     ParseError,
 )
+from plectic.exterior import chart, constant_linear_pullback, form
 from plectic.scalar import (
     GaussianRational,
     RationalExpr,
@@ -301,6 +303,9 @@ def _assert_normal_scalar(r):
             assert (type(e) is int) == (Q(e).denominator == 1)
         assert type(c) in (Q, GaussianRational)
         assert c
+        # reduced: rebuilding from the parts gives the same stored integers
+        assert c == (Q(c.numerator, c.denominator) if type(c) is Q
+                     else GaussianRational(c.re, c.im))
 
 
 def _assert_normal_quotient(r):
@@ -330,11 +335,43 @@ def test_property_raw_paths_return_normal_form():
         for r in (a + b, a + (-a), b + (-a) + a, -a, a * b, a * a, a.scale(c),
                   a.partial(i), ScalarExpr.const(dim, c)):
             _assert_normal_scalar(r)
+            assert r.is_constant == all(not any(k) for k in r.terms)
         p = RationalExpr(a, b) if b else RationalExpr(a)
         q = RationalExpr(b, p.den)
         for r in (p + q, p + (-p), -p, p * q, p * p, RationalExpr(a).partial(i),
                   RationalExpr.const(dim, c)):
             _assert_normal_quotient(r)
+
+    check()
+
+
+def test_property_constant_linear_pullback_returns_normal_form():
+    """``constant_linear_pullback`` wraps its coefficients with ``_raw``;
+    over Fraction and Gaussian forms and matrices with denominators each
+    one must be a nonzero normal-form constant."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    dim = 4
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    coefficients = st.one_of(rationals, st.builds(GaussianRational, rationals, rationals))
+    matrices = st.lists(st.lists(rationals, min_size=dim, max_size=dim),
+                        min_size=dim, max_size=dim)
+
+    @st.composite
+    def forms(draw):
+        p = draw(st.integers(1, dim))
+        keys = draw(st.lists(st.sampled_from(list(combinations(range(1, dim + 1), p))),
+                             min_size=1, max_size=4, unique=True))
+        return form(chart(dim), p, {k: RationalExpr.const(dim, draw(coefficients))
+                                    for k in keys})
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(forms(), matrices)
+    def check(w, M):
+        for c in constant_linear_pullback(w, M).coeffs.values():
+            _assert_normal_quotient(c)
+            assert c and c.is_constant
+            assert c.num.terms == RationalExpr.const(dim, c.constant_value()).num.terms
 
     check()
 

@@ -16,6 +16,19 @@ from plectic.exterior import (
 from plectic.scalar import RationalExpr, ScalarExpr
 
 
+def det_minor_sums(coeffs, M, dim, deg, zero):
+    """Reference for ``exterior._minor_sums``: each minor is ``linalg.det``
+    of its own (I, K) submatrix."""
+    out = {}
+    for K in combinations(range(1, dim + 1), deg):
+        acc = zero
+        for I, cv in coeffs.items():
+            acc += cv * linalg.det([[M[i - 1][k - 1] for k in K] for i in I])
+        if acc:
+            out[K] = acc
+    return out
+
+
 def rand_fraction(rng, lo=-4, hi=4):
     num = rng.randint(lo, hi)
     den = rng.choice([1, 1, 1, 2, 3])
