@@ -646,12 +646,15 @@ COMMANDS: Dict[str, Tuple[Callable[[dict], dict],
 
 
 def _error_report(exc: Exception) -> dict:
-    """A SchemaError reports its paths, a PlecticError its kind, and any
-    other exception is an InternalError."""
+    """A SchemaError reports its paths, a PlecticError its kind, an input
+    that cannot be read is an IOError, and any other exception is an
+    InternalError."""
     if isinstance(exc, SchemaError):
         return {"error": {"kind": "SchemaError", "detail": exc.violations}}
     if isinstance(exc, PlecticError):
         return {"error": {"kind": exc.kind, "detail": str(exc)}}
+    if isinstance(exc, OSError):
+        return {"error": {"kind": "IOError", "detail": str(exc)}}
     detail = f"{type(exc).__name__}: {exc}"
     return {"error": {"kind": "InternalError", "detail": detail}}
 
@@ -704,22 +707,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="payload JSON file, or - for stdin")
     args = parser.parse_args(argv)
 
-    if args.input == "-":
-        raw = sys.stdin.buffer.read()
-    else:
-        try:
-            with open(args.input, "rb") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            print(json.dumps({"error": {"kind": "IOError", "detail": str(exc)}}))
-            return EXIT_ERROR
-
     options = {
         "mode": args.mode,
         "sign_convention": args.sign_convention,
         "seed": args.seed,
     }
     try:
+        if args.input == "-":
+            raw = sys.stdin.buffer.read()
+        else:
+            with open(args.input, "rb") as fh:
+                raw = fh.read()
         req = parse_request(raw, command=args.command, options=options)
     except Exception as exc:
         report, code, indent = _error_report(exc), EXIT_ERROR, None  # one JSON line

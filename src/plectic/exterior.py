@@ -328,19 +328,19 @@ def wedge(a, b):
 
 
 def ext_d(a: DiffForm) -> DiffForm:
-    """Exterior derivative."""
+    """Exterior derivative.
+
+    A coefficient is differentiated only in the variables of its numerator
+    and its denominator that are not already in its index, in increasing
+    order: a partial in any other variable is zero.  A constant coefficient
+    takes none."""
     chart_ = a.chart
     deg = a.degree + 1
     if deg > chart_.dim:
         return DiffForm._raw(chart_, chart_.dim, {})
     out: Dict[IndexTuple, RationalExpr] = {}
     for idx, c in a.coeffs.items():
-        if c.is_constant:  # d of a constant is zero
-            continue
-        members = set(idx)
-        for i in range(1, chart_.dim + 1):
-            if i in members:
-                continue
+        for i in sorted(c.used_vars().difference(idx)):
             dc = c.partial(i)
             if not dc:
                 continue
@@ -613,9 +613,8 @@ def constant_linear_pullback(a: DiffForm, matrix: Sequence[Sequence[Fraction]]) 
     dim, deg = a.chart.dim, a.degree
     if not deg:
         return a
-    m = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in matrix]
-    D = lcm(*(v.denominator for row in m for v in row))
-    m = [[v.numerator * (D // v.denominator) for v in row] for row in m]
+    D = lcm(*(v.denominator for row in matrix for v in row))  # an int's is 1
+    m = [[v.numerator * (D // v.denominator) for v in row] for row in matrix]
     E, vals = _cleared({I: c.constant_value() for I, c in a.coeffs.items()})
     scale = E * D ** deg
     # Fraction(v, scale) and a Gaussian division reduce, so each value is

@@ -504,7 +504,9 @@ class ScalarExpr:
         return ScalarExpr._raw(self.dim, out)
 
     def scale(self, c) -> "ScalarExpr":
-        c = _coeff(c)
+        """Term-wise product with a constant; an int needs no Fraction of its own."""
+        if type(c) not in _SCALARS:
+            c = _coeff(c)
         if not c:
             return ScalarExpr._raw(self.dim, {})
         return ScalarExpr._raw(self.dim, {k: v * c for k, v in self.terms.items()})
@@ -734,15 +736,20 @@ class RationalExpr:
 
     @property
     def is_constant(self) -> bool:
-        return self.num.is_constant and self.den.is_constant
+        return _constant_coeff(self) is not None
 
     def constant_value(self) -> Coeff:
-        if not self.is_constant:
+        c = _constant_coeff(self)
+        if c is None:
             raise ShapeError("expression is not constant")
-        return next(iter(self.num.terms.values()), ZERO)  # a constant monic denominator is 1
+        return c
 
     def fractional_vars(self) -> set:
         return self.num.fractional_vars() | self.den.fractional_vars()
+
+    def used_vars(self) -> set:
+        """1-based indices of the variables in the numerator or the denominator."""
+        return self.num.used_vars() | self.den.used_vars()
 
     def is_polynomial(self) -> bool:
         return self.den_is_one and self.num.is_polynomial()
@@ -783,11 +790,28 @@ class RationalExpr:
         return self._coerce(other, self.dim) - self
 
     def __mul__(self, other):
-        other = self._coerce(other, self.dim)
-        self._check(other)
-        # a product of monic denominators is monic: leading terms multiply
-        num = self.num * other.num
-        return RationalExpr._raw(num, self.den * other.den if num.terms else _one(num.dim))
+        """Product.  A constant operand (an int, Fraction or GaussianRational,
+        or a constant RationalExpr) scales the other side's numerator term by
+        term and keeps its denominator, with no exponent arithmetic and no
+        product of denominators; a zero factor gives the canonical zero.
+        Otherwise numerators and denominators multiply (a product of monic
+        denominators is monic: leading terms multiply)."""
+        if type(other) is RationalExpr:
+            self._check(other)
+            c = _constant_coeff(other)
+            if c is None:
+                c = _constant_coeff(self)
+                if c is None:
+                    num = self.num * other.num
+                    return RationalExpr._raw(num, self.den * other.den if num.terms
+                                             else _one(num.dim))
+                self = other  # the constant is self: scale other
+        elif type(other) in _SCALARS:
+            c = other
+        else:
+            return self * self._coerce(other, self.dim)
+        num = self.num.scale(c)
+        return RationalExpr._raw(num, self.den if num.terms else _one(num.dim))
 
     __rmul__ = __mul__
 
@@ -893,6 +917,23 @@ class RationalExpr:
 
 _SET_NUM = RationalExpr.num.__set__
 _SET_DEN = RationalExpr.den.__set__
+
+# the constant operands that scale a RationalExpr without being coerced
+_SCALARS = (int, Fraction, GaussianRational)
+
+
+def _constant_coeff(r: RationalExpr) -> Optional[Coeff]:
+    """The value of a constant ``r`` (whose monic denominator is then 1), else None."""
+    n = r.num.terms
+    if not n:
+        return ZERO
+    if len(n) == 1:
+        (k, c), = n.items()
+        if not any(k):
+            d = r.den.terms
+            if len(d) == 1 and not any(next(iter(d))):
+                return c
+    return None
 
 
 def format_rational(expr: RationalExpr) -> str:

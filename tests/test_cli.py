@@ -429,6 +429,19 @@ def test_parse_fault_honours_out_text(tmp_path, capsys):
         sort_keys=True) + "\n"
 
 
+def test_unreadable_input_file_is_reported_like_a_parse_fault(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert main(["classify", str(path)]) == EXIT_ERROR
+    out = capsys.readouterr().out
+    detail = json.loads(out)["error"]["detail"]
+    assert "missing.json" in detail
+    assert out == json.dumps({"error": {"kind": "IOError", "detail": detail}},
+                             sort_keys=True) + "\n"  # key-sorted, one line
+    assert main(["--out", "text", "classify", str(path)]) == EXIT_ERROR
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "error:" and "  kind: IOError" in lines
+
+
 @pytest.mark.parametrize("literal", ["1e3", "1.5", "1_0"])
 def test_decimal_exponent_and_underscore_literals_are_refused(literal):
     msg = f"bad rational literal {literal!r}: write an integer or p/q"

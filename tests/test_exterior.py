@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from plectic.catalog import omega_f, symplectic_power
+from plectic.catalog import omega_f, product6, symplectic_power
 from plectic.errors import (
     ChartMismatch,
     DegreeError,
@@ -36,7 +36,15 @@ from plectic.exterior import (
     wedge,
 )
 from plectic.scalar import GaussianRational, RationalExpr, ScalarExpr, parse_expression
-from util import det_minor_sums, linear_map, rand_form, rand_rational_gl, rand_vector_field
+from util import (
+    det_minor_sums,
+    ext_d_all_variables,
+    linear_map,
+    rand_form,
+    rand_poly,
+    rand_rational_gl,
+    rand_vector_field,
+)
 
 C3 = chart(3)
 C6 = chart(6, positive={2})
@@ -154,6 +162,41 @@ def test_property_ext_d():
             assert ext_d(a) == f(c4, 1, {(i,): fa.partial(i) for i in range(1, 5)})
 
     check()
+
+
+def _rand_quotient(rng, dim):
+    den = rand_poly(rng, dim)
+    while not den:
+        den = rand_poly(rng, dim)
+    return rand_poly(rng, dim) / den
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ext_d_matches_the_all_variables_reference_on_quotients(seed, monkeypatch):
+    """ext_d differentiates a coefficient only in the variables of its
+    numerator and denominator outside its index, and agrees with the
+    reference that differentiates in every variable; x2 in 1/x2 and x3 in
+    (x1 + 1)/(x3 - 2) occur only in a denominator."""
+    rng = random.Random(1800 + seed)
+    c4 = chart(4)
+    fixed = [f(c4, 1, {(1,): "1/x2", (3,): "x1/(x2*x4 + 1)"}),
+             f(c4, 2, {(1, 3): "x3^2/x3", (2, 4): "(x1 + 1)/(x3 - 2)", (1, 2): "3/x4"}),
+             f(c4, 0, {(): "x4/(x1^2 + 1)"})]
+    random_forms = [f(c4, 0, {(): _rand_quotient(rng, 4)})] + [
+        f(c4, p, {k: _rand_quotient(rng, 4)
+                  for k in rng.sample(list(combinations(range(1, 5), p)), 2)})
+        for p in (1, 2, 3)]
+    partial = RationalExpr.partial
+    for a in fixed + random_forms:
+        taken = []
+        monkeypatch.setattr(RationalExpr, "partial",
+                            lambda c, i: taken.append((id(c), i)) or partial(c, i))
+        got = ext_d(a)
+        monkeypatch.undo()
+        assert got == ext_d_all_variables(a)
+        used = [(id(c), i) for idx, c in a.coeffs.items() for i in range(1, 5)
+                if i not in idx and any(k[i - 1] for k in [*c.num.terms, *c.den.terms])]
+        assert taken == used
 
 
 def test_property_trusted_paths_return_clean_forms():
@@ -389,6 +432,19 @@ def test_constant_linear_pullback_clears_denominators(seed):
     g6 = f(c6, 3, {(1, 2, 3): GaussianRational(Q(1, 3)),
                    (1, 4, 6): GaussianRational(Q(1, 2), Q(-2, 5)), (2, 5, 6): Q(2, 7)})
     assert constant_linear_pullback(g6, M6) == pullback(linear_map(c6, M6), g6)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_constant_linear_pullback_reads_int_entries_as_they_are(seed):
+    """An int matrix and the same matrix in Fraction entries pull back alike."""
+    rng = random.Random(1700 + seed)
+    c6 = chart(6)
+    M = [[rng.randint(-2, 2) for _ in range(6)] for _ in range(6)]
+    for w in (product6(), f(c6, 3, {(1, 2, 3): Q(1, 2), (2, 4, 6): GaussianRational(1, 3),
+                                    (3, 5, 6): -2})):
+        ints = constant_linear_pullback(w, M)
+        fracs = constant_linear_pullback(w, [[Q(v) for v in row] for row in M])
+        assert ints == fracs and str(ints) == str(fracs)
 
 
 def test_constant_linear_pullback_matches_sympy_minors():

@@ -376,6 +376,58 @@ def test_property_constant_linear_pullback_returns_normal_form():
     check()
 
 
+def test_property_constant_operand_scales_term_wise():
+    """A product with a constant operand (int, Fraction, GaussianRational,
+    zero, or a constant RationalExpr, on either side) is the general
+    product RationalExpr(a.num * b.num, a.den * b.den), term for term."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    dim = 2
+    exponents = st.one_of(st.integers(-2, 3),
+                          st.builds(Q, st.integers(-4, 4), st.sampled_from([2, 3])))
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    gaussians = st.builds(GaussianRational, rationals, rationals)
+    scalars = st.dictionaries(st.tuples(exponents, exponents),
+                              st.one_of(rationals, gaussians),
+                              max_size=4).map(lambda terms: ScalarExpr(dim, terms))
+    quotients = st.tuples(scalars, scalars).map(
+        lambda p: RationalExpr(p[0], p[1]) if p[1] else RationalExpr(p[0]))
+    numbers = st.one_of(st.integers(-5, 5), rationals, gaussians, st.just(0), st.just(Q(0)))
+    factors = st.one_of(numbers, numbers.map(lambda c: RationalExpr.const(dim, c)))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(quotients, factors)
+    def check(a, f):
+        b = f if isinstance(f, RationalExpr) else RationalExpr.const(dim, f)
+        want = RationalExpr(a.num * b.num, a.den * b.den)
+        for got in (a * f, f * a):
+            assert got == want and hash(got) == hash(want)
+            assert got.num.terms == want.num.terms and got.den.terms == want.den.terms
+            _assert_normal_quotient(got)
+
+    check()
+
+
+def test_constant_operand_skips_the_general_product(monkeypatch):
+    a = expr("(x1^(1/2) + 2*x2)/(x3^2 - x1)")
+    constants = (3, 0, Q(-2, 5), GaussianRational(1, -2), RationalExpr.const(3, Q(7, 4)),
+                 RationalExpr.const(3, 0), expr("5"))
+    calls = []
+    general = ScalarExpr.__mul__
+    monkeypatch.setattr(ScalarExpr, "__mul__",
+                        lambda x, y: calls.append(1) or general(x, y))
+    for c in constants:
+        for r in (a * c, c * a):
+            if c:
+                assert r.den is a.den  # kept as is
+            else:
+                assert r.is_zero and r.den.terms == {(0, 0, 0): 1}
+        RationalExpr.const(3, 2) * c
+    assert not calls
+    a * a  # the general product still goes through ScalarExpr.__mul__
+    assert calls
+
+
 def test_gaussian_point_format_roundtrip():
     for text in ["1/2-3/4 i", "2", "-i", "i", "0", "-5/7", "3 i", "1+i"]:
         g = parse_gaussian(text)

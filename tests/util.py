@@ -12,6 +12,7 @@ from plectic.exterior import (
     interior,
     lie_derivative,
     poincare_homotopy,
+    sort_index_tuple,
 )
 from plectic.scalar import RationalExpr, ScalarExpr
 
@@ -27,6 +28,20 @@ def det_minor_sums(coeffs, M, dim, deg, zero):
         if acc:
             out[K] = acc
     return out
+
+
+def ext_d_all_variables(a):
+    """Reference for ``exterior.ext_d``: every coefficient is differentiated
+    in every variable outside its index, whether it occurs there or not."""
+    out = {}
+    for idx, c in a.coeffs.items():
+        for i in range(1, a.chart.dim + 1):
+            if i in idx:
+                continue
+            key, sign = sort_index_tuple((i,) + idx)
+            dc = c.partial(i) if sign > 0 else -c.partial(i)
+            out[key] = out[key] + dc if key in out else dc
+    return DiffForm(a.chart, a.degree + 1, out)
 
 
 def rand_fraction(rng, lo=-4, hi=4):
