@@ -21,12 +21,11 @@ form before it builds J.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (
@@ -56,6 +55,7 @@ from .exterior import (
     sort_index_tuple,
     vf_bracket,
 )
+from .record import Record
 from .scalar import GaussianRational, RationalExpr, fraction_root
 
 Q = Fraction
@@ -80,8 +80,7 @@ _SAMPLE_POOL_ANY = [Q(-3), Q(-2), Q(-1), Q(-1, 2), Q(1, 2), Q(1), Q(2), Q(3)]
 _SIGN_SAMPLES = 48  # points drawn when no certificate decides the sign
 
 
-@dataclass(frozen=True)
-class SignReport:
+class SignReport(NamedTuple):
     sign: str               # '+', '-', '0', 'mixed', '?'
     certified: bool
     witnesses: tuple = ()   # up to two (point, value) pairs
@@ -151,8 +150,7 @@ def sign_on_chart(expr: RationalExpr, chart: Chart) -> SignReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NondegeneracyReport:
+class NondegeneracyReport(NamedTuple):
     nondegenerate: bool
     kernel: tuple  # basis of the kernel of v -> i_v w, as MultiVecs
 
@@ -218,17 +216,17 @@ def nondegenerate(w: DiffForm, point: Optional[Sequence] = None) -> Nondegenerac
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EndField:
+class EndField(Record):
     """An endomorphism field: a dim x dim matrix of expressions."""
 
-    chart: Chart
-    matrix: tuple
+    __slots__ = ("chart", "matrix")
 
-    def __post_init__(self):
-        d = self.chart.dim
-        if len(self.matrix) != d or any(len(r) != d for r in self.matrix):
+    def __init__(self, chart: Chart, matrix: tuple):
+        d = chart.dim
+        if len(matrix) != d or any(len(r) != d for r in matrix):
             raise ShapeError("endomorphism matrix must be square of chart dimension")
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def from_rows(cls, chart: Chart, rows) -> "EndField":
@@ -329,6 +327,8 @@ class EndField:
             a == b for ra, rb in zip(self.matrix, other.matrix) for a, b in zip(ra, rb)
         )
 
+    __hash__ = Record.__hash__
+
     def is_multiple_of_identity(self) -> Optional[RationalExpr]:
         """The scalar s with self = s*I, or None."""
         d = self.chart.dim
@@ -413,15 +413,14 @@ def hitchin_endomorphism(w: DiffForm, vol: DiffForm) -> EndField:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TypeReport:
+class TypeReport(NamedTuple):
     linear_type: str
     trace_sign: str
     flat: str = UNDETERMINED
     witness: object = None
     witness_kind: Optional[str] = None
-    points: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    points: Sequence = ()
+    notes: Sequence = ()
 
 
 def _require_closed_3form_dim6(w: DiffForm):
@@ -688,8 +687,7 @@ def nijenhuis(J: EndField):
     return NijenhuisReport(chart, values)
 
 
-@dataclass(frozen=True)
-class NijenhuisReport:
+class NijenhuisReport(NamedTuple):
     chart: Chart
     values: dict
 
@@ -706,8 +704,7 @@ class NijenhuisReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvolutivityReport:
+class InvolutivityReport(NamedTuple):
     involutive: bool
     witness_pair: Optional[Tuple[int, int]] = None
     witness_bracket: Optional[MultiVec] = None
@@ -820,8 +817,7 @@ def flatness_report(w: DiffForm) -> TypeReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StandardSubspaceReport:
+class StandardSubspaceReport(NamedTuple):
     ok: bool
     pairwise_isotropic: bool
     rank: int

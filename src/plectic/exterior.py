@@ -14,7 +14,6 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -30,6 +29,7 @@ from .errors import (
     ShapeError,
     SingularVolume,
 )
+from .record import Record
 from .scalar import (
     Fraction,
     RationalExpr,
@@ -42,8 +42,7 @@ Q = Fraction
 IndexTuple = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record):
     """A coordinate system on positional variables x1..x(dim).
 
     Variables indexed in ``positive`` are positive on the chart, which
@@ -51,15 +50,27 @@ class Chart:
     form is exact, so the radial homotopy may be used to decide exactness.
     """
 
-    dim: int
-    positive: frozenset = frozenset()
-    star_shaped: bool = True
+    __slots__ = ("dim", "positive", "star_shaped")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, positive: Iterable[int] = (), star_shaped: bool = True):
+        if dim < 1:
             raise ShapeError("chart dimension must be positive")
-        if not set(self.positive) <= set(range(1, self.dim + 1)):
+        positive = frozenset(positive)
+        if not positive.issubset(range(1, dim + 1)):
             raise ShapeError("positive_vars outside 1..dim")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "star_shaped", star_shaped)
+
+    def __eq__(self, other):  # runs in every exterior operation
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.dim == other.dim and self.positive == other.positive
+                and self.star_shaped == other.star_shaped)
+
+    __hash__ = Record.__hash__
 
     def check_point(self, point: Sequence) -> List[Fraction]:
         if len(point) != self.dim:
@@ -74,7 +85,7 @@ class Chart:
 
 
 def chart(dim: int, positive: Iterable[int] = (), star_shaped: bool = True) -> Chart:
-    return Chart(dim, frozenset(positive), star_shaped)
+    return Chart(dim, positive, star_shaped)
 
 
 def _coerce_coeff(c, dim: int) -> RationalExpr:
@@ -245,8 +256,7 @@ class _Alternating:
                 merged, sign = sort_index_tuple(ia + ib)
                 if merged is None:
                     continue
-                term = ca * cb
-                _accumulate(out, merged, term if sign > 0 else -term)
+                _accumulate(out, merged, _signed_product(ca, cb, sign))
         return self._raw(self.chart, deg, out)
 
     def eval_at(self, point: Sequence):
@@ -267,6 +277,14 @@ class _Alternating:
             label = basis_symbol + "".join(f"[{i}]" for i in idx) if idx else "1"
             parts.append(f"({c}) {label}")
         return " + ".join(parts)
+
+
+def _signed_product(a: RationalExpr, b: RationalExpr, sign: int) -> RationalExpr:
+    """sign * a * b; a negative sign goes to the factor with fewer terms (a
+    constant has one), so the product itself is never negated."""
+    if sign > 0:
+        return a * b
+    return -a * b if len(a.num.terms) <= len(b.num.terms) else a * -b
 
 
 def _accumulate(out: Dict[IndexTuple, RationalExpr], idx: IndexTuple,
@@ -333,7 +351,7 @@ def ext_d(a: DiffForm) -> DiffForm:
     A coefficient is differentiated only in the variables of its numerator
     and its denominator that are not already in its index, in increasing
     order: a partial in any other variable is zero.  A constant coefficient
-    takes none."""
+    takes none.  The sign of dx_i ^ dx^idx goes into the partial."""
     chart_ = a.chart
     deg = a.degree + 1
     if deg > chart_.dim:
@@ -341,11 +359,10 @@ def ext_d(a: DiffForm) -> DiffForm:
     out: Dict[IndexTuple, RationalExpr] = {}
     for idx, c in a.coeffs.items():
         for i in sorted(c.used_vars().difference(idx)):
-            dc = c.partial(i)
-            if not dc:
-                continue
             key, sign = sort_index_tuple((i,) + idx)
-            _accumulate(out, key, dc if sign == 1 else -dc)
+            dc = c.partial(i, sign)
+            if dc:
+                _accumulate(out, key, dc)
     return DiffForm._raw(chart_, deg, out)
 
 
@@ -378,8 +395,7 @@ def interior(X: MultiVec, a: DiffForm) -> DiffForm:
                 sign *= s
             if not ok:
                 continue
-            term = vc * fc
-            _accumulate(out, cur, term if sign > 0 else -term)
+            _accumulate(out, cur, _signed_product(vc, fc, sign))
     return DiffForm._raw(a.chart, a.degree - X.degree, out)
 
 
@@ -450,21 +466,20 @@ def vf_bracket(X: MultiVec, Y: MultiVec) -> MultiVec:
     return MultiVec(X.chart, 1, out)
 
 
-@dataclass(frozen=True)
-class SmoothMap:
+class SmoothMap(Record):
     """A map between charts given by one component expression per target var."""
 
-    source: Chart
-    target: Chart
-    components: Tuple[RationalExpr, ...]
+    __slots__ = ("source", "target", "components")
 
-    def __post_init__(self):
-        if len(self.components) != self.target.dim:
+    def __init__(self, source: Chart, target: Chart, components: Sequence):
+        if len(components) != target.dim:
             raise ShapeError("component count differs from target dimension")
-        comps = tuple(_coerce_coeff(c, self.source.dim) for c in self.components)
+        comps = tuple(_coerce_coeff(c, source.dim) for c in components)
         for c in comps:
-            if c.dim != self.source.dim:
+            if c.dim != source.dim:
                 raise ShapeError("component over the wrong source chart")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "components", comps)
 
     @classmethod

@@ -10,10 +10,9 @@ coordinates (x^1..x^n, q^1..q^N, p^mu_a, p).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (
@@ -45,21 +44,20 @@ SIGN_HDW = "hdw"
 SIGN_FIN1 = "fin1thm"
 
 
-def _rhs(w: DiffForm, H: DiffForm, sign_convention: str) -> dict:
-    """Coefficients of -dH, or of (-1)^n dH under ``fin1thm``."""
-    dH = ext_d(H).coeffs
+def _rhs_sign(w: DiffForm, sign_convention: str) -> int:
+    """The sign s of the right-hand side s dH: -1, or (-1)^n under ``fin1thm``."""
     if sign_convention == SIGN_HDW:
-        return {t: -c for t, c in dH.items()}
+        return -1
     if sign_convention == SIGN_FIN1:
-        n = w.degree - 1
-        return dH if n % 2 == 0 else {t: -c for t, c in dH.items()}
+        return -1 if (w.degree - 1) % 2 else 1
     raise ShapeError(f"unknown sign convention {sign_convention!r}")
 
 
 @lru_cache(maxsize=8)
-def _factored_contraction(w: DiffForm):
-    """(row tuples, their set, Factored matrix) of v -> i_v w."""
-    rows, matrix = contraction_matrix(w)
+def _factored_contraction(w: DiffForm, sign: int):
+    """(row tuples, their set, Factored matrix) of v -> sign i_v w: solving
+    it for dH solves i_v w = sign dH, so dH is never negated."""
+    rows, matrix = contraction_matrix(w if sign > 0 else -w)
     return rows, frozenset(rows), linalg.Factored(matrix)
 
 
@@ -75,10 +73,11 @@ def ham_vector_field(w: DiffForm, H: DiffForm,
         )
     chart_ = w.chart
     dim = chart_.dim
-    rhs = _rhs(w, H, sign_convention)
-    rows, row_set, factored = _factored_contraction(w)
+    sign = _rhs_sign(w, sign_convention)
+    rhs = ext_d(H).coeffs
+    rows, row_set, factored = _factored_contraction(w, sign)
     sol, free = None, []
-    if row_set.issuperset(rhs):  # else -dH has a term no i_v w has
+    if row_set.issuperset(rhs):  # else dH has a term no i_v w has
         if not rows:
             return MultiVec(chart_, 1, {})
         zero = RationalExpr.const(dim, 0)
@@ -98,7 +97,8 @@ def ham_vector_field(w: DiffForm, H: DiffForm,
 
 def hdw_residual(w: DiffForm, X: MultiVec, H: DiffForm,
                  sign_convention: str = SIGN_HDW) -> DiffForm:
-    """i_X w minus the right-hand side ``_rhs`` builds (zero on a solution)."""
+    """i_X w minus the right-hand side s dH, s from ``_rhs_sign`` (zero on a
+    solution)."""
     if X.chart != w.chart or H.chart != w.chart:
         raise ChartMismatch("operands live on different charts")
     n = w.degree - 1
@@ -106,9 +106,8 @@ def hdw_residual(w: DiffForm, X: MultiVec, H: DiffForm,
         raise DegreeError(
             f"degrees inconsistent: deg X + deg H = {X.degree + H.degree} != {n}"
         )
-    contraction = interior(X, w)
-    rhs = _rhs(w, H, sign_convention)
-    return contraction - DiffForm._raw(w.chart, contraction.degree, rhs)
+    contraction, dH = interior(X, w), ext_d(H)
+    return contraction - dH if _rhs_sign(w, sign_convention) > 0 else contraction + dH
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +115,7 @@ def hdw_residual(w: DiffForm, X: MultiVec, H: DiffForm,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiphaseModel:
+class MultiphaseModel(NamedTuple):
     """Canonical forms on the chart (x^mu, q^a, p^mu_a, p)."""
 
     n: int

@@ -19,10 +19,9 @@ declares the bracket relations instead of checking them on the chart.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (
@@ -49,21 +48,20 @@ from .exterior import (
     vf_bracket,
 )
 from .linfty import Observable, _bracket_sign
+from .record import Record
 
 Q = Fraction
 
 
-@dataclass(frozen=True)
-class LieAlgebraData:
+class LieAlgebraData(Record):
     """Dimension plus rational structure constants, Jacobi-checked."""
 
-    dim: int
-    c: tuple  # c[i][j] is the coefficient vector of [e_{i+1}, e_{j+1}]
+    __slots__ = ("dim", "c")  # c[i][j] is the coefficient vector of [e_{i+1}, e_{j+1}]
 
-    def __post_init__(self):
-        d = self.dim
+    def __init__(self, dim: int, c: Sequence):
+        d = dim
         c = tuple(
-            tuple(tuple(Q(v) for v in vec) for vec in row) for row in self.c
+            tuple(tuple(Q(v) for v in vec) for vec in row) for row in c
         )
         if len(c) != d or any(len(row) != d for row in c) or any(
             len(vec) != d for row in c for vec in row
@@ -76,6 +74,7 @@ class LieAlgebraData:
                         raise ShapeError(
                             f"structure constants not antisymmetric at ({i+1},{j+1})"
                         )
+        object.__setattr__(self, "dim", d)
         object.__setattr__(self, "c", c)
         self._check_jacobi()
 
@@ -148,8 +147,7 @@ def abelian(dim: int) -> LieAlgebraData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KillingReport:
+class KillingReport(NamedTuple):
     matrix: tuple
     is_semisimple: bool
 
@@ -280,8 +278,7 @@ def ce_operators(g: LieAlgebraData) -> CEOperators:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LieAction:
+class LieAction(Record):
     """Generators zeta(e_i) on a chart realizing the structure constants.
 
     ``surrogate=True`` declares the bracket relations instead of checking
@@ -289,13 +286,12 @@ class LieAction:
     carried at the algebra level).
     """
 
-    algebra: LieAlgebraData
-    generators: tuple
-    surrogate: bool = False
+    __slots__ = ("algebra", "generators", "surrogate")
 
-    def __post_init__(self):
-        gens = tuple(self.generators)
-        if len(gens) != self.algebra.dim:
+    def __init__(self, algebra: LieAlgebraData, generators: Sequence,
+                 surrogate: bool = False):
+        gens = tuple(generators)
+        if len(gens) != algebra.dim:
             raise ShapeError("one generator per basis element required")
         ch = gens[0].chart
         for X in gens:
@@ -303,14 +299,13 @@ class LieAction:
                 raise DegreeError("generators must be vector fields")
             if X.chart != ch:
                 raise ChartMismatch("generators on different charts")
-        object.__setattr__(self, "generators", gens)
-        if not self.surrogate:
-            d = self.algebra.dim
+        if not surrogate:
+            d = algebra.dim
             for i in range(1, d + 1):
                 for j in range(i + 1, d + 1):
                     lhs = vf_bracket(gens[i - 1], gens[j - 1])
                     rhs = MultiVec(ch, 1, {})
-                    for k, coeff in enumerate(self.algebra.basis_bracket(i, j)):
+                    for k, coeff in enumerate(algebra.basis_bracket(i, j)):
                         if coeff:
                             rhs = rhs + gens[k].scale(coeff)
                     if lhs != rhs:
@@ -318,6 +313,9 @@ class LieAction:
                             f"[zeta(e{i}), zeta(e{j})] does not match the "
                             "structure constants"
                         )
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "surrogate", surrogate)
 
     @property
     def chart(self) -> Chart:
@@ -341,8 +339,7 @@ def left_invariant_surrogate(g: LieAlgebraData) -> LieAction:
     return LieAction(g, gens, surrogate=True)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """Componentwise certificate for one obstruction cochain g_i."""
 
     index: int
@@ -419,13 +416,18 @@ def obstruction_cochain(act: LieAction, w: DiffForm, index: int) -> ObstructionR
     return ObstructionReport(index, cochain, None, pre, pre is not None)
 
 
-@dataclass(frozen=True)
-class ComomentData:
+class ComomentData(Record):
     """Skew maps f_i: Lambda^i g -> Omega^{n-i}(M), stored on sorted tuples."""
 
-    algebra: LieAlgebraData
-    n: int
-    maps: tuple  # maps[i-1] is a dict tuple -> DiffForm
+    __slots__ = ("algebra", "n", "maps")  # maps[i-1] is a dict tuple -> DiffForm
+
+    def __init__(self, algebra: LieAlgebraData, n: int, maps: tuple):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "maps", maps)
+
+    def __hash__(self):  # the maps are dicts
+        return hash((self.algebra, self.n, tuple(frozenset(m.items()) for m in self.maps)))
 
     def evaluate(self, i: int, indices: Sequence[int]) -> DiffForm:
         """Antisymmetric evaluation on (possibly unsorted) basis indices."""
@@ -462,8 +464,7 @@ def comoment_from_potential(act: LieAction, eta: DiffForm, w: DiffForm,
     return ComomentData(act.algebra, n, tuple(maps))
 
 
-@dataclass(frozen=True)
-class ComomentReport:
+class ComomentReport(NamedTuple):
     lifting_residuals: dict      # basis index -> DiffForm (df1 + i_z w)
     relation_residuals: dict     # (i, tuple) -> DiffForm
     all_zero: bool
@@ -547,8 +548,7 @@ def conserved_classify(w: DiffForm, H: Observable, alpha: DiffForm) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantObservables:
+class InvariantObservables(NamedTuple):
     """l_2 and l_3 of the left-invariant observable algebra, via Killing."""
 
     algebra: LieAlgebraData

@@ -15,24 +15,26 @@ with the Chevalley-Eilenberg-style operator
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ChartMismatch, DegreeError
 from .exterior import DiffForm, MultiVec, ext_d, interior
 from .hdw import ham_vector_field
+from .record import Record
 
 
 class TrivialExtensionWarning(UserWarning):
     """l_k met a lower-degree argument and returned the zero form."""
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(Record):
     """A form of degree <= n-1; top degree carries its Hamiltonian field."""
 
-    form: DiffForm
-    ham_field: Optional[MultiVec] = None
+    __slots__ = ("form", "ham_field")
+
+    def __init__(self, form: DiffForm, ham_field: Optional[MultiVec] = None):
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "ham_field", ham_field)
 
     @property
     def degree(self) -> int:

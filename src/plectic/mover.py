@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -23,6 +22,7 @@ from .errors import (
     ShapeError,
 )
 from .exterior import Chart, DiffForm, SmoothMap, chart, pullback
+from .record import Record
 from .scalar import GaussianRational, RationalExpr, ScalarExpr, _gaussian_parts
 
 Q = Fraction
@@ -40,14 +40,13 @@ def as_point(values: Sequence) -> Point:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Record):
     """Univariate polynomial, ascending coefficients over Q(i)."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        cs = [GR.ensure(c) for c in self.coeffs]
+    def __init__(self, coeffs: Sequence):
+        cs = [GR.ensure(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -99,14 +98,13 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearStep:
+class LinearStep(Record):
     """x -> M x with det(M) = 1 exactly."""
 
-    matrix: tuple
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        m = tuple(tuple(GR.ensure(v) for v in row) for row in self.matrix)
+    def __init__(self, matrix: Sequence):
+        m = tuple(tuple(GR.ensure(v) for v in row) for row in matrix)
         n = len(m)
         if any(len(row) != n for row in m):
             raise ShapeError("linear step matrix must be square")
@@ -144,8 +142,7 @@ class LinearStep:
         return out
 
 
-@dataclass(frozen=True)
-class ShearStep:
+class ShearStep(Record):
     """Axis shear with polynomial offsets; unit triangular Jacobian.
 
     kind 'rest_by_first': (x, y, z) -> (x, y + s P(x), z + s Q(x)) with
@@ -154,22 +151,22 @@ class ShearStep:
     forward construction steps, +1 for their inverses.
     """
 
-    kind: str
-    dim: int
-    polys: tuple
-    sign: int = -1
+    __slots__ = ("kind", "dim", "polys", "sign")
 
-    def __post_init__(self):
-        if self.kind not in ("rest_by_first", "first_by_last"):
-            raise ShapeError(f"unknown shear kind {self.kind!r}")
-        if self.sign not in (-1, 1):
+    def __init__(self, kind: str, dim: int, polys: tuple, sign: int = -1):
+        if kind not in ("rest_by_first", "first_by_last"):
+            raise ShapeError(f"unknown shear kind {kind!r}")
+        if sign not in (-1, 1):
             raise ShapeError("shear sign must be +1 or -1")
-        expected = self.dim - 1 if self.kind == "rest_by_first" else 1
-        if len(self.polys) != expected:
+        expected = dim - 1 if kind == "rest_by_first" else 1
+        if len(polys) != expected:
             raise ShapeError(
-                f"{self.kind} shear in dimension {self.dim} needs "
-                f"{expected} polynomials"
+                f"{kind} shear in dimension {dim} needs {expected} polynomials"
             )
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "polys", polys)
+        object.__setattr__(self, "sign", sign)
 
     def apply(self, p: Point) -> Point:
         s = GR(self.sign)
@@ -200,17 +197,17 @@ class ShearStep:
         return comps
 
 
-@dataclass(frozen=True)
-class PolyAuto:
+class PolyAuto(Record):
     """Composition of elementary determinant-one steps (first step first)."""
 
-    dim: int
-    steps: tuple
+    __slots__ = ("dim", "steps")
 
-    def __post_init__(self):
-        for s in self.steps:
-            if getattr(s, "dim", None) != self.dim:
+    def __init__(self, dim: int, steps: tuple):
+        for s in steps:
+            if getattr(s, "dim", None) != dim:
                 raise ShapeError("step dimension mismatch")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "steps", steps)
 
     def apply(self, p: Sequence) -> Point:
         pt = as_point(p)
@@ -436,12 +433,14 @@ def realify_step(step, n: int) -> SmoothMap:
     return SmoothMap(ch, ch, tuple(out))
 
 
-@dataclass(frozen=True)
-class RealifiedAuto:
+class RealifiedAuto(Record):
     """Realified steps of a PolyAuto, applied first step first."""
 
-    n: int
-    steps: tuple  # SmoothMaps on R^{2n}
+    __slots__ = ("n", "steps")  # steps are SmoothMaps on R^{2n}
+
+    def __init__(self, n: int, steps: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "steps", steps)
 
     @property
     def chart(self) -> Chart:

@@ -537,8 +537,9 @@ class ScalarExpr:
 
     # -- calculus -----------------------------------------------------
 
-    def partial(self, index: int) -> "ScalarExpr":
-        """d/dx_index (1-based), term-wise power rule."""
+    def partial(self, index: int, sign: int = 1) -> "ScalarExpr":
+        """d/dx_index (1-based), term-wise power rule; a sign of -1 goes into
+        each exponent factor, so the negated partial costs no extra copy."""
         if not 1 <= index <= self.dim:
             raise ShapeError(f"variable index {index} out of range 1..{self.dim}")
         i = index - 1
@@ -546,7 +547,7 @@ class ScalarExpr:
         for exps, c in self.terms.items():
             e = exps[i]
             if e:  # distinct terms keep distinct exponents: nothing merges
-                out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
+                out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * (e if sign > 0 else -e)
         return ScalarExpr._raw(self.dim, out)
 
     def eval(self, point: Sequence):
@@ -855,11 +856,13 @@ class RationalExpr:
 
     # -- calculus -----------------------------------------------------
 
-    def partial(self, index: int) -> "RationalExpr":
+    def partial(self, index: int, sign: int = 1) -> "RationalExpr":
+        """sign * d/dx_index, the sign folded into the power rule."""
         if self.den_is_one:
-            return RationalExpr._raw(self.num.partial(index), self.den)
-        dn = self.num.partial(index) * self.den - self.num * self.den.partial(index)
-        return RationalExpr(dn, self.den * self.den)
+            return RationalExpr._raw(self.num.partial(index, sign), self.den)
+        num, den = self.num, self.den
+        dn = num.partial(index, sign) * den - num * den.partial(index, sign)
+        return RationalExpr(dn, den * den)
 
     def eval(self, point: Sequence):
         """Evaluate exactly at a point, as :meth:`ScalarExpr.eval` does."""

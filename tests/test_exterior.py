@@ -190,7 +190,7 @@ def test_ext_d_matches_the_all_variables_reference_on_quotients(seed, monkeypatc
     for a in fixed + random_forms:
         taken = []
         monkeypatch.setattr(RationalExpr, "partial",
-                            lambda c, i: taken.append((id(c), i)) or partial(c, i))
+                            lambda c, i, sign=1: taken.append((id(c), i)) or partial(c, i, sign))
         got = ext_d(a)
         monkeypatch.undo()
         assert got == ext_d_all_variables(a)
