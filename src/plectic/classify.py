@@ -301,13 +301,6 @@ class EndField(Record):
         rows = tuple(tuple(v * c for v in row) for row in self.matrix)
         return EndField(self.chart, rows)
 
-    def __add__(self, other: "EndField") -> "EndField":
-        rows = tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.matrix, other.matrix)
-        )
-        return EndField(self.chart, rows)
-
     def __sub__(self, other: "EndField") -> "EndField":
         rows = tuple(
             tuple(a - b for a, b in zip(ra, rb))
@@ -482,35 +475,38 @@ def _sqrt_rational_expr(expr: RationalExpr) -> RationalExpr:
         raise IrrationalScale(f"no exact square root of {expr}: {exc}") from None
 
 
-def _split(w: DiffForm, J: EndField, s: RationalExpr) -> Tuple[DiffForm, DiffForm]:
-    """The two summands (1 +- J/s)/2 of w, checked and ordered: they must sum
-    to w and be decomposable."""
+def _derivation_action(J: EndField, w: DiffForm) -> DiffForm:
+    """u = J.w, J acting as a derivation: (J.w)(v1, .., vk) is
+    sum_m w(.., J v_m, ..), that is sum_i (row i of J) ^ i_{e_i} w.  For
+    w = alpha + beta of product type on R^6, with s = sqrt(trace(J^2)/6), the
+    summands are eigenforms of A = J/s: A.alpha = 3 alpha, A.beta = -3 beta
+    (Hitchin, arXiv:math/0010054), so u = 3s (alpha - beta)."""
     chart = w.chart
-    A = J.scale(RationalExpr.const(6, 1) / s)
-    half = RationalExpr.const(6, Q(1, 2))
-    ident = EndField.identity(chart)
-    parts = []
-    for pm in (ident + A, ident - A):
-        P = pm.scale(half)
-        cols = [P.column_field(i) for i in range(1, 7)]
-        coeffs = {}
-        for idx in combinations(range(1, 7), 3):
-            val = full_contract(w, [cols[idx[0] - 1], cols[idx[1] - 1], cols[idx[2] - 1]])
-            if val:
-                coeffs[idx] = val
-        parts.append(DiffForm(chart, 3, coeffs))
-    p1, p2 = parts
+    u = DiffForm._raw(chart, w.degree, {})
+    for i, row in enumerate(J.matrix, start=1):
+        theta = DiffForm._raw(chart, 1, {(k,): c for k, c in enumerate(row, start=1) if c})
+        u = u + theta.wedge(interior(coordinate_vector(chart, i), w))
+    return u
+
+
+def _split(w: DiffForm, J: EndField, s: RationalExpr) -> Tuple[DiffForm, DiffForm]:
+    """The summands (w +- J.w/(3s))/2 of w, checked and ordered: they must
+    sum to w and be decomposable."""
+    v = _derivation_action(J, w).scale(RationalExpr.const(6, 1) / (s * 3))
+    p1, p2 = (w + v).scale(Q(1, 2)), (w - v).scale(Q(1, 2))
     if p1 + p2 != w:
-        raise DegenerateForm("projector split failed to reconstruct the form")
+        raise DegenerateForm("split failed to reconstruct the form")
     if not (_is_decomposable(p1) and _is_decomposable(p2)):
         raise WrongType("split parts are not decomposable; form is not product type")
     return _tie_break(p1, p2)
 
 
 def _is_decomposable(part: DiffForm) -> bool:
-    """Pointwise decomposability: part != 0, part ^ part = 0 and contraction
-    rank equal to the degree."""
-    if part.is_zero or part.wedge(part):
+    """Decomposability over the fraction field, not at each point: a nonzero
+    k-form is decomposable exactly when v -> i_v part has rank k.  That rank
+    test certifies every degree; part ^ part != 0 rejects sooner in even
+    degree and vanishes identically in odd degree."""
+    if part.is_zero or (part.degree % 2 == 0 and part.wedge(part)):
         return False
     _rows, matrix = contraction_matrix(part)
     return linalg.rank(matrix) == part.degree
@@ -563,8 +559,7 @@ def verify_product_decomposition(w: DiffForm, parts: Sequence[DiffForm]) -> bool
     """Verify a user-supplied k-part decomposition into decomposable summands.
 
     The k > 2 search is out of scope; this checks the candidate: the parts
-    sum to w, and each is pointwise decomposable of the common rank
-    (part ^ part = 0 and contraction rank equal to the degree).
+    sum to w, and each is decomposable of w's degree (``_is_decomposable``).
     """
     if not parts:
         return False

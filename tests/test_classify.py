@@ -437,6 +437,77 @@ def test_split_tie_break_swaps_pair_only():
             break
 
 
+SPLIT_FAMILY = ("1", "x2", "x2^(1/2)", "1/x2", "x2^2")
+
+
+def _sign_flip(w, rng, scale):
+    """scale * S^* w for a seeded sign flip S of the coordinates other than x2."""
+    signs = [1 if i == 2 else rng.choice((1, -1)) for i in range(1, 7)]
+    return form(w.chart, 3, {
+        idx: c * RationalExpr.const(6, scale * signs[idx[0] - 1] * signs[idx[1] - 1]
+                                    * signs[idx[2] - 1])
+        for idx, c in w.coeffs.items()})
+
+
+def _j_and_scale(w):
+    """J and s = sqrt(trace(J^2)/6), as ``split_product`` takes them."""
+    J = hitchin_endomorphism(w, standard_volume(w.chart))
+    t = _trace_sq(J.matrix, RationalExpr.const(6, 0))
+    return J, classify._sqrt_rational_expr(t / RationalExpr.const(6, 6))
+
+
+def test_split_matches_projector_reference():
+    from split_reference import reference_derivation_action, reference_split
+
+    rng = random.Random(1811)
+    forms = [catalog.omega_f(f) for f in SPLIT_FAMILY] + [catalog.product6()]
+    forms += [_sign_flip(w, rng, scale) for w in forms for scale in (1, -2, Q(1, 3))]
+    for w in forms:
+        J, s = _j_and_scale(w)
+        assert classify._derivation_action(J, w) == reference_derivation_action(J, w), w
+        assert split_product(w) == reference_split(w, J, s), w
+    for f, x2 in (("x2", 1), ("x2", 4), ("x2^(1/2)", 16), ("1/x2", Q(1, 4)), ("x2^2", 3)):
+        p = [Q(1, 2), x2, -1, 0, 2, Q(-3, 5)]
+        we = catalog.omega_f(f).eval_at(p)
+        assert split_product(catalog.omega_f(f), point=p) == reference_split(we, *_j_and_scale(we))
+
+
+def test_split_of_linear_pullbacks_is_the_pulled_back_pair():
+    """Ground truth owing nothing to either split: M^* product6 splits into
+    M^* dx123 and M^* dx456.  J(M^* w) = det(M) M^-1 J(w) M, and J.w is
+    3 (dx123 - dx456) for product6, so J.w of the pullback is
+    3 det(M) (M^* dx123 - M^* dx456)."""
+    rng = random.Random(1812)
+    a, b = form(C6, 3, {(1, 2, 3): 1}), form(C6, 3, {(4, 5, 6): 1})
+    checked = 0
+    while checked < 32:
+        M = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(6)]
+        dm = det(M)
+        if not dm:
+            continue
+        w = constant_linear_pullback(catalog.product6(), M)
+        ma, mb = constant_linear_pullback(a, M), constant_linear_pullback(b, M)
+        J = hitchin_endomorphism(w, standard_volume(C6))
+        assert classify._derivation_action(J, w) == (ma - mb).scale(3 * dm)
+        w1, w2 = split_product(w)
+        assert {w1, w2} == {ma, mb}
+        checked += 1
+
+
+def test_decomposability_in_even_and_odd_degree():
+    from plectic.classify import verify_product_decomposition
+
+    c4, c5 = chart(4), chart(5)
+    dx12, dx34 = form(c4, 2, {(1, 2): 1}), form(c4, 2, {(3, 4): 1})
+    assert verify_product_decomposition(dx12 + dx34, [dx12, dx34])
+    assert not verify_product_decomposition(dx12 + dx34, [dx12 + dx34])
+    dx123, dx145 = form(c5, 3, {(1, 2, 3): 1}), form(c5, 3, {(1, 4, 5): 1})
+    odd = dx123 + dx145
+    assert wedge(odd, odd).is_zero  # only the contraction rank (5, not 3) rejects it
+    assert verify_product_decomposition(odd, [dx123, dx145])
+    assert not verify_product_decomposition(odd, [odd])
+
+
 # -- almost-complex structures ----------------------------------------------------
 
 
