@@ -32,7 +32,6 @@ from .errors import (
     ChartMismatch,
     DegreeError,
     DependentFrame,
-    DegenerateForm,
     IrrationalScale,
     NotAlmostComplex,
     NotClosed,
@@ -490,12 +489,10 @@ def _derivation_action(J: EndField, w: DiffForm) -> DiffForm:
 
 
 def _split(w: DiffForm, J: EndField, s: RationalExpr) -> Tuple[DiffForm, DiffForm]:
-    """The summands (w +- J.w/(3s))/2 of w, checked and ordered: they must
-    sum to w and be decomposable."""
+    """The summands (w +- J.w/(3s))/2 of w, which sum to w by construction,
+    checked to be decomposable and ordered."""
     v = _derivation_action(J, w).scale(RationalExpr.const(6, 1) / (s * 3))
     p1, p2 = (w + v).scale(Q(1, 2)), (w - v).scale(Q(1, 2))
-    if p1 + p2 != w:
-        raise DegenerateForm("split failed to reconstruct the form")
     if not (_is_decomposable(p1) and _is_decomposable(p2)):
         raise WrongType("split parts are not decomposable; form is not product type")
     return _tie_break(p1, p2)

@@ -525,7 +525,11 @@ def product_chart(a: Chart, b: Chart) -> Chart:
 
 
 def pullback(f: SmoothMap, a: DiffForm) -> DiffForm:
-    """f^* a; commutes with d and wedge by construction."""
+    """f^* a; commutes with d and wedge by construction.
+
+    A component is differentiated only in the variables it uses, as in
+    ``ext_d``.  A constant coefficient is the same constant on the source
+    chart, so nothing is substituted into it."""
     if a.chart != f.target:
         raise ChartMismatch("form does not live on the map's target chart")
     src = f.source
@@ -534,11 +538,12 @@ def pullback(f: SmoothMap, a: DiffForm) -> DiffForm:
     # differentials of the components, as one-forms on the source chart
     dcomp = []
     for c in comps:
-        partials = ((s, c.partial(s)) for s in range(1, src.dim + 1))
+        partials = ((s, c.partial(s)) for s in sorted(c.used_vars()))
         dcomp.append(DiffForm._raw(src, 1, {(s,): p for s, p in partials if p}))
     out = DiffForm(src, a.degree, {})
     for idx, c in a.coeffs.items():
-        pulled = c.substitute(comps)
+        pulled = (RationalExpr.const(src.dim, c.constant_value()) if c.is_constant
+                  else c.substitute(comps))
         if not pulled:
             continue
         if not idx:

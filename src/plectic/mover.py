@@ -21,7 +21,7 @@ from .errors import (
     NonPolynomial,
     ShapeError,
 )
-from .exterior import Chart, DiffForm, SmoothMap, chart, pullback
+from .exterior import Chart, DiffForm, SmoothMap, chart, constant_linear_pullback, pullback
 from .record import Record
 from .scalar import GaussianRational, RationalExpr, ScalarExpr, _gaussian_parts
 
@@ -334,13 +334,17 @@ def move_points(src: Sequence[Sequence], dst: Sequence[Sequence],
 
 
 def _step_jacobian_det(step) -> ScalarExpr:
-    """Symbolic Jacobian determinant of one elementary step."""
-    if not isinstance(step, (LinearStep, ShearStep)):
+    """Symbolic Jacobian determinant of one elementary step: for a linear
+    step the determinant of its own matrix, for a shear that of the
+    partials of its polynomial components."""
+    if isinstance(step, LinearStep):
+        return ScalarExpr.const(step.dim, linalg.det([list(r) for r in step.matrix]))
+    if not isinstance(step, ShearStep):
         raise ShapeError(f"unknown step {step!r}")
     comps = step.components()
     n = len(comps)
-    jac = [[RationalExpr(comps[i].partial(j + 1)) for j in range(n)]
-           for i in range(n)]
+    one = ScalarExpr.const(n, 1)
+    jac = [[RationalExpr._raw(c.partial(j), one) for j in range(1, n + 1)] for c in comps]
     det = linalg.det(jac)
     if not det.den_is_one:
         raise ShapeError("step Jacobian determinant must be polynomial")
@@ -395,42 +399,76 @@ def real_volume_form(n: int) -> DiffForm:
     return out
 
 
-def realify_scalar(expr: ScalarExpr) -> Tuple[ScalarExpr, ScalarExpr]:
-    """Split a Gaussian polynomial in z_1..z_n into Re/Im over R^{2n}."""
-    re_terms: dict = {}
-    im_terms: dict = {}
-    for exps, c in expr.terms.items():
-        if any(e.denominator != 1 or e < 0 for e in exps):
-            raise NonPolynomial("realification needs polynomial exponents")
+def _realify_into(re_terms: dict, im_terms: dict, coeffs: Sequence, var: int,
+                  sign: int, dim2: int) -> None:
+    """Add Re and Im of sign * sum_p coeffs[p] z^p, z = x_{2var+1} + i x_{2var+2}
+    (var 0-based), into the term dicts, by one binomial expansion per
+    coefficient: (x + i y)^p = sum_k C(p, k) x^(p-k) y^k i^k.  Each (p, k)
+    has its own key, so a call adds to no key it wrote itself; for p = 1 it
+    writes the real block [[a, -b], [b, a]]/d of a coefficient (a + b i)/d."""
+    for p, c in enumerate(coeffs):
+        if not c:
+            continue
         a, b, d = _gaussian_parts(c)
-        # (x_{2j-1} + i x_{2j})^e = sum_k C(e, k) x_{2j-1}^(e-k) x_{2j}^k i^k;
-        # the exponents e_j = (e-k) + k tell the terms of expr apart, so no
-        # two (term, picks) pairs share a key and nothing merges
-        factors = [[((e - k, k), math.comb(e, k)) for k in range(e + 1)]
-                   for e in map(int, exps)]
-        for picks in itertools.product(*factors):
-            key = sum((p for p, _ in picks), ())
-            m = math.prod(binom for _, binom in picks)
-            # (a + b*i) * i^k for k the total power of i
-            re, im = ((a, b), (-b, a), (-a, -b), (b, -a))[sum(p[1] for p, _ in picks) % 4]
+        a, b = sign * a, sign * b
+        for k in range(p + 1):
+            exps = [0] * dim2
+            exps[2 * var] = p - k
+            exps[2 * var + 1] = k
+            key = tuple(exps)
+            m = math.comb(p, k)
+            # (a + b*i) * i^k
+            re, im = ((a, b), (-b, a), (-a, -b), (b, -a))[k % 4]
             if re:
                 re_terms[key] = Q(re * m, d)
             if im:
                 im_terms[key] = Q(im * m, d)
-    dim2 = 2 * expr.dim
-    return ScalarExpr._raw(dim2, re_terms), ScalarExpr._raw(dim2, im_terms)
 
 
 def realify_step(step, n: int) -> SmoothMap:
-    """One elementary step as a real polynomial map on R^{2n}."""
-    comps = step.components()
-    ch = interleaved_chart(n)
+    """One elementary step as a real polynomial map on R^{2n}, built from the
+    step's own matrix or polynomials.  The pieces of one complex component
+    are in different variables, and at most one has a constant term, so no
+    two of them write the same key."""
+    if not isinstance(step, (LinearStep, ShearStep)):
+        raise ShapeError(f"unknown step {step!r}")
+    dim2 = 2 * n
+    one = ScalarExpr.const(dim2, 1)
     out: List[RationalExpr] = []
-    for comp in comps:
-        re, im = realify_scalar(comp)
-        out.append(RationalExpr(re))
-        out.append(RationalExpr(im))
+    for i in range(n):
+        re, im = {}, {}
+        if isinstance(step, LinearStep):
+            for j, m in enumerate(step.matrix[i]):
+                _realify_into(re, im, (0, m), j, 1, dim2)
+        else:
+            _realify_into(re, im, (0, 1), i, 1, dim2)
+            if step.kind == "rest_by_first" and i >= 1:
+                _realify_into(re, im, step.polys[i - 1].coeffs, 0, step.sign, dim2)
+            elif step.kind == "first_by_last" and i == 0:
+                _realify_into(re, im, step.polys[0].coeffs, n - 1, step.sign, dim2)
+        out.append(RationalExpr._raw(ScalarExpr._raw(dim2, re), one))
+        out.append(RationalExpr._raw(ScalarExpr._raw(dim2, im), one))
+    ch = interleaved_chart(n)
     return SmoothMap(ch, ch, tuple(out))
+
+
+def _linear_matrix(f: SmoothMap):
+    """M with f(x) = M x, when f maps a chart to itself and every component
+    is a linear form with Fraction coefficients; otherwise None."""
+    if f.source != f.target:
+        return None
+    dim = f.source.dim
+    rows = []
+    for c in f.components:
+        if not c.den_is_one:
+            return None
+        row = [Q(0)] * dim
+        for exps, v in c.num.terms.items():
+            if type(v) is not Q or exps.count(1) != 1 or exps.count(0) != dim - 1:
+                return None
+            row[exps.index(1)] = v
+        rows.append(row)
+    return rows
 
 
 class RealifiedAuto(Record):
@@ -453,10 +491,17 @@ class RealifiedAuto(Record):
         return pt
 
     def pullback(self, a: DiffForm) -> DiffForm:
-        """Pullback through the composition, telescoped step by step."""
+        """Pullback through the composition, telescoped step by step.  A
+        linear step pulls a constant-coefficient form back through the
+        integer minors of its matrix (``constant_linear_pullback``); every
+        other case goes through the general ``pullback``."""
         out = a
         for s in reversed(self.steps):
-            out = pullback(s, out)
+            matrix = _linear_matrix(s)
+            if matrix is not None and all(c.is_constant for c in out.coeffs.values()):
+                out = constant_linear_pullback(out, matrix)
+            else:
+                out = pullback(s, out)
         return out
 
 

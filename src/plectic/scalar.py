@@ -547,7 +547,9 @@ class ScalarExpr:
         for exps, c in self.terms.items():
             e = exps[i]
             if e:  # distinct terms keep distinct exponents: nothing merges
-                out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * (e if sign > 0 else -e)
+                f = e if sign > 0 else -e
+                out[exps[:i] + (e - 1,) + exps[i + 1:]] = (
+                    c if f == 1 else -c if f == -1 else c * f)
         return ScalarExpr._raw(self.dim, out)
 
     def eval(self, point: Sequence):
@@ -817,11 +819,28 @@ class RationalExpr:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other, self.dim)
-        self._check(other)
-        if other.is_zero:
-            raise DivisionByZero("division by zero expression")
-        return RationalExpr(self.num * other.den, self.den * other.num)
+        """Quotient.  A constant divisor c scales the numerator by 1/c and
+        keeps the denominator; a constant dividend c gives (c/lc) * den over
+        num/lc, with lc the leading coefficient of the divisor's numerator,
+        so its denominator is monic with no product and no validation.
+        Otherwise RationalExpr(num * den', den * num')."""
+        if type(other) in _SCALARS:
+            c = other
+        else:
+            other = self._coerce(other, self.dim)
+            self._check(other)
+            c = _constant_coeff(other)
+        if c is not None:
+            if not c:
+                raise DivisionByZero("division by zero expression")
+            return RationalExpr._raw(self.num.scale(ONE / c), self.den)
+        c = _constant_coeff(self)
+        if c is None:
+            return RationalExpr(self.num * other.den, self.den * other.num)
+        if not c:
+            return self
+        lc = other.num.leading_coeff()
+        return RationalExpr._raw(other.den.scale(c / lc), other.num.scale(ONE / lc))
 
     def __rtruediv__(self, other):
         return self._coerce(other, self.dim) / self

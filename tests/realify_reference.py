@@ -1,9 +1,9 @@
-"""The repeated-multiplication realification that plectic.mover.realify_scalar
-replaced.
+"""A repeated-multiplication realification of Gaussian polynomials.
 
-Kept as the reference for the differential tests: it multiplies out
-(x_{2j-1} + i x_{2j})^e one factor at a time over Q(i) and hands the result to
-the validating ScalarExpr constructor, so it is slow but obviously right.
+Kept as the reference for the differential tests of plectic.mover.realify_step:
+it multiplies out (x_{2j-1} + i x_{2j})^e one factor at a time over Q(i) and
+hands the result to the validating ScalarExpr constructor, so it is slow but
+obviously right.
 """
 from fractions import Fraction as Q
 

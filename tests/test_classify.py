@@ -465,11 +465,15 @@ def test_split_matches_projector_reference():
     for w in forms:
         J, s = _j_and_scale(w)
         assert classify._derivation_action(J, w) == reference_derivation_action(J, w), w
-        assert split_product(w) == reference_split(w, J, s), w
+        p1, p2 = split_product(w)
+        assert (p1, p2) == reference_split(w, J, s), w
+        assert p1 + p2 == w
     for f, x2 in (("x2", 1), ("x2", 4), ("x2^(1/2)", 16), ("1/x2", Q(1, 4)), ("x2^2", 3)):
         p = [Q(1, 2), x2, -1, 0, 2, Q(-3, 5)]
         we = catalog.omega_f(f).eval_at(p)
-        assert split_product(catalog.omega_f(f), point=p) == reference_split(we, *_j_and_scale(we))
+        parts = split_product(catalog.omega_f(f), point=p)
+        assert parts == reference_split(we, *_j_and_scale(we))
+        assert parts[0] + parts[1] == we
 
 
 def test_split_of_linear_pullbacks_is_the_pulled_back_pair():

@@ -40,7 +40,9 @@ from util import (
     det_minor_sums,
     ext_d_all_variables,
     linear_map,
+    pullback_all_variables,
     rand_form,
+    rand_fraction,
     rand_poly,
     rand_rational_gl,
     rand_vector_field,
@@ -398,6 +400,55 @@ def test_pullback_functorial():
     a = rand_form(rng, c3, 2)
     composed = h.compose(g)
     assert pullback(composed, a) == pullback(g, pullback(h, a))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pullback_matches_the_all_variables_reference(seed, monkeypatch):
+    """pullback differentiates each component only in the variables of its
+    numerator and denominator, and takes a constant coefficient over to the
+    source chart without substituting into it; it agrees with the reference
+    that differentiates in every variable and substitutes into every
+    coefficient.  The fixed maps cover charts of different dimension under a
+    constant form, variables that occur only in a denominator (x2 in 1/x2,
+    x3 in x1/(x3 + 1)) and fractional exponents on positive variables."""
+    rng = random.Random(1900 + seed)
+    c2, c3, c4, pos = chart(2), chart(3), chart(4), chart(3, positive={1, 2})
+    cases = [
+        (SmoothMap(c2, c3, ("x1*x2", "x1 + 1", "x2^3")),
+         [f(c3, 2, {(1, 2): 3, (2, 3): Q(-1, 2)}), f(c3, 0, {(): 5}),
+          f(c3, 3, {(1, 2, 3): 1})]),
+        (SmoothMap(c3, c3, ("1/x2", "x1/(x3 + 1)", "x3")),
+         [f(c3, 2, {(1, 2): 1, (1, 3): "x2"}), f(c3, 1, {(1,): "x1^2/(x2 - 1)", (3,): 2})]),
+        (SmoothMap(pos, pos, ("x1^(1/2)*x2", "4*x2^(3/2)", "x3 + x1^(-1/2)")),
+         [f(pos, 1, {(1,): "x1^(1/2)", (2,): "x2^(-3/2) + x3"}),
+          f(pos, 2, {(1, 3): "x1^(3/2)*x2", (2, 3): -1})]),
+    ]
+    for maker, degrees in ((rand_poly, (1, 2, 3)), (_rand_quotient, (1,))):
+        comps = []
+        while len(comps) < 4:
+            c = maker(rng, 4)
+            comps += [] if c.is_constant else [c]
+        cases.append((SmoothMap(c4, c4, comps), [
+            f(c4, p, {k: rng.choice([rand_poly(rng, 4), RationalExpr.const(4, rand_fraction(rng))])
+                      for k in rng.sample(list(combinations(range(1, 5), p)), 2)})
+            for p in degrees] + [f(c4, 0, {(): rand_poly(rng, 4)}),
+                                 f(c4, 4, {(1, 2, 3, 4): Q(2, 3)})]))
+    partial, substitute = RationalExpr.partial, RationalExpr.substitute
+    for fmap, forms in cases:
+        for a in forms:
+            taken, substituted = [], []
+            monkeypatch.setattr(RationalExpr, "partial",
+                                lambda c, i, sign=1: taken.append((c, i)) or partial(c, i, sign))
+            monkeypatch.setattr(RationalExpr, "substitute",
+                                lambda c, comps: substituted.append(c) or substitute(c, comps))
+            got = pullback(fmap, a)
+            monkeypatch.undo()
+            assert got.chart == fmap.source
+            assert got == pullback_all_variables(fmap, a)
+            assert all(i in c.used_vars() for c, i in taken)
+            assert {i for c, i in taken if c is fmap.components[0]} == \
+                fmap.components[0].used_vars()
+            assert not any(c.is_constant for c in substituted)
 
 
 def test_constant_linear_pullback_matches_map_pullback():

@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
 from plectic.errors import DuplicatePoints, NonPolynomial, ShapeError
 from plectic.exterior import SmoothMap, chart, form, pullback
+from plectic.linalg import det
 from plectic.mover import (
     GR,
     LinearStep,
     Poly,
     PolyAuto,
+    RealifiedAuto,
     ShearStep,
     as_point,
     interleaved_chart,
@@ -17,12 +20,11 @@ from plectic.mover import (
     move_points,
     real_volume_form,
     realify_and_check,
-    realify_scalar,
+    realify_step,
     separating_linear_map,
 )
 from plectic.scalar import (
     GaussianRational,
-    ScalarExpr,
     parse_expression,
     parse_gaussian,
 )
@@ -186,41 +188,101 @@ def test_smooth_map_jacobian():
 # -- realification -----------------------------------------------------------------------
 
 
-def test_realify_scalar_expansion():
-    # z1^2 over C: (x1 + i x2)^2 = x1^2 - x2^2 + 2 i x1 x2
-    z2 = ScalarExpr.variable(1, 1, 2)
-    re, im = realify_scalar(z2)
-    assert re == parse_expression("x1^2 - x2^2", 2).num
-    assert im == parse_expression("2*x1*x2", 2).num
+def test_realify_step_expansion():
+    # (z1, z2) -> (z1, z2 - z1^2) over R^4: x3 - x1^2 + x2^2 and x4 - 2 x1 x2
+    shear = ShearStep("rest_by_first", 2, (Poly((GR(0), GR(0), GR(1))),), -1)
+    comps = realify_step(shear, 2).components
+    want = ["x1", "x2", "-x1^2 + x2^2 + x3", "-2*x1*x2 + x4"]
+    assert comps == tuple(parse_expression(w, 4) for w in want)
+
+
+def rand_det_one_matrix(rng, n):
+    """A seeded Gaussian matrix scaled in its last row to determinant one."""
+    while True:
+        M = [[rand_gauss(rng) for _ in range(n)] for _ in range(n)]
+        d = det(M)
+        if d:
+            M[-1] = [v / d for v in M[-1]]
+            return M
+
+
+def rand_poly(rng):
+    return Poly([rand_gauss(rng) for _ in range(rng.randint(0, 5))])
+
+
+def rand_steps(rng, n):
+    """LinearSteps and both shear kinds, each with sign +1 and -1."""
+    steps = [LinearStep(rand_det_one_matrix(rng, n))]
+    for sign in (1, -1):
+        steps.append(ShearStep("rest_by_first", n, tuple(rand_poly(rng) for _ in range(n - 1)),
+                               sign))
+        steps.append(ShearStep("first_by_last", n, (rand_poly(rng),), sign))
+    return steps
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_realify_scalar_matches_the_repeated_multiplication_reference(seed):
+def test_realify_step_matches_the_repeated_multiplication_reference(seed):
     rng = random.Random(2600 + seed)
-    for _ in range(10):
-        n = rng.randint(1, 3)
-        terms = {}
-        for _ in range(rng.randint(1, 4)):
-            exps = tuple(rng.randint(0, 5) for _ in range(n))
-            c = rand_gauss(rng) if rng.random() < 0.7 else Q(rng.randint(-4, 4), rng.randint(1, 3))
-            terms[exps] = c
-        expr = ScalarExpr(n, terms)
-        got = realify_scalar(expr)
-        assert got == reference_realify(expr)
-        for part in got:
-            assert part.dim == 2 * n
-            for exps, c in part.terms.items():
-                assert all(type(e) is int for e in exps)
-                assert type(c) is Q and c
+    for n in (2, 3):
+        for step in rand_steps(rng, n):
+            got = realify_step(step, n).components
+            assert len(got) == 2 * n
+            for i, comp in enumerate(step.components()):
+                re, im = reference_realify(comp)
+                assert (got[2 * i].num, got[2 * i + 1].num) == (re, im)
+            for part in got:
+                assert part.den_is_one and part.den.terms == {(0,) * (2 * n): 1}
+                for exps, c in part.num.terms.items():
+                    assert all(type(e) is int for e in exps)
+                    assert type(c) is Q and c
 
 
-@pytest.mark.parametrize("exponent", [-1, Q(1, 2)])
-def test_realify_scalar_rejects_non_polynomial_exponents(exponent):
-    expr = ScalarExpr(2, {(1, 0): GR(1), (0, exponent): GR(2, 1)})
-    with pytest.raises(NonPolynomial):
-        realify_scalar(expr)
-    with pytest.raises(NonPolynomial):
-        reference_realify(expr)
+def _changed(step, factor):
+    """The step with its first row multiplied by factor after construction."""
+    m = (tuple(v * factor for v in step.matrix[0]),) + step.matrix[1:]
+    object.__setattr__(step, "matrix", m)
+    return step
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_linear_route_matches_the_general_pullback(seed):
+    rng = random.Random(2900 + seed)
+    for n in (2, 3):
+        ch = interleaved_chart(n)
+        vol = real_volume_form(n)
+        forms = [vol] + [form(ch, k, {idx: rand_gauss(rng).re for idx in
+                                      rng.sample(list(combinations(range(1, 2 * n + 1), k)), 3)})
+                         for k in (1, 2)]
+        for factor, expected in ((1, True), (2, False), (GR(0, 1), False)):
+            step = _changed(LinearStep(rand_det_one_matrix(rng, n)), factor)
+            smooth = realify_step(step, n)
+            for a in forms:
+                want = pullback(smooth, a)
+                assert RealifiedAuto(n, (smooth,)).pullback(a) == want
+            auto = PolyAuto(n, (step,))
+            assert realify_and_check(auto)[1] is expected
+            assert jacobian_determinant(auto).constant_value() == factor
+
+
+def test_linear_route_runs_the_integer_minor_kernel(monkeypatch):
+    """A realified linear step pulls the volume back through
+    constant_linear_pullback; a shear does not, nor does a linear step once
+    the form it receives has non-constant coefficients."""
+    import plectic.mover as mv
+
+    calls = []
+    kernel = mv.constant_linear_pullback
+    monkeypatch.setattr(mv, "constant_linear_pullback",
+                        lambda a, M: calls.append(len(M)) or kernel(a, M))
+    shear = ShearStep("rest_by_first", 2, (Poly((GR(0), GR(0), GR(1))),), -1)
+    linear = LinearStep(((GR(1), GR(1)), (GR(0), GR(1))))
+    _, ok = realify_and_check(PolyAuto(2, (linear, shear, linear)))
+    assert ok and calls == [4, 4]  # the shear hands the volume on unchanged
+    calls.clear()
+    smooth = realify_step(linear, 2)
+    a = form(interleaved_chart(2), 1, {(1,): parse_expression("x1", 4)})
+    assert RealifiedAuto(2, (smooth,)).pullback(a) == pullback(smooth, a)
+    assert not calls
 
 
 def test_real_volume_forms():

@@ -409,13 +409,17 @@ def test_property_constant_operand_scales_term_wise():
 
 
 def test_constant_operand_skips_the_general_product(monkeypatch):
+    """Products with, and quotients by or of, a constant run no ScalarExpr
+    product and no validating RationalExpr constructor."""
     a = expr("(x1^(1/2) + 2*x2)/(x3^2 - x1)")
     constants = (3, 0, Q(-2, 5), GaussianRational(1, -2), RationalExpr.const(3, Q(7, 4)),
                  RationalExpr.const(3, 0), expr("5"))
     calls = []
-    general = ScalarExpr.__mul__
+    general, validating = ScalarExpr.__mul__, RationalExpr.__init__
     monkeypatch.setattr(ScalarExpr, "__mul__",
                         lambda x, y: calls.append(1) or general(x, y))
+    monkeypatch.setattr(RationalExpr, "__init__",
+                        lambda x, *args: calls.append(2) or validating(x, *args))
     for c in constants:
         for r in (a * c, c * a):
             if c:
@@ -423,9 +427,52 @@ def test_constant_operand_skips_the_general_product(monkeypatch):
             else:
                 assert r.is_zero and r.den.terms == {(0, 0, 0): 1}
         RationalExpr.const(3, 2) * c
+        c / a
+        if c:
+            assert (a / c).den is a.den
+            RationalExpr.const(3, 2) / c
     assert not calls
     a * a  # the general product still goes through ScalarExpr.__mul__
-    assert calls
+    assert calls and 2 not in calls
+    a / (a + 1)  # and the general quotient through the validating constructor
+    assert 2 in calls
+
+
+def test_property_constant_division_scales_term_wise():
+    """A quotient by or of a constant (an int, Fraction, GaussianRational,
+    zero, or a constant RationalExpr) is the general quotient
+    RationalExpr(a.num * b.den, a.den * b.num): equal, hashing alike and in
+    normal form; a zero divisor raises DivisionByZero."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    dim = 2
+    exponents = st.one_of(st.integers(-2, 3),
+                          st.builds(Q, st.integers(-4, 4), st.sampled_from([2, 3])))
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    gaussians = st.builds(GaussianRational, rationals, rationals)
+    scalars = st.dictionaries(st.tuples(exponents, exponents),
+                              st.one_of(rationals, gaussians),
+                              max_size=4).map(lambda terms: ScalarExpr(dim, terms))
+    quotients = st.tuples(scalars, scalars).map(
+        lambda p: RationalExpr(p[0], p[1]) if p[1] else RationalExpr(p[0]))
+    numbers = st.one_of(st.integers(-5, 5), rationals, gaussians, st.just(0), st.just(Q(0)))
+    constants = st.one_of(numbers, numbers.map(lambda c: RationalExpr.const(dim, c)))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(quotients, constants)
+    def check(a, f):
+        b = f if isinstance(f, RationalExpr) else RationalExpr.const(dim, f)
+        for (x, y), (xr, yr) in (((a, f), (a, b)), ((f, a), (b, a))):
+            if not yr:
+                with pytest.raises(DivisionByZero):
+                    x / y
+                continue
+            got = x / y
+            want = RationalExpr(xr.num * yr.den, xr.den * yr.num)
+            assert got == want and hash(got) == hash(want)
+            _assert_normal_quotient(got)
+
+    check()
 
 
 def test_gaussian_point_format_roundtrip():

@@ -44,6 +44,23 @@ def ext_d_all_variables(a):
     return DiffForm(a.chart, a.degree + 1, out)
 
 
+def pullback_all_variables(fmap, a):
+    """Reference for ``exterior.pullback``: every component is differentiated
+    in every source variable, and every coefficient, constant or not, is
+    substituted into."""
+    src = fmap.source
+    comps = list(fmap.components)
+    dcomp = [DiffForm(src, 1, {(s,): c.partial(s) for s in range(1, src.dim + 1)})
+             for c in comps]
+    out = DiffForm(src, a.degree, {})
+    for idx, c in a.coeffs.items():
+        block = DiffForm(src, 0, {(): c.substitute(comps)})
+        for j in idx:
+            block = block.wedge(dcomp[j - 1])
+        out = out + block
+    return out
+
+
 def rand_fraction(rng, lo=-4, hi=4):
     num = rng.randint(lo, hi)
     den = rng.choice([1, 1, 1, 2, 3])
