@@ -14,6 +14,7 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -34,6 +35,7 @@ from .scalar import (
     Fraction,
     RationalExpr,
     ScalarExpr,
+    _constant_coeff,
     parse_expression,
 )
 
@@ -524,46 +526,63 @@ def product_chart(a: Chart, b: Chart) -> Chart:
     return Chart(a.dim + b.dim, pos, a.star_shaped and b.star_shaped)
 
 
+def _times(a, b, sign: int):
+    """sign * a * b; an int factor (a unit partial) scales with no product by +-1."""
+    if type(a) is int:
+        a, b = b, a
+    if type(b) is not int:
+        return _signed_product(a, b, sign)
+    b *= sign
+    if type(a) is int or b not in (1, -1):
+        return a * b
+    return a if b == 1 else -a
+
+
+def _wedge_one_form(block: dict, one_form: dict) -> dict:
+    """block ^ one_form ({s: coefficient of dx_s}): dx_s moves past the indices above s."""
+    out: dict = {}
+    for idx, ca in block.items():
+        for s, cb in one_form.items():
+            if s not in idx:
+                pos = bisect(idx, s)
+                _accumulate(out, idx[:pos] + (s,) + idx[pos:],
+                            _times(ca, cb, -1 if (len(idx) - pos) % 2 else 1))
+    return out
+
+
 def pullback(f: SmoothMap, a: DiffForm) -> DiffForm:
     """f^* a; commutes with d and wedge by construction.
 
     A component is differentiated only in the variables it uses, as in
-    ``ext_d``.  A constant coefficient is the same constant on the source
-    chart, so nothing is substituted into it."""
+    ``ext_d``; a partial that is the constant 1 is kept as the int 1, so a
+    wedge with it (with dx_s of a component x_s) only moves indices.  A
+    constant coefficient is the same constant on the source chart, so
+    nothing is substituted into it.  Terms accumulate into one dict."""
     if a.chart != f.target:
         raise ChartMismatch("form does not live on the map's target chart")
-    src = f.source
-    comps = list(f.components)
+    src, comps = f.source, f.components
     _check_domain(src, comps)
-    # differentials of the components, as one-forms on the source chart
+    # differentials of the components, as {s: coefficient of dx_s}
     dcomp = []
     for c in comps:
         partials = ((s, c.partial(s)) for s in sorted(c.used_vars()))
-        dcomp.append(DiffForm._raw(src, 1, {(s,): p for s, p in partials if p}))
-    out = DiffForm(src, a.degree, {})
+        dcomp.append({s: 1 if _constant_coeff(p) == 1 else p for s, p in partials if p})
+    out: Dict[IndexTuple, RationalExpr] = {}
     for idx, c in a.coeffs.items():
-        pulled = (RationalExpr.const(src.dim, c.constant_value()) if c.is_constant
-                  else c.substitute(comps))
+        value = _constant_coeff(c)
+        pulled = c.substitute(comps) if value is None else RationalExpr.const(src.dim, value)
+        _check_domain(src, (pulled,))
         if not pulled:
             continue
-        if not idx:
-            out = out + DiffForm(src, 0, {(): pulled})
-            continue
-        block = dcomp[idx[0] - 1]
-        for j in idx[1:]:
-            block = block.wedge(dcomp[j - 1])
-            if block.is_zero:
-                break
-        if block.is_zero:
-            continue
-        unit = pulled.constant_value() if pulled.is_constant else None
-        if unit == 1:
-            out = out + block
-        elif unit == -1:
-            out = out - block
-        else:
-            out = out + block.scale(pulled)
-    return out
+        value = _constant_coeff(pulled)
+        block = {(): 1}
+        for j in idx:
+            block = _wedge_one_form(block, dcomp[j - 1])
+        factor = 1 if value == 1 else -1 if value == -1 else pulled
+        for k, v in block.items():
+            v = _times(v, factor, 1)
+            _accumulate(out, k, RationalExpr.const(src.dim, v) if type(v) is int else v)
+    return DiffForm._raw(src, min(a.degree, src.dim), out)
 
 
 @lru_cache(maxsize=None)

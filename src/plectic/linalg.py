@@ -2,10 +2,11 @@
 
 Entries may be ints, Fractions, GaussianRationals or RationalExprs.  A plain
 int is lifted to Fraction on the way in, so no division leaves the exact
-rings.  A matrix of constant RationalExprs is lowered to their values,
-eliminated over sparse rows {col: value} and lifted back.  Pivots are chosen
-as in dense textbook elimination, so the row operations, and the printed
-form of symbolic results, are the same.
+rings.  A triangular matrix's ``det`` is the product of its diagonal.  A
+matrix of constant RationalExprs is lowered to their values, eliminated over
+sparse rows {col: value} and lifted back.  Pivots are chosen as in dense
+textbook elimination, so the row operations, and the printed form of
+symbolic results, are the same.
 
 ``Factored(matrix)`` reduces a matrix once and records its row operations;
 ``_replay`` applies them to a right-hand side, in the order they were made,
@@ -187,12 +188,14 @@ def nullspace(matrix: Sequence[Sequence]) -> List[list]:
 
 
 def det(matrix: Sequence[Sequence]):
-    """Determinant; closed-form for n <= 3, the elimination kernel above."""
+    """Determinant: the product of the diagonal of a triangular matrix (every
+    shear Jacobian of the mover), else closed forms for n <= 3 or elimination."""
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
-    if n == 1:
-        return matrix[0][0]
+    if not any(matrix[i][j] for i in range(n) for j in range(i)) or \
+            not any(matrix[i][j] for j in range(n) for i in range(j)):
+        return reduce(mul, (matrix[i][i] for i in range(n)))
     if n == 2:
         a, b = matrix[0]
         c, d = matrix[1]

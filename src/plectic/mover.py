@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .exterior import Chart, DiffForm, SmoothMap, chart, constant_linear_pullback, pullback
 from .record import Record
-from .scalar import GaussianRational, RationalExpr, ScalarExpr, _gaussian_parts
+from .scalar import GaussianRational, RationalExpr, ScalarExpr, _gaussian, _gaussian_parts
 
 Q = Fraction
 GR = GaussianRational
@@ -75,10 +76,19 @@ class Poly(Record):
         return len(self.coeffs) - 1 if self.coeffs else -1
 
     def __call__(self, x: GaussianRational) -> GaussianRational:
-        acc = GR(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """P(x) by homogenised Horner over Gaussian integers: for x = (p + q i)/r
+        and L the lcm of the coefficient denominators, L r^m P(x) is a Gaussian
+        integer, so the loop makes no fraction and one gcd reduces the result."""
+        parts = [_gaussian_parts(c) for c in self.coeffs]
+        p, q, r = _gaussian_parts(x)
+        den = math.lcm(*(d for _a, _b, d in parts))
+        re = im = 0
+        scale = top = den  # scale is L r^(m-k) at the k-th coefficient
+        for a, b, d in reversed(parts):
+            s = scale // d
+            re, im = re * p - im * q + a * s, re * q + im * p + b * s
+            top, scale = scale, scale * r
+        return _gaussian(re, im, top)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -117,12 +127,7 @@ class LinearStep(Record):
         return len(self.matrix)
 
     def apply(self, p: Point) -> Point:
-        n = self.dim
-        return tuple(
-            sum((self.matrix[i][j] * p[j] for j in range(1, n)),
-                self.matrix[i][0] * p[0])
-            for i in range(n)
-        )
+        return tuple(sum(map(operator.mul, row[1:], p[1:]), row[0] * p[0]) for row in self.matrix)
 
     def inverse(self) -> "LinearStep":
         inv = linalg.mat_inverse([list(r) for r in self.matrix])
@@ -169,14 +174,11 @@ class ShearStep(Record):
         object.__setattr__(self, "sign", sign)
 
     def apply(self, p: Point) -> Point:
-        s = GR(self.sign)
+        move = operator.add if self.sign > 0 else operator.sub
         if self.kind == "rest_by_first":
             x = p[0]
-            return (p[0],) + tuple(
-                p[i + 1] + s * poly(x) for i, poly in enumerate(self.polys)
-            )
-        z = p[-1]
-        return (p[0] + s * self.polys[0](z),) + p[1:]
+            return (x,) + tuple(move(p[i + 1], poly(x)) for i, poly in enumerate(self.polys))
+        return (move(p[0], self.polys[0](p[-1])),) + p[1:]
 
     def inverse(self) -> "ShearStep":
         return ShearStep(self.kind, self.dim, self.polys, -self.sign)
@@ -342,9 +344,8 @@ def _step_jacobian_det(step) -> ScalarExpr:
     if not isinstance(step, ShearStep):
         raise ShapeError(f"unknown step {step!r}")
     comps = step.components()
-    n = len(comps)
-    one = ScalarExpr.const(n, 1)
-    jac = [[RationalExpr._raw(c.partial(j), one) for j in range(1, n + 1)] for c in comps]
+    one = ScalarExpr.const(step.dim, 1)
+    jac = [[RationalExpr._raw(c.partial(j), one) for j in range(1, step.dim + 1)] for c in comps]
     det = linalg.det(jac)
     if not det.den_is_one:
         raise ShapeError("step Jacobian determinant must be polynomial")

@@ -7,8 +7,9 @@ structure with Gaussian-rational coefficients; a :class:`GaussianRational` is
 stored as three integers ``(a, b, d)``, standing for ``(a + b*i)/d`` with
 ``d > 0`` and ``gcd(a, b, d) == 1``.  A :class:`RationalExpr` is a quotient
 ``num/den`` whose denominator is kept monic under the graded-lexicographic
-term order; equality of quotients is decided by cross-multiplication and no
-gcd cancellation is attempted beyond that normalization.
+term order; equality of quotients is decided by comparing numerators over
+equal denominators, else by cross-multiplication, and no gcd cancellation is
+attempted beyond that normalization.
 
 Normal form.  The public constructors bring their input into it; the
 arithmetic builds results that are already in it and wraps them with the
@@ -65,7 +66,8 @@ class GaussianRational:
 
     ``(a, b, d)`` stands for ``(a + b*i)/d`` with ``d > 0`` and
     ``gcd(a, b, d) == 1``, so each value has exactly one representation and
-    every result costs one three-way gcd.  ``re`` and ``im`` are read-only
+    every result costs one three-way gcd; ``+``, ``-`` and ``*`` read the
+    operands' integers and reduce inline.  ``re`` and ``im`` are read-only
     :class:`Fraction` views; a real value hashes like its Fraction.
     """
 
@@ -106,24 +108,32 @@ class GaussianRational:
         return Fraction(self._b, self._d)
 
     def __add__(self, other):
-        o = _gaussian_parts(other)
-        if o is None:
-            return NotImplemented
-        c, e, f = o
-        a, b, d = self._a, self._b, self._d
+        if type(other) is not GaussianRational:
+            if not isinstance(other, Rational):
+                return NotImplemented
+            other = _gaussian_raw(other.numerator, 0, other.denominator)
+        a, b, d, c, e, f = self._a, self._b, self._d, other._a, other._b, other._d
         if d == f:
-            return _gaussian(a + c, b + e, d)
-        return _gaussian(a * f + c * d, b * f + e * d, d * f)
+            a, b = a + c, b + e
+        else:
+            a, b, d = a * f + c * d, b * f + e * d, d * f
+        g = gcd(a, b, d)
+        return _gaussian_raw(a // g, b // g, d // g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _gaussian_parts(other)
-        if o is None:
-            return NotImplemented
-        c, e, f = o
-        a, b, d = self._a, self._b, self._d
-        return _gaussian(a * f - c * d, b * f - e * d, d * f)
+        if type(other) is not GaussianRational:
+            if not isinstance(other, Rational):
+                return NotImplemented
+            other = _gaussian_raw(other.numerator, 0, other.denominator)
+        a, b, d, c, e, f = self._a, self._b, self._d, other._a, other._b, other._d
+        if d == f:
+            a, b = a - c, b - e
+        else:
+            a, b, d = a * f - c * d, b * f - e * d, d * f
+        g = gcd(a, b, d)
+        return _gaussian_raw(a // g, b // g, d // g)
 
     def __rsub__(self, other):
         o = _gaussian_parts(other)
@@ -134,12 +144,14 @@ class GaussianRational:
         return _gaussian(c * d - a * f, e * d - b * f, d * f)
 
     def __mul__(self, other):
-        o = _gaussian_parts(other)
-        if o is None:
-            return NotImplemented
-        c, e, f = o
-        a, b, d = self._a, self._b, self._d
-        return _gaussian(a * c - b * e, a * e + b * c, d * f)
+        if type(other) is not GaussianRational:
+            if not isinstance(other, Rational):
+                return NotImplemented
+            other = _gaussian_raw(other.numerator, 0, other.denominator)
+        a, b, d, c, e, f = self._a, self._b, self._d, other._a, other._b, other._d
+        a, b, d = a * c - b * e, a * e + b * c, d * f
+        g = gcd(a, b, d)
+        return _gaussian_raw(a // g, b // g, d // g)
 
     __rmul__ = __mul__
 
@@ -919,12 +931,17 @@ class RationalExpr:
     # -- comparison / io ----------------------------------------------
 
     def __eq__(self, other):
+        # over one denominator the numerators decide: no zero divisors
+        if other is self:
+            return True
         if isinstance(other, (int, Fraction, ScalarExpr)):
             other = self._coerce(other, self.dim)
         if not isinstance(other, RationalExpr):
             return NotImplemented
         if self.dim != other.dim:
             return False
+        if self.den.terms == other.den.terms:
+            return self.num.terms == other.num.terms
         return (self.num * other.den - other.num * self.den).is_zero
 
     def __hash__(self):

@@ -451,6 +451,69 @@ def test_pullback_matches_the_all_variables_reference(seed, monkeypatch):
             assert not any(c.is_constant for c in substituted)
 
 
+def test_property_pullback_along_coordinate_components(monkeypatch):
+    """Along maps some of whose components are exactly a coordinate x_s,
+    pullback agrees with the all-variables reference, and no wedge
+    multiplies by a constant +-1: the int 1 kept for dx_s (and for any
+    partial that is 1, as d(x3 + x1^2) has in x3) only moves indices.  A
+    constant form along a map of coordinates makes no product at all."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from plectic import exterior
+
+    def polys(dim):
+        exps = st.tuples(*[st.integers(0, 2)] * dim)
+        coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+        return st.dictionaries(exps, coeffs, min_size=1, max_size=3).map(
+            lambda t: RationalExpr(ScalarExpr(dim, t)))
+
+    @st.composite
+    def cases(draw):
+        src, tgt = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        comps = [draw(st.one_of(st.integers(1, src).map(lambda s: RationalExpr.variable(src, s)),
+                                polys(src)))
+                 for _ in range(tgt)]
+        p = draw(st.integers(0, tgt))
+        keys = draw(st.lists(st.sampled_from(list(combinations(range(1, tgt + 1), p))),
+                             min_size=1, max_size=3, unique=True))
+        coeffs = {k: draw(st.one_of(st.sampled_from([1, -1, Q(2, 3)]), polys(tgt))) for k in keys}
+        return SmoothMap(chart(src), chart(tgt), comps), form(chart(tgt), p, coeffs)
+
+    def is_unit(c):
+        return c.is_constant and c.constant_value() in (1, -1)
+
+    products = []
+    signed_product = exterior._signed_product
+    monkeypatch.setattr(exterior, "_signed_product",
+                        lambda a, b, sign: products.append((a, b)) or signed_product(a, b, sign))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(cases())
+    @hypothesis.example((SmoothMap(chart(4), chart(3), ("x3 + x1^2", "x1", "x4")),
+                         f(chart(3), 2, {(1, 2): 1, (2, 3): "x1"})))
+    def check(case):
+        fmap, a = case
+        want = pullback_all_variables(fmap, a)
+        products.clear()
+        got = pullback(fmap, a)
+        assert got == want and got.chart == fmap.source and got.degree == want.degree
+        assert not any(is_unit(x) or is_unit(y) for x, y in products)
+
+    check()
+    monkeypatch.undo()
+    coordinates = SmoothMap(chart(4), chart(4), ("x3", "x1", "x4", "x1"))
+    for a in (f(chart(4), 2, {(1, 2): 1, (2, 3): -1, (1, 4): Q(5, 2)}),
+              f(chart(4), 3, {(1, 2, 3): -2, (1, 3, 4): 1})):
+        want = pullback_all_variables(coordinates, a)
+        calls = []
+        general = RationalExpr.__mul__
+        monkeypatch.setattr(RationalExpr, "__mul__",
+                            lambda x, y: calls.append(1) or general(x, y))
+        got = pullback(coordinates, a)
+        monkeypatch.undo()
+        assert got == want and not calls
+
+
 def test_constant_linear_pullback_matches_map_pullback():
     c6 = chart(6)
     w = f(c6, 3, {(1, 2, 3): 1, (4, 5, 6): 1})

@@ -8,12 +8,14 @@ answer back (A x == b, A k == 0) and against sympy over the fraction field.
 """
 import random
 from fractions import Fraction as Q
+from functools import reduce
 from math import lcm
+from operator import mul
 
 import pytest
 
 from plectic import linalg
-from plectic.scalar import GaussianRational, RationalExpr, parse_expression
+from plectic.scalar import GaussianRational, RationalExpr, ScalarExpr, parse_expression
 from util import rand_fraction, rand_poly
 
 sympy = pytest.importorskip("sympy")
@@ -244,6 +246,76 @@ def test_symbolic_det_matches_sympy():
         A[i][rng.randrange(4)] = small_poly(rng)
     S = sympy.Matrix([[to_sympy(v) for v in row] for row in A])
     assert sympy.cancel(to_sympy(linalg.det(A)) - S.det()) == 0
+
+
+def elimination_det(matrix):
+    """det through the elimination kernel alone: the pivots of ``_reduce``
+    and the parity of its row swaps, whatever the matrix's shape."""
+    rows, lift = linalg._lower(matrix)
+    pivots, ops = linalg._reduce(rows, len(matrix), below_only=True)
+    if len(pivots) < len(matrix):
+        return 0
+    result = reduce(mul, (pv for _p, pv, _inv, _factors in ops))
+    if sum(p != r for r, (p, *_rest) in enumerate(ops)) % 2:
+        result = -result
+    return lift(result) if lift else result
+
+
+def to_sympy_entry(v):
+    if isinstance(v, RationalExpr):
+        return to_sympy(v)
+    if isinstance(v, GaussianRational):
+        return sympy.Rational(v.re.numerator, v.re.denominator) + \
+            sympy.I * sympy.Rational(v.im.numerator, v.im.denominator)
+    return sympy.Rational(Q(v).numerator, Q(v).denominator)
+
+
+def test_property_triangular_det_is_the_diagonal_product(monkeypatch):
+    """An upper, lower or diagonal matrix (a zero on the diagonal included)
+    gets the product of its diagonal, with no elimination; it agrees with
+    the elimination kernel and with sympy, as every non-triangular matrix
+    does, over int, Fraction, GaussianRational and RationalExpr entries."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    polys = st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)), entries,
+                            min_size=1, max_size=2).map(lambda t: RationalExpr(ScalarExpr(DIM, t)))
+    rings = {
+        "int": (st.integers(-4, 4), 0),
+        "fraction": (entries, Q(0)),
+        "gaussian": (st.builds(GaussianRational, entries, entries), GaussianRational(0)),
+        "rational_expr": (st.one_of(entries.map(lambda v: RationalExpr.const(DIM, v)), polys),
+                          RationalExpr.const(DIM, 0)),
+    }
+    outside = {"upper": lambda i, j: i > j, "lower": lambda i, j: i < j,
+               "diagonal": lambda i, j: i != j, "full": lambda i, j: False}
+    kernel = linalg._reduce
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(1, 5), st.sampled_from(sorted(outside)),
+                      st.sampled_from(sorted(rings)), st.data())
+    def check(n, shape, ring, data):
+        values, zero = rings[ring]
+        if ring == "rational_expr" and shape == "full":
+            n = min(n, 4)
+        matrix = [[zero if outside[shape](i, j) else data.draw(values) for j in range(n)]
+                  for i in range(n)]
+        if shape != "full" and data.draw(st.booleans()):
+            k = data.draw(st.integers(0, n - 1))
+            matrix[k][k] = zero
+        eliminations = []
+        monkeypatch.setattr(linalg, "_reduce",
+                            lambda *args, **kw: eliminations.append(1) or kernel(*args, **kw))
+        got = linalg.det(matrix)
+        monkeypatch.undo()
+        if shape != "full":
+            assert not eliminations
+            assert got == reduce(mul, (matrix[i][i] for i in range(n)))
+        assert got == elimination_det(matrix)
+        want = sympy.Matrix([[to_sympy_entry(v) for v in row] for row in matrix]).det()
+        assert sympy.cancel(to_sympy_entry(got) - want) == 0
+
+    check()
 
 
 def test_parsed_quotients_eliminate():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 from itertools import combinations
@@ -28,6 +29,7 @@ from plectic.scalar import (
     parse_expression,
     parse_gaussian,
 )
+from gaussian_reference import ReferenceGaussian
 from interpolation_reference import reference_interpolate
 from realify_reference import reference_realify
 
@@ -74,6 +76,38 @@ def test_interpolation_matches_the_lagrange_reference(seed):
                 xs.append(x)
         ys = [rand_gauss(rng) if rng.random() < 0.8 else GR(0) for _ in range(k)]
         assert Poly.interpolate(xs, ys).coeffs == reference_interpolate(xs, ys)
+
+
+def test_property_horner_matches_repeated_multiplication():
+    """Poly(x), evaluated by homogenised Horner over Gaussian integers, is
+    sum c_k x^k built by repeated multiplication in the two-Fraction
+    reference, in normal form: the zero polynomial, constants, coefficients
+    with mixed denominators, and x with a denominator (Gaussian, Fraction
+    or int)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    gaussians = st.builds(GaussianRational, rationals, rationals)
+    points = st.one_of(gaussians, rationals, st.integers(-5, 5))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(st.lists(gaussians, max_size=7), points)
+    @hypothesis.example([], GR(Q(1, 3), Q(-2, 5)))
+    @hypothesis.example([GR(Q(-5, 7))], GR(Q(1, 3), 2))
+    @hypothesis.example([GR(Q(1, 2)), GR(0, Q(2, 3)), GR(Q(-3, 5), Q(1, 4))],
+                        GR(Q(2, 9), Q(-1, 6)))
+    def check(coeffs, x):
+        rx = ReferenceGaussian(x.re, x.im) if type(x) is GaussianRational else x
+        want, power = ReferenceGaussian(0), ReferenceGaussian(1)
+        for c in coeffs:
+            want = want + ReferenceGaussian(c.re, c.im) * power
+            power = power * rx
+        got = Poly(coeffs)(x)
+        assert type(got) is GaussianRational
+        assert got._d > 0 and math.gcd(got._a, got._b, got._d) == 1
+        assert (got.re, got.im) == (want.re, want.im)
+
+    check()
 
 
 # -- separating map ---------------------------------------------------------------

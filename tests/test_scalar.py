@@ -1,5 +1,7 @@
+import math
 import operator
 import random
+import time
 from fractions import Fraction as Q
 from itertools import combinations
 
@@ -167,6 +169,59 @@ def test_equal_quotients_hash_equal():
         assert hash(a) == hash(b)
     assert hash(ScalarExpr.const(3, 5)) == hash(5) == hash(expr("5"))
     assert hash(expr("x1 + x2").num) == hash(expr("x1 + x2"))
+
+
+def test_equal_quotients_over_one_denominator_compare_without_a_product(monkeypatch):
+    """Over equal denominator terms the numerator terms decide equality, and
+    a quotient equals itself: two equal quotients of 720 terms over a
+    30-term denominator compare in well under 0.1 s and run no ScalarExpr
+    product (cross-multiplying them would make 2 x 21,600 term products)."""
+    dim = 4
+    num = {(i % 9, i // 9 % 8, i // 72, 1): Q(i - 360, 7) or Q(1) for i in range(720)}
+    den = {(i % 5, i // 5, 0, 0): Q(i + 1, 3) for i in range(30)}
+    a = RationalExpr(ScalarExpr(dim, num), ScalarExpr(dim, den))
+    b = RationalExpr(ScalarExpr(dim, dict(reversed(num.items()))),
+                     ScalarExpr(dim, dict(reversed(den.items()))))
+    c = RationalExpr(ScalarExpr(dim, {**num, (0, 0, 0, 0): Q(1)}), ScalarExpr(dim, den))
+    assert a is not b and a.num.terms is not b.num.terms and len(a.num.terms) >= 700
+    calls = []
+    general = ScalarExpr.__mul__
+    monkeypatch.setattr(ScalarExpr, "__mul__", lambda x, y: calls.append(1) or general(x, y))
+    start = time.perf_counter()
+    assert a == a and a == b and b == a
+    assert a != c and not c == b
+    assert time.perf_counter() - start < 0.1
+    assert not calls
+    monkeypatch.undo()
+    # over different denominators cross-multiplication still decides
+    x3 = RationalExpr.variable(dim, 3)
+    assert RationalExpr(a.num * x3.num, a.den * x3.num) == a
+    assert RationalExpr(c.num * x3.num, c.den * x3.num) != a
+
+
+def test_property_gaussian_arithmetic_reduces_to_the_fraction_pair_reference():
+    """+, - and * of a GaussianRational with a GaussianRational, an int or a
+    Fraction, on either side, equal the two-Fraction reference and are
+    stored in normal form: d > 0 and gcd(a, b, d) == 1."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.one_of(st.fractions(min_value=-50, max_value=50, max_denominator=12),
+                          st.fractions(max_denominator=10**9))
+    gaussians = st.builds(GaussianRational, rationals, rationals)
+    operands = st.one_of(gaussians, st.integers(-10**12, 10**12), rationals)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(gaussians, operands)
+    def check(x, y):
+        rx = ReferenceGaussian(x.re, x.im)
+        ry = ReferenceGaussian(y.re, y.im) if type(y) is GaussianRational else y
+        for op in (operator.add, operator.sub, operator.mul):
+            for got, want in ((op(x, y), op(rx, ry)), (op(y, x), op(ry, rx))):
+                assert type(got) is GaussianRational
+                assert got._d > 0 and math.gcd(got._a, got._b, got._d) == 1
+                assert (got.re, got.im) == (want.re, want.im)
+
+    check()
 
 
 def test_canonical_printing_grlex():
