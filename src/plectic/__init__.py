@@ -48,10 +48,10 @@ from .linfty import (  # noqa: F401
     make_observable,
 )
 from .liesym import (  # noqa: F401
+    CEOperators,
     LieAction,
     LieAlgebraData,
     canonical_three_form,
-    ce_operators,
     comoment_from_potential,
     comoment_verify,
     conserved_classify,

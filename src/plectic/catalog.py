@@ -8,11 +8,11 @@ w^f = dx135 - dx146 - dx236 + f(x2) dx245 on the half-space x2 > 0.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Optional, Union
 
 from .exterior import Chart, DiffForm, chart, wedge
-from .mover import real_volume_form
 from .scalar import RationalExpr, parse_expression
 
 Q = Fraction
@@ -78,4 +78,14 @@ def symplectic_power(m: int, j: int) -> DiffForm:
 
 def complex_volume_re(m: int) -> DiffForm:
     """Re((dx1 + i dx2) ^ ... ^ (dx(2m-1) + i dx(2m))) on R^{2m}."""
-    return real_volume_form(m)
+    ch = chart(2 * m)
+    out = DiffForm(ch, m, {})
+    # expand the product over choices of dx / i dy per factor
+    for picks in itertools.product((0, 1), repeat=m):
+        i_power = sum(picks) % 4
+        if i_power % 2:
+            continue  # imaginary part
+        sign = 1 if i_power == 0 else -1
+        idx = tuple(2 * j + 1 + picks[j] for j in range(m))
+        out = out + DiffForm(ch, m, {idx: sign})
+    return out

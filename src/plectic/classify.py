@@ -55,7 +55,7 @@ from .exterior import (
     vf_bracket,
 )
 from .record import Record
-from .scalar import GaussianRational, RationalExpr, fraction_root
+from .scalar import GaussianRational, RationalExpr
 
 Q = Fraction
 
@@ -200,14 +200,14 @@ def nondegenerate(w: DiffForm, point: Optional[Sequence] = None) -> Nondegenerac
     if not matrix:
         kernel_vecs = [coordinate_vector(chart, v) for v in range(1, chart.dim + 1)]
         return NondegeneracyReport(False, tuple(kernel_vecs))
-    null = linalg.nullspace(matrix)
-    if not null:
-        return NondegeneracyReport(True, ())
-    kernel_vecs = []
-    for vec in null:
-        coeffs = {(i + 1,): vec[i] for i in range(chart.dim) if vec[i]}
-        kernel_vecs.append(MultiVec(chart, 1, coeffs))
-    return NondegeneracyReport(False, tuple(kernel_vecs))
+    kernel_vecs = _vector_fields(chart, linalg.nullspace(matrix))
+    return NondegeneracyReport(not kernel_vecs, kernel_vecs)
+
+
+def _vector_fields(chart: Chart, vectors) -> tuple:
+    """Each coefficient vector as the vector field on the chart."""
+    return tuple(MultiVec(chart, 1, {(k + 1,): v[k] for k in range(chart.dim) if v[k]})
+                 for v in vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +224,12 @@ class EndField(Record):
         d = chart.dim
         if len(matrix) != d or any(len(r) != d for r in matrix):
             raise ShapeError("endomorphism matrix must be square of chart dimension")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "matrix", matrix)
+        super().__init__(chart, matrix)
 
     @classmethod
     def from_rows(cls, chart: Chart, rows) -> "EndField":
-        d = chart.dim
-        conv = tuple(
-            tuple(
-                v if isinstance(v, RationalExpr) else RationalExpr.const(d, v)
-                for v in row
-            )
-            for row in rows
-        )
-        return cls(chart, conv)
+        return cls(chart, tuple(tuple(RationalExpr._coerce(v, chart.dim) for v in row)
+                                for row in rows))
 
     @classmethod
     def identity(cls, chart: Chart) -> "EndField":
@@ -529,7 +521,7 @@ def _tie_break(a: DiffForm, b: DiffForm) -> Tuple[DiffForm, DiffForm]:
 def split_product(w: DiffForm, point: Optional[Sequence] = None):
     """Split a product-type form into its two decomposable summands.
 
-    Symbolic when ``point`` is None; otherwise pointwise, on the form
+    Symbolic when ``point`` is None; otherwise the same steps split the form
     evaluated at the point after the closedness check.  Raises
     :class:`IrrationalScale` when sqrt(trace(J^2)/6) leaves the ring.
     """
@@ -538,18 +530,10 @@ def split_product(w: DiffForm, point: Optional[Sequence] = None):
         w = w.eval_at(point)
     J = hitchin_endomorphism(w, standard_volume(w.chart))
     lam = _trace_sq(J.matrix, RationalExpr.const(6, 0)) / RationalExpr.const(6, 6)
-    if point is None:
-        sign = sign_on_chart(lam, w.chart)
-        if sign.sign != "+":
-            raise WrongType(f"trace sign is {sign.sign}, not positive")
-        return _split(w, J, _sqrt_rational_expr(lam))
-    lam_v = lam.constant_value()
-    if lam_v <= 0:
-        raise WrongType(f"trace sign is not positive at {list(point)}")
-    root = fraction_root(lam_v, 2)
-    if root is None:
-        raise IrrationalScale(f"sqrt({lam_v}) is irrational")
-    return _split(w, J, RationalExpr.const(6, root))
+    sign = sign_on_chart(lam, w.chart)
+    if sign.sign != "+":
+        raise WrongType(f"trace sign is {sign.sign}, not positive")
+    return _split(w, J, _sqrt_rational_expr(lam))
 
 
 def verify_product_decomposition(w: DiffForm, parts: Sequence[DiffForm]) -> bool:
@@ -789,11 +773,7 @@ def flatness_report(w: DiffForm) -> TypeReport:
     if not nd:
         return TypeReport(DEGENERATE, "0", UNDETERMINED,
                           notes=notes + ["form is degenerate"])
-    null = linalg.nullspace([list(row) for row in J.matrix])
-    frame = []
-    for vec in null:
-        coeffs = {(k + 1,): vec[k] for k in range(chart.dim) if vec[k]}
-        frame.append(MultiVec(chart, 1, coeffs))
+    frame = _vector_fields(chart, linalg.nullspace([list(row) for row in J.matrix]))
     if not frame:
         return TypeReport(TANGENT, "0", UNDETERMINED,
                           notes=notes + ["kernel of J is trivial"])

@@ -60,9 +60,7 @@ class Chart(Record):
         positive = frozenset(positive)
         if not positive.issubset(range(1, dim + 1)):
             raise ShapeError("positive_vars outside 1..dim")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "positive", positive)
-        object.__setattr__(self, "star_shaped", star_shaped)
+        super().__init__(dim, positive, star_shaped)
 
     def __eq__(self, other):  # runs in every exterior operation
         if self is other:
@@ -91,13 +89,9 @@ def chart(dim: int, positive: Iterable[int] = (), star_shaped: bool = True) -> C
 
 
 def _coerce_coeff(c, dim: int) -> RationalExpr:
-    if isinstance(c, RationalExpr):
-        return c
-    if isinstance(c, ScalarExpr):
-        return RationalExpr(c)
     if isinstance(c, str):
         return parse_expression(c, dim)
-    return RationalExpr.const(dim, c)
+    return RationalExpr._coerce(c, dim)
 
 
 def sort_index_tuple(idx: Sequence[int]) -> Tuple[Optional[IndexTuple], int]:
@@ -182,6 +176,8 @@ class _Alternating:
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     # -- basics ---------------------------------------------------------
 
@@ -480,9 +476,7 @@ class SmoothMap(Record):
         for c in comps:
             if c.dim != source.dim:
                 raise ShapeError("component over the wrong source chart")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", comps)
+        super().__init__(source, target, comps)
 
     @classmethod
     def identity(cls, c: Chart) -> "SmoothMap":

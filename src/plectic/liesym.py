@@ -74,8 +74,7 @@ class LieAlgebraData(Record):
                         raise ShapeError(
                             f"structure constants not antisymmetric at ({i+1},{j+1})"
                         )
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "c", c)
+        super().__init__(d, c)
         self._check_jacobi()
 
     def _check_jacobi(self):
@@ -120,7 +119,7 @@ def so3() -> LieAlgebraData:
            (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
     for (i, j, k), s in eps.items():
         c[i][j][k] = Q(s)
-    return LieAlgebraData(3, tuple(tuple(tuple(v) for v in row) for row in c))
+    return LieAlgebraData(3, c)
 
 
 def sl2() -> LieAlgebraData:
@@ -133,7 +132,7 @@ def sl2() -> LieAlgebraData:
     c[2][0][2] = Q(2)
     c[1][2][0] = Q(1)
     c[2][1][0] = Q(-1)
-    return LieAlgebraData(3, tuple(tuple(tuple(v) for v in row) for row in c))
+    return LieAlgebraData(3, c)
 
 
 def abelian(dim: int) -> LieAlgebraData:
@@ -269,10 +268,6 @@ class CEOperators:
         return {cols[i]: sol[i] for i in range(len(cols)) if sol[i]}
 
 
-def ce_operators(g: LieAlgebraData) -> CEOperators:
-    return CEOperators(g)
-
-
 # ---------------------------------------------------------------------------
 # actions, obstructions, comoments
 # ---------------------------------------------------------------------------
@@ -313,9 +308,7 @@ class LieAction(Record):
                             f"[zeta(e{i}), zeta(e{j})] does not match the "
                             "structure constants"
                         )
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "surrogate", surrogate)
+        super().__init__(algebra, gens, surrogate)
 
     @property
     def chart(self) -> Chart:
@@ -420,11 +413,6 @@ class ComomentData(Record):
     """Skew maps f_i: Lambda^i g -> Omega^{n-i}(M), stored on sorted tuples."""
 
     __slots__ = ("algebra", "n", "maps")  # maps[i-1] is a dict tuple -> DiffForm
-
-    def __init__(self, algebra: LieAlgebraData, n: int, maps: tuple):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "maps", maps)
 
     def __hash__(self):  # the maps are dicts
         return hash((self.algebra, self.n, tuple(frozenset(m.items()) for m in self.maps)))

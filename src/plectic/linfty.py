@@ -33,8 +33,7 @@ class Observable(Record):
     __slots__ = ("form", "ham_field")
 
     def __init__(self, form: DiffForm, ham_field: Optional[MultiVec] = None):
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "ham_field", ham_field)
+        super().__init__(form, ham_field)
 
     @property
     def degree(self) -> int:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from . import linalg
+from .catalog import complex_volume_re
 from .errors import (
     DuplicatePoints,
     NonPolynomial,
@@ -50,7 +51,7 @@ class Poly(Record):
         cs = [GR.ensure(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        super().__init__(tuple(cs))
 
     @classmethod
     def interpolate(cls, xs: Sequence[GaussianRational],
@@ -120,7 +121,7 @@ class LinearStep(Record):
             raise ShapeError("linear step matrix must be square")
         if linalg.det([list(r) for r in m]) != GR(1):
             raise ShapeError("linear step must have determinant one")
-        object.__setattr__(self, "matrix", m)
+        super().__init__(m)
 
     @property
     def dim(self) -> int:
@@ -131,7 +132,7 @@ class LinearStep(Record):
 
     def inverse(self) -> "LinearStep":
         inv = linalg.mat_inverse([list(r) for r in self.matrix])
-        return LinearStep(tuple(tuple(row) for row in inv))
+        return LinearStep(inv)
 
     def components(self) -> List[ScalarExpr]:
         n = self.dim
@@ -168,10 +169,7 @@ class ShearStep(Record):
             raise ShapeError(
                 f"{kind} shear in dimension {dim} needs {expected} polynomials"
             )
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "polys", polys)
-        object.__setattr__(self, "sign", sign)
+        super().__init__(kind, dim, polys, sign)
 
     def apply(self, p: Point) -> Point:
         move = operator.add if self.sign > 0 else operator.sub
@@ -208,8 +206,7 @@ class PolyAuto(Record):
         for s in steps:
             if getattr(s, "dim", None) != dim:
                 raise ShapeError("step dimension mismatch")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "steps", steps)
+        super().__init__(dim, steps)
 
     def apply(self, p: Sequence) -> Point:
         pt = as_point(p)
@@ -255,8 +252,7 @@ def separating_linear_map(points: Sequence[Point], n: int) -> LinearStep:
         for b in range(a + 1, len(pts)):
             diffs.append(tuple(x - y for x, y in zip(pts[a], pts[b])))
     if not diffs:
-        ident = [[GR(1) if i == j else GR(0) for j in range(n)] for i in range(n)]
-        return LinearStep(tuple(tuple(r) for r in ident))
+        return LinearStep([[int(i == j) for j in range(n)] for i in range(n)])
     phi = None
     for cand in _spiral_covectors(n):
         vec = [GR(c) for c in cand]
@@ -278,7 +274,7 @@ def separating_linear_map(points: Sequence[Point], n: int) -> LinearStep:
     d = linalg.det([list(r) for r in rows])
     inv = GR(1) / d
     rows[-1] = [v * inv for v in rows[-1]]
-    return LinearStep(tuple(tuple(r) for r in rows))
+    return LinearStep(rows)
 
 
 def _normalizing_auto(points: Sequence[Point], n: int) -> PolyAuto:
@@ -318,9 +314,8 @@ def move_points(src: Sequence[Sequence], dst: Sequence[Sequence],
         for p in pts:
             if len(p) != n:
                 raise ShapeError("point dimension mismatch")
-    if not src_pts:
-        ident = [[GR(1) if i == j else GR(0) for j in range(n)] for i in range(n)]
-        return PolyAuto(n, (LinearStep(tuple(tuple(r) for r in ident)),))
+    if not src_pts:  # the separating map of no points is the identity
+        return PolyAuto(n, (separating_linear_map(src_pts, n),))
     fwd = _normalizing_auto(src_pts, n)
     back = _normalizing_auto(dst_pts, n).inverse()
     result = back.compose(fwd)
@@ -383,21 +378,6 @@ def jacobian_determinant(f) -> RationalExpr:
 def interleaved_chart(n: int) -> Chart:
     """Chart of R^{2n} with z_j = x_{2j-1} + i x_{2j}."""
     return chart(2 * n)
-
-
-def real_volume_form(n: int) -> DiffForm:
-    """Re(dz^1 ^ ... ^ dz^n) on the interleaved chart."""
-    ch = interleaved_chart(n)
-    out = DiffForm(ch, n, {})
-    # expand the product over choices of dx / i dy per factor
-    for picks in itertools.product((0, 1), repeat=n):
-        i_power = sum(picks) % 4
-        if i_power % 2:
-            continue  # imaginary part
-        sign = 1 if i_power == 0 else -1
-        idx = tuple(2 * j + 1 + picks[j] for j in range(n))
-        out = out + DiffForm(ch, n, {idx: sign})
-    return out
 
 
 def _realify_into(re_terms: dict, im_terms: dict, coeffs: Sequence, var: int,
@@ -477,10 +457,6 @@ class RealifiedAuto(Record):
 
     __slots__ = ("n", "steps")  # steps are SmoothMaps on R^{2n}
 
-    def __init__(self, n: int, steps: tuple):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "steps", steps)
-
     @property
     def chart(self) -> Chart:
         return self.steps[0].source
@@ -516,6 +492,6 @@ def realify_and_check(auto: PolyAuto) -> Tuple[RealifiedAuto, bool]:
     n = auto.dim
     steps = tuple(realify_step(s, n) for s in auto.steps)
     realified = RealifiedAuto(n, steps)
-    vol = real_volume_form(n)
+    vol = complex_volume_re(n)
     preserved = realified.pullback(vol) == vol
     return realified, preserved

@@ -68,7 +68,8 @@ class GaussianRational:
     ``gcd(a, b, d) == 1``, so each value has exactly one representation and
     every result costs one three-way gcd; ``+``, ``-`` and ``*`` read the
     operands' integers and reduce inline.  ``re`` and ``im`` are read-only
-    :class:`Fraction` views; a real value hashes like its Fraction.
+    :class:`Fraction` views.  A real value hashes like its Fraction (like its
+    int when integral); any other value hashes its three integers.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -93,6 +94,8 @@ class GaussianRational:
 
     def __setattr__(self, *a):
         raise AttributeError("GaussianRational is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def denominator(self) -> int:
@@ -187,9 +190,11 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        if not self._b:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        if self._d == 1:
+            return hash(self._a)
+        return hash(Fraction(self._a, self._d))  # as == demands
 
     def __bool__(self):
         return bool(self._a or self._b)
@@ -252,8 +257,6 @@ def _gaussian_parts(v):
         return v.numerator, 0, v.denominator
     return None
 
-
-I = GaussianRational(0, 1)
 
 Coeff = Union[Fraction, GaussianRational]
 
@@ -390,6 +393,8 @@ class ScalarExpr:
 
     def __setattr__(self, *a):
         raise AttributeError("ScalarExpr is immutable")
+
+    __delattr__ = __setattr__
 
     # -- constructors -------------------------------------------------
 
@@ -722,6 +727,8 @@ class RationalExpr:
     def __setattr__(self, *a):
         raise AttributeError("RationalExpr is immutable")
 
+    __delattr__ = __setattr__
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -987,11 +994,11 @@ def format_rational(expr: RationalExpr) -> str:
 #   expr   := term (('+'|'-') term)*
 #   term   := factor (('*'|'/') factor)*
 #   factor := ('-'|'+') factor | atom ['^' exponent]
-#   atom   := integer | name | 'i' | '(' expr ')'
+#   atom   := integer | name | '(' expr ')'
 #   exponent := integer | '(' ['-'] integer ['/' integer] ')'
 #
 # Rational literals are spelled with the division operator (e.g. 1/2), which
-# evaluates identically.  'i' is accepted only when gaussian=True.
+# evaluates identically.  The names are the chart's variables x1 .. xN.
 # ---------------------------------------------------------------------------
 
 
@@ -1037,7 +1044,7 @@ class _Tokens:
         return t
 
 
-def parse_expression(text: str, dim: int, gaussian: bool = False) -> RationalExpr:
+def parse_expression(text: str, dim: int) -> RationalExpr:
     """Parse the CLI expression grammar into a RationalExpr."""
     toks = _Tokens(text)
     names = {f"x{k}": k for k in range(1, dim + 1)}
@@ -1105,10 +1112,6 @@ def parse_expression(text: str, dim: int, gaussian: bool = False) -> RationalExp
         if kind == "int":
             return RationalExpr.const(dim, int(val))
         if kind == "name":
-            if val == "i":
-                if not gaussian:
-                    raise ParseError("'i' is only valid in Gaussian-rational input")
-                return RationalExpr.const(dim, I)
             if val in names:
                 return RationalExpr.variable(dim, names[val])
             raise ParseError(f"unknown variable or unsupported function {val!r}")

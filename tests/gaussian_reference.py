@@ -4,6 +4,7 @@ Kept as the reference for the differential tests: every value is a pair of
 Fractions and every operation rebuilds both parts, so it is slow but
 obviously right.
 """
+from math import lcm
 from numbers import Rational
 
 from plectic.errors import DivisionByZero
@@ -85,9 +86,12 @@ class ReferenceGaussian:
         return NotImplemented
 
     def __hash__(self):
+        # the hash GaussianRational documents: a real value hashes like its
+        # Fraction, any other (a + b*i)/d in lowest terms like (a, b, d)
         if self.im == 0:
             return hash(self.re)
-        return hash((self.re, self.im))
+        d = lcm(self.re.denominator, self.im.denominator)
+        return hash((int(self.re * d), int(self.im * d), d))
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)

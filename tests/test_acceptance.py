@@ -42,9 +42,9 @@ from plectic.linfty import (
 )
 from plectic.liesym import (
     STRICT,
+    CEOperators,
     abelian,
     canonical_three_form,
-    ce_operators,
     comoment_from_potential,
     comoment_verify,
     conserved_classify,
@@ -252,7 +252,7 @@ def test_criterion_08_lie_algebra_suite():
     assert K3.is_semisimple
     w_e = canonical_three_form(so3())
     assert nondegenerate(w_e)
-    ce = ce_operators(so3())
+    ce = CEOperators(so3())
     assert ce.coboundary_test({(1, 2, 3): Q(-2)}, 3) is None
     act = left_invariant_surrogate(so3())
     assert obstruction_cochain(act, w_e, 3).vanishes is False

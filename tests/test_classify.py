@@ -398,6 +398,16 @@ def test_split_pointwise_evaluates_the_form_first():
     assert split_product(w, point=p) == split_product(w.eval_at(p))
 
 
+@pytest.mark.parametrize("w,p,sign", [
+    (catalog.complex6(), ORIGIN6, "-"),
+    (catalog.omega_f("x2", chart(6)), [0, -1, 0, 0, 0, 0], "-"),
+    (form(C6, 3, {(1, 2, 3): 1}), ORIGIN6, "0"),
+], ids=["complex6", "f=x2 at x2=-1", "dx123"])
+def test_split_pointwise_rejects_a_trace_that_is_not_positive(w, p, sign):
+    with pytest.raises(WrongType, match=f"trace sign is {sign}, not positive"):
+        split_product(w, point=p)
+
+
 def test_split_pointwise_irrational_scale():
     from plectic.errors import IrrationalScale
 
@@ -686,6 +696,28 @@ def test_flatness_report_builds_j_and_checks_closedness_once(monkeypatch, w):
     count("_require_closed_3form_dim6")
     flatness_report(w)
     assert sorted(calls) == ["_require_closed_3form_dim6", "hitchin_endomorphism"]
+
+
+def test_flatness_report_of_a_degenerate_form():
+    # dx123 has trace(J^2) = 0 and the kernel span(e4, e5, e6)
+    rep = flatness_report(form(C6, 3, {(1, 2, 3): 1}))
+    assert (rep.linear_type, rep.trace_sign, rep.flat) == (DEGENERATE, "0", "Undetermined")
+    assert rep.notes == ["form is degenerate"]
+
+
+def test_flatness_report_of_a_tangent_form_with_a_non_involutive_kernel():
+    # w = t1 ^ b2 ^ b3 + t2 ^ b3 ^ b1 + t3 ^ b1 ^ b2 with t_a = dx_a,
+    # b1 = dx4 + x2 dx3, b2 = dx5, b3 = dx6 is closed and of tangent type; the
+    # kernel of J is ker(b1, b2, b3) = span(e1, e2, e3 - x2 e4), and
+    # [e2, e3 - x2 e4] = -e4 leaves it
+    w = form(C6, 3, {(1, 5, 6): 1, (2, 4, 6): -1, (2, 3, 6): "-x2", (3, 4, 5): 1})
+    assert ext_d(w).is_zero
+    rep = flatness_report(w)
+    assert (rep.linear_type, rep.trace_sign, rep.flat) == (TANGENT, "0", NONFLAT)
+    assert rep.witness_kind.startswith("bracket(")
+    bracket = rep.witness
+    b1 = form(C6, 1, {(4,): 1, (3,): "x2"})
+    assert interior(bracket, b1) or any(bracket.coeffs.get((k,)) for k in (5, 6))
 
 
 def test_flatness_undetermined_irrational_scale():

@@ -395,6 +395,15 @@ def test_exterior_check_needs_two_dimensions(tmp_path):
     assert json.loads(out)["error"]["kind"] == "SchemaError"
 
 
+def test_library_fault_is_reported_by_its_kind_in_process():
+    payload = {"omega": W_family("x2^(1/3)"), "point": ["1", "2", "0", "0", "0", "0"]}
+    rep, code = go("classify", payload)
+    assert code == EXIT_ERROR
+    assert set(rep) == {"error"} and set(rep["error"]) == {"kind", "detail"}
+    assert rep["error"]["kind"] == "IrrationalValue"
+    assert "irrational" in rep["error"]["detail"]
+
+
 def test_internal_fault_is_reported_as_json(monkeypatch):
     def broken(req):
         raise ZeroDivisionError("boom")

@@ -25,11 +25,11 @@ from plectic.liesym import (
     LOCALLY,
     NOT_CONSERVED,
     STRICT,
+    CEOperators,
     LieAction,
     LieAlgebraData,
     abelian,
     canonical_three_form,
-    ce_operators,
     comoment_from_potential,
     comoment_verify,
     conserved_classify,
@@ -93,7 +93,7 @@ def test_jacobi_check_matches_the_triple_loop_reference(seed):
 
 @pytest.mark.parametrize("g", [so3(), sl2(), abelian(3)])
 def test_co_differential_matches_the_signed_loop_reference(g):
-    ce = ce_operators(g)
+    ce = CEOperators(g)
     rng = random.Random(3200 + g.dim)
     for k in range(g.dim + 1):
         for _ in range(5):
@@ -140,7 +140,7 @@ def test_canonical_three_form():
 
 
 def test_boundary_example():
-    ce = ce_operators(so3())
+    ce = CEOperators(so3())
     assert ce.boundary({(1, 2): Q(1)}, 2) == {(3,): Q(1)}
 
 
@@ -152,7 +152,7 @@ def affine2():
 
 @pytest.mark.parametrize("g", [so3(), sl2(), abelian(3), affine2()])
 def test_boundary_squares_to_zero(g):
-    ce = ce_operators(g)
+    ce = CEOperators(g)
     for k in range(2, g.dim + 1):
         for T in combinations(range(1, g.dim + 1), k):
             once = ce.boundary({T: Q(1)}, k)
@@ -163,7 +163,7 @@ def test_boundary_squares_to_zero(g):
 
 @pytest.mark.parametrize("g", [so3(), sl2(), abelian(3), affine2()])
 def test_co_differential_squares_to_zero(g):
-    ce = ce_operators(g)
+    ce = CEOperators(g)
     rng = random.Random(31)
     for k in range(0, g.dim - 1):
         cochain = {T: Q(rng.randint(-3, 3))
@@ -174,12 +174,12 @@ def test_co_differential_squares_to_zero(g):
 
 
 def test_omega_e_not_a_coboundary():
-    ce = ce_operators(so3())
+    ce = CEOperators(so3())
     assert ce.coboundary_test({(1, 2, 3): Q(-2)}, 3) is None
 
 
 def test_abelian_cochains_closed_only_zero_exact():
-    ce = ce_operators(abelian(2))
+    ce = CEOperators(abelian(2))
     cochain = {(1, 2): Q(5)}
     assert ce.co_differential(cochain, 2) == {}
     assert ce.coboundary_test(cochain, 2) is None

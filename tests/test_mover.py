@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from plectic import catalog
 from plectic.errors import DuplicatePoints, NonPolynomial, ShapeError
 from plectic.exterior import SmoothMap, chart, form, pullback
 from plectic.linalg import det
@@ -19,7 +20,6 @@ from plectic.mover import (
     interleaved_chart,
     jacobian_determinant,
     move_points,
-    real_volume_form,
     realify_and_check,
     realify_step,
     separating_linear_map,
@@ -167,6 +167,31 @@ def test_move_duplicate_rejection():
         move_points([[0, 0], [0, 0]], [[1, 0], [2, 0]], 2)
 
 
+def test_duplicate_gaussian_points_are_found_however_they_are_built():
+    # (1 + 2i)/2 three ways: its hash reads the reduced integers (1, 2, 2)
+    z = GR(1, 2) / 2
+    same = (GR(Q(1, 2), 1), parse_gaussian("1/2+i"), GR(Q(1, 4), Q(1, 2)) * 2)
+    for w in same:
+        assert w == z and hash(w) == hash(z)
+        with pytest.raises(DuplicatePoints):
+            Poly.interpolate([z, GR(3), w], [GR(0), GR(1), GR(2)])
+        with pytest.raises(DuplicatePoints):
+            move_points([[z, 0], [w, 0]], [[1, 0], [2, 0]], 2)
+        with pytest.raises(DuplicatePoints):
+            move_points([[1, 0], [2, 0]], [[0, z], [0, w]], 2)
+
+
+def test_move_of_no_points_is_the_identity():
+    auto = move_points([], [], 3)
+    (step,) = auto.steps
+    assert isinstance(step, LinearStep) and step.matrix == tuple(
+        tuple(GR(int(i == j)) for j in range(3)) for i in range(3))
+    p = as_point([GR(1, 2), 3, GR(0, -1)])
+    assert auto.apply(p) == p
+    assert jacobian_determinant(auto) == 1
+    assert realify_and_check(auto)[1]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_move_random(seed):
     rng = random.Random(900 + seed)
@@ -283,7 +308,7 @@ def test_linear_route_matches_the_general_pullback(seed):
     rng = random.Random(2900 + seed)
     for n in (2, 3):
         ch = interleaved_chart(n)
-        vol = real_volume_form(n)
+        vol = catalog.complex_volume_re(n)
         forms = [vol] + [form(ch, k, {idx: rand_gauss(rng).re for idx in
                                       rng.sample(list(combinations(range(1, 2 * n + 1), k)), 3)})
                          for k in (1, 2)]
@@ -320,9 +345,9 @@ def test_linear_route_runs_the_integer_minor_kernel(monkeypatch):
 
 
 def test_real_volume_forms():
-    v2 = real_volume_form(2)
+    v2 = catalog.complex_volume_re(2)
     assert v2 == form(interleaved_chart(2), 2, {(1, 3): 1, (2, 4): -1})
-    v3 = real_volume_form(3)
+    v3 = catalog.complex_volume_re(3)
     assert v3 == form(interleaved_chart(3), 3, {
         (1, 3, 5): 1, (1, 4, 6): -1, (2, 3, 6): -1, (2, 4, 5): -1,
     })
@@ -341,7 +366,7 @@ def test_complex_shear_preserves_volume():
     assert ok
     # the realified map itself pulls the volume back to itself
     smooth = realified.steps[0]
-    vol = real_volume_form(2)
+    vol = catalog.complex_volume_re(2)
     assert pullback(smooth, vol) == vol
 
 

@@ -17,7 +17,7 @@ from plectic.classify import (
     StandardSubspaceReport,
     TypeReport,
 )
-from plectic.exterior import Chart, DiffForm, SmoothMap, chart
+from plectic.exterior import Chart, DiffForm, MultiVec, SmoothMap, chart
 from plectic.hdw import MultiphaseModel
 from plectic.liesym import (
     ComomentData,
@@ -33,7 +33,7 @@ from plectic.liesym import (
 from plectic.linfty import Observable
 from plectic.mover import LinearStep, Poly, PolyAuto, RealifiedAuto, ShearStep, realify_and_check
 from plectic.record import Record
-from plectic.scalar import parse_expression
+from plectic.scalar import GaussianRational, RationalExpr, ScalarExpr, parse_expression
 
 C3 = chart(3)
 
@@ -62,6 +62,15 @@ VALUES = {
     RealifiedAuto: lambda: realify_and_check(_auto())[0],
 }
 
+# the immutable values that are not records; _raw builds the hot ones
+OTHER_VALUES = {
+    ScalarExpr: lambda: parse_expression("x1^2 + 3", 3).num,
+    RationalExpr: lambda: parse_expression("x1/(x2 + 1)", 3),
+    GaussianRational: lambda: GaussianRational(1, 2),
+    DiffForm: lambda: DiffForm(C3, 1, {(2,): "x1 + 1"}),
+    MultiVec: lambda: MultiVec(C3, 1, {(1,): "x3"}),
+}
+
 REPORTS = [SignReport, NondegeneracyReport, TypeReport, NijenhuisReport,
            InvolutivityReport, StandardSubspaceReport, KillingReport, ObstructionReport,
            ComomentReport, MultiphaseModel, InvariantObservables]
@@ -87,10 +96,12 @@ def test_equal_fields_give_equal_values_and_hashes(cls):
     assert {a, b} == {a}
 
 
-@pytest.mark.parametrize("cls", VALUES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", [*VALUES, *OTHER_VALUES], ids=lambda c: c.__name__)
 def test_fields_are_read_only(cls):
-    value = VALUES[cls]()
-    for name in cls.__slots__:
+    value = {**VALUES, **OTHER_VALUES}[cls]()
+    slots = [name for k in cls.__mro__ for name in getattr(k, "__slots__", ())]
+    assert slots
+    for name in slots:
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name))
         with pytest.raises(AttributeError):

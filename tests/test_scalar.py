@@ -101,8 +101,6 @@ def test_parse_rejects_unknown_function():
 def test_parse_i_only_in_gaussian_mode():
     with pytest.raises(ParseError):
         expr("i")
-    g = parse_expression("2*i + 1", 2, gaussian=True)
-    assert g.num.constant_value() == GaussianRational(1, 2)
 
 
 def test_negative_exponent_grammar():
@@ -337,6 +335,30 @@ def test_gaussian_hash_follows_the_value():
     assert halved == GaussianRational(1, 2)
     assert hash(halved) == hash(GaussianRational(1, 2))
     assert GaussianRational(Q(3, 6), Q(-2, 8)) == GaussianRational(Q(1, 2), Q(-1, 4))
+
+
+def test_gaussian_hash_reads_the_integers(monkeypatch):
+    from plectic import scalar
+
+    # a real value hashes like its int and its Fraction, as == with them demands
+    for q in [0, 1, -7, 10**30]:
+        assert hash(GaussianRational(q)) == hash(q) == hash(Q(q))
+    for q in [Q(1, 3), Q(-22, 7), Q(10**30, 3)]:
+        assert hash(GaussianRational(q)) == hash(q)
+    # equal values hash alike however they were reached
+    z = GaussianRational(Q(1, 2), Q(-3, 4))
+    for w in (GaussianRational(2, -3) / 4, parse_gaussian("1/2-3/4 i"),
+              GaussianRational(Q(1, 4)) * 2 - GaussianRational(0, Q(3, 4))):
+        assert w == z and hash(w) == hash(z)
+    assert hash(z) == hash((2, -3, 4))
+    # only a non-integral real builds a Fraction to hash
+    values = [z, GaussianRational(0, 5), GaussianRational(-4), GaussianRational(Q(3, 2))]
+    built = []
+    monkeypatch.setattr(scalar, "Fraction", lambda *a: built.append(a) or Q(*a))
+    hashes = [hash(v) for v in values]
+    monkeypatch.undo()
+    assert built == [(3, 2)]
+    assert hashes[2:] == [hash(-4), hash(Q(3, 2))]
 
 
 def test_gaussian_parts_are_read_only():
