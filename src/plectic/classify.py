@@ -96,21 +96,20 @@ def _monomial_sign(expr: RationalExpr, chart: Chart) -> Optional[str]:
     for i, e in enumerate(exps, start=1):
         if e and i not in chart.positive:
             return None
-    return "+" if c > 0 else "-"
+    return "+" if _rational(c) > 0 else "-"
 
 
 def sign_on_chart(expr: RationalExpr, chart: Chart) -> SignReport:
     """Decide the sign of an expression on the chart.
 
-    Certified for the zero expression, constants, and monomials supported on
-    positivity-flagged variables; otherwise sampled on a deterministic
-    rational grid (two exact witnesses are returned for sign changes).
+    Certified for zero, constants, and monomials supported on positive
+    variables; otherwise sampled on a deterministic rational grid (two exact
+    witnesses of a sign change).  A non-real value raises ShapeError.
     """
     if expr.is_zero:
         return SignReport("0", True)
     if expr.is_constant:
-        v = expr.constant_value()
-        return SignReport("+" if v > 0 else "-", True)
+        return SignReport("+" if _rational(expr.constant_value()) > 0 else "-", True)
     mono = _monomial_sign(expr, chart)
     if mono is not None:
         return SignReport(mono, True)
@@ -127,6 +126,7 @@ def sign_on_chart(expr: RationalExpr, chart: Chart) -> SignReport:
             v = expr.eval(point)
         except PlecticError:
             continue
+        v = _rational(v)
         if v > 0 and pos_w is None:
             pos_w = (tuple(point), v)
         elif v < 0 and neg_w is None:
@@ -410,6 +410,8 @@ class TypeReport(NamedTuple):
 def _require_closed_3form_dim6(w: DiffForm):
     if w.chart.dim != 6 or w.degree != 3:
         raise ShapeError("classification needs a 3-form on a 6-dimensional chart")
+    for x in (v for c in w.coeffs.values() for p in (c.num, c.den) for v in p.terms.values()):
+        _rational(x)  # a non-real coefficient raises ShapeError
     if ext_d(w):
         raise NotClosed("the form is not closed")
 
@@ -574,26 +576,23 @@ def extract_acs(w: DiffForm) -> EndField:
         raise ShapeError("need m >= 2")
     zero = RationalExpr.const(d, 0)
     basis = [coordinate_vector(chart, i) for i in range(1, d + 1)]
-    contr = [[interior(basis[k], interior(basis[j], w)) for k in range(d)]
-             for j in range(d)]  # contr[j][k] = i_{e_{k+1}} i_{e_{j+1}} w
-    tuples = sorted({t for row in contr for f in row for t in f.coeffs})
+    # C[j][k] = i_{e_{k+1}} i_{e_{j+1}} w, by coefficient; C[j][k] = -C[k][j]
+    C = [[interior(e, f).coeffs if e is not basis[j] else {} for e in basis]
+         for j, f in enumerate(interior(e, w) for e in basis)]
     rows = []
     for i in range(d):
         for j in range(i, d):
-            for t in tuples:
-                row = [zero] * (d * d)
-                for k in range(d):
-                    # + A[k][i] * coeff of i_{e_k} i_{e_j} w
-                    c1 = contr[j][k].coeffs.get(t)
-                    if c1 is not None:
-                        row[k * d + i] = row[k * d + i] + c1
-                    # - A[k][j] * coeff of i_{e_i} i_{e_k} w
-                    c2 = contr[k][i].coeffs.get(t)
-                    if c2 is not None:
-                        row[k * d + j] = row[k * d + j] - c2
-                if any(row):
-                    rows.append(row)
-    null = linalg.nullspace(rows)
+            # equation t: sum_k A[k][i] C[j][k]_t - A[k][j] C[k][i]_t, with
+            # -C[k][i] = C[i][k]; column k*d + i is A[k][i], sparse rows by t
+            eqs = {}
+            for k in range(d):
+                for t, c in C[j][k].items():
+                    eqs.setdefault(t, {})[k * d + i] = c
+                for t, c in C[i][k].items():
+                    row = eqs.setdefault(t, {})
+                    row[k * d + j] = row[k * d + j] + c if k * d + j in row else c
+            rows += (eqs[t] for t in sorted(eqs) if any(eqs[t].values()))
+    null = linalg.nullspace(rows, d * d)
     if len(null) != 2:
         raise WrongType(
             f"compatibility system has solution dimension {len(null)}, expected 2"

@@ -12,6 +12,9 @@ symbolic results, are the same.
 ``_replay`` applies them to a right-hand side, in the order they were made,
 so ``solve(factored, b)`` for many b eliminates the matrix only once.  A
 symbolic right-hand side of a lowered matrix gets the lowered factors.
+
+Rows may also come sparse, as dicts {col: entry} with the column count
+``ncols``, which a dict row cannot supply; a column no row names is free.
 """
 from __future__ import annotations
 
@@ -32,8 +35,9 @@ def _zero_like(x):
     return _field(x) - x
 
 
-def _sparse(matrix: Sequence[Sequence]) -> List[dict]:
-    return [{j: _field(v) for j, v in enumerate(row) if v} for row in matrix]
+def _sparse(matrix: Sequence) -> List[dict]:
+    return [{j: _field(v) for j, v in (row.items() if type(row) is dict else enumerate(row)) if v}
+            for row in matrix]
 
 
 def _lower(matrix: Sequence[Sequence]):
@@ -100,9 +104,9 @@ class Factored(tuple):
     columns and ``ops`` the row operations of ``_reduce``.
     """
 
-    def __new__(cls, matrix: Sequence[Sequence]):
+    def __new__(cls, matrix: Sequence, ncols: Optional[int] = None):
         self = super().__new__(cls, matrix)
-        self.ncols = len(matrix[0]) if matrix else 0
+        self.ncols = (len(matrix[0]) if matrix else 0) if ncols is None else ncols
         self.reduced, self.lift = _lower(matrix)
         self.pivots, self.ops = _reduce(self.reduced, self.ncols)
         self.free = [c for c in range(self.ncols) if c not in self.pivots]
@@ -120,14 +124,14 @@ class Factored(tuple):
         return [{j: lift(v) for j, v in row.items()} for row in b] if lift else b
 
 
-def eliminate(matrix: Sequence[Sequence], rhs: Optional[Sequence[Sequence]] = None):
+def eliminate(matrix: Sequence, rhs: Optional[Sequence] = None, ncols: Optional[int] = None):
     """Row-reduce ``matrix`` (and optional rhs rows) to reduced echelon form.
 
     Returns (rows, rhs rows, pivot columns), rows as sparse dicts in the
     caller's ring.  Row r holds the r-th reduced row without its leading 1
     at pivots[r]; the rows past len(pivots) are empty.
     """
-    f = Factored(matrix)
+    f = Factored(matrix, ncols)
     a = f.reduced
     if f.lift:
         a = [{j: f.lift(v) for j, v in row.items()} for row in a]
@@ -166,19 +170,25 @@ def _first_one(matrix: Sequence[Sequence]):
     return next((_field(v) / v for row in matrix for v in row if v), None)
 
 
-def nullspace(matrix: Sequence[Sequence]) -> List[list]:
-    """Basis of the kernel of A (columns are the unknowns)."""
-    if not matrix or not matrix[0]:
-        return []
-    a, _, pivots = eliminate(matrix)
-    cols = len(matrix[0])
-    zero = _zero_like(matrix[0][0])
-    one = _first_one(matrix)
+def nullspace(matrix: Sequence, ncols: Optional[int] = None) -> List[list]:
+    """Basis of the kernel of A (columns are the unknowns).
+
+    Rows are sequences, or dicts {col: entry} over ``ncols`` columns (their
+    zero entries are dropped); a column that no row names is free.
+    """
+    if ncols is None:
+        if not matrix or not matrix[0]:
+            return []
+        ncols, zero, one = len(matrix[0]), _zero_like(matrix[0][0]), _first_one(matrix)
+    else:
+        one = _first_one([row[j] for j in sorted(row)] for row in matrix)
+        zero = _zero_like(next((v for row in matrix for v in row.values()), 0))
+    a, _, pivots = eliminate(matrix, ncols=ncols)
     if one is None:
         one = zero + 1  # all-zero matrix over a numeric field
     basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        vec = [zero] * cols
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [zero] * ncols
         vec[fc] = one
         for r, pc in enumerate(pivots):
             if fc in a[r]:

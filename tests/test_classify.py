@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction as Q
 from itertools import combinations
+from math import prod
 
 import pytest
 
-from plectic import catalog, classify
+from plectic import catalog, classify, linalg
 from plectic.classify import (
     _classify_at,
     _trace_sq,
@@ -34,6 +35,7 @@ from plectic.errors import (
     NotAlmostComplex,
     NotClosed,
     PlecticError,
+    ShapeError,
     WrongType,
 )
 from plectic.exterior import (
@@ -559,6 +561,49 @@ def test_extract_acs_wrong_type():
         extract_acs(catalog.product6())
 
 
+def _disguised_volume(m, rng):
+    """c * S^* Re(dz1^..^dzm) for a seeded sign flip S and scale c."""
+    w, d = catalog.complex_volume_re(m), 2 * m
+    signs = [rng.choice((1, -1)) for _ in range(d)]
+    c = Q(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 5))
+    return form(w.chart, m, {idx: v * RationalExpr.const(d, c * prod(signs[i - 1] for i in idx))
+                             for idx, v in w.coeffs.items()})
+
+
+def _scaled_volume(m, f):
+    """f * Re(dz1^..^dzm) on the chart where every coordinate is positive."""
+    w, d = catalog.complex_volume_re(m), 2 * m
+    f = parse_expression(f, d)
+    return form(chart(d, positive=range(1, d + 1)), m,
+                {idx: v * f for idx, v in w.coeffs.items()})
+
+
+def test_extract_acs_rows_match_the_dense_reference(monkeypatch):
+    """The kernel gets the dense reference rows without their zero entries,
+    in the same order, and J prints as it does from the dense rows."""
+    from acs_reference import reference_rows
+
+    rng = random.Random(2201)
+    forms = [_disguised_volume(m, rng) for m in (3, 4) for _ in range(3)]
+    forms += [_scaled_volume(3, f) for f in ("x1", "x2^2", "3*x1*x4^(1/2)")]
+    forms.append(_scaled_volume(4, "x1"))
+    kernel = linalg.nullspace
+    for w in forms:
+        dense = reference_rows(w)
+        seen = []
+        monkeypatch.setattr(linalg, "nullspace",
+                            lambda rows, ncols=None: seen.append((rows, ncols)) or kernel(rows, ncols))
+        J = extract_acs(w)
+        monkeypatch.setattr(linalg, "nullspace", lambda rows, ncols=None: kernel(dense))
+        J_dense = extract_acs(w)
+        monkeypatch.undo()
+        ((rows, ncols),) = seen
+        want = [{j: v for j, v in enumerate(row) if v} for row in dense]
+        assert ncols == w.chart.dim ** 2 and len(rows) == len(want)
+        assert rows == want and str(rows) == str(want)
+        assert str(J.matrix) == str(J_dense.matrix)
+
+
 def test_nijenhuis_constant_j_vanishes():
     J = extract_acs(catalog.complex6())
     assert nijenhuis(J).integrable
@@ -747,6 +792,29 @@ def test_sign_on_chart_lets_faults_through(monkeypatch):
     monkeypatch.setattr(RationalExpr, "eval", broken)
     with pytest.raises(TypeError, match="injected fault"):
         sign_on_chart(parse_expression("x1 - x2", 6), chart(6))
+
+
+def test_non_real_coefficients_raise_shape_error():
+    """A non-real coefficient ends in the ShapeError that the pointwise
+    trichotomy raises, in the split and the flatness report as well; and
+    sign_on_chart rejects a non-real value in each of its branches."""
+    i = GaussianRational(0, 1)
+    w = form(C6, 3, {(1, 2, 3): i, (4, 5, 6): 1})
+    calls = [lambda: classify6(w, ORIGIN6), lambda: nondegenerate(w, ORIGIN6),
+             lambda: split_product(w), lambda: split_product(w, ORIGIN6),
+             lambda: flatness_report(w)]
+    for call in calls:
+        with pytest.raises(ShapeError, match=r"^not an exact rational: i$"):
+            call()
+    x1, positive = parse_expression("x1", 6), chart(6, positive=[1])
+    for expr, ch in ((RationalExpr.const(6, i), C6), (x1 * i, positive), (x1 + i, C6)):
+        with pytest.raises(ShapeError, match="not an exact rational"):
+            sign_on_chart(expr, ch)
+    # a real value held as a GaussianRational has a sign in each branch
+    real = GaussianRational(-2)
+    assert sign_on_chart(RationalExpr.const(6, real), C6) == ("-", True, ())
+    assert sign_on_chart(x1 * real, positive) == ("-", True, ())
+    assert sign_on_chart(x1 * x1 + real * real, C6).sign == "+"
 
 
 # -- standard subspaces ---------------------------------------------------------------

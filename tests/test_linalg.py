@@ -107,6 +107,32 @@ def test_eliminate_is_sympy_rref(ring, name, matrix):
     assert linalg.rank(in_ring(ring, matrix)) == len(ref_pivots)
 
 
+def as_dict_rows(ring, matrix):
+    """``matrix`` in the ring as dict rows {col: entry}, with an all-zero row
+    (an explicit zero entry, which is dropped) and a last column that no row
+    names; and the dense Fraction matrix they stand for."""
+    zero = RINGS[ring](Q(0))
+    rows = [{j: v for j, v in enumerate(row) if v} for row in in_ring(ring, matrix)]
+    rows.insert(len(rows) // 2, {0: zero})
+    dense = [row + [Q(0)] for row in matrix]
+    dense.insert(len(dense) // 2, [Q(0)] * (len(matrix[0]) + 1))
+    return rows, dense
+
+
+def assert_dict_rows_nullspace(ring, matrix):
+    """The kernel of the dict rows, over ncols columns, is the dense call's:
+    the same basis with the same printed entries, and sympy's; the column
+    that no row names comes back free."""
+    rows, dense = as_dict_rows(ring, matrix)
+    ncols = len(dense[0])
+    basis = linalg.nullspace(rows, ncols)
+    want = linalg.nullspace(in_ring(ring, dense))
+    assert basis == want and str(basis) == str(want)
+    assert [[to_q(v) for v in vec] for vec in basis] == [
+        [row[0] for row in from_sym(k)] for k in sym(dense).nullspace()]
+    assert [Q(0)] * (ncols - 1) + [Q(1)] in [[to_q(v) for v in vec] for vec in basis]
+
+
 @pytest.mark.parametrize("ring", RINGS)
 @pytest.mark.parametrize("name,matrix", CASES, ids=IDS)
 def test_nullspace_is_sympy_nullspace(ring, name, matrix):
@@ -114,6 +140,7 @@ def test_nullspace_is_sympy_nullspace(ring, name, matrix):
     ref = sym(matrix).nullspace()
     assert [[to_q(v) for v in vec] for vec in basis] == [
         [row[0] for row in from_sym(k)] for k in ref]
+    assert_dict_rows_nullspace(ring, matrix)
 
 
 @pytest.mark.parametrize("ring", RINGS)
@@ -159,6 +186,8 @@ def test_empty_matrices():
     assert linalg.eliminate([]) == ([], None, [])
     assert linalg.rank([]) == 0 and linalg.rank([[]]) == 0
     assert linalg.nullspace([]) == [] and linalg.nullspace([[]]) == []
+    # dict rows name their columns through ncols, so no row is no equation
+    assert linalg.nullspace([], 2) == linalg.nullspace([{}], 2) == [[1, 0], [0, 1]]
 
 
 def test_results_stay_in_the_callers_ring():
@@ -342,6 +371,7 @@ def test_property_rref_matches_sympy():
             assert dense(rows, pivots, len(matrix[0])) == from_sym(ref)
             basis = linalg.nullspace(in_ring(ring, matrix))
             assert len(basis) == len(matrix[0]) - len(pivots)
+            assert_dict_rows_nullspace(ring, matrix)
 
     check()
 

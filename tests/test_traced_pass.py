@@ -1,9 +1,10 @@
-"""One traced pass of the structures and conjugates benchmark workloads.
+"""One traced pass of the structures, conjugates and observables benchmark
+workloads.
 
 The benchmark's tracer (perfbench/tracer.py) wraps the library's layer
 functions by module attribute name and hooks the scalar constructors, so a
-renamed layer function, or a coefficient its hooks cannot read, fails the
-traced benchmark run.  These tests run the benchmark's own files, unedited,
+renamed layer function, or a coefficient or matrix row its hooks cannot
+read, fails the traced benchmark run.  These tests run the benchmark's own files, unedited,
 so that such a fault shows in the test suite as well.
 """
 import os
@@ -21,8 +22,9 @@ import workloads  # noqa: E402
 SPANS = {
     "structures": ("mover.move_points", "mover.jacobian_determinant",
                    "mover.realify_and_check", "exterior.constant_linear_pullback",
-                   "exterior.pullback"),
+                   "exterior.pullback", "classify.extract_acs", "linalg.nullspace"),
     "conjugates": ("exterior.constant_linear_pullback", "classify.classify6"),
+    "observables": ("hdw.ham_vector_field", "linalg.solve"),
 }
 
 
