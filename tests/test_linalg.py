@@ -257,6 +257,9 @@ def test_symbolic_matrix(seed):
     basis = linalg.nullspace(A)
     zero = RationalExpr.const(DIM, 0)
     assert all(v == zero for k in basis for v in mat_vec(A, k))
+    # dict rows, their entries in reverse column order, give the same printed basis
+    rows = [{j: row[j] for j in reversed(range(4)) if row[j]} for row in A]
+    assert str(linalg.nullspace(rows, 4)) == str(basis)
     S = sympy.Matrix([[to_sympy(v) for v in row] for row in A])
     ref = S.nullspace(simplify=True)
     assert len(basis) == len(ref) == 4 - linalg.rank(A)

@@ -4,8 +4,8 @@ workloads.
 The benchmark's tracer (perfbench/tracer.py) wraps the library's layer
 functions by module attribute name and hooks the scalar constructors, so a
 renamed layer function, or a coefficient or matrix row its hooks cannot
-read, fails the traced benchmark run.  These tests run the benchmark's own files, unedited,
-so that such a fault shows in the test suite as well.
+read, fails the traced benchmark run.  These tests run the benchmark's own
+files, unedited, so that such a fault shows in the test suite as well.
 """
 import os
 import sys
