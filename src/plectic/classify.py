@@ -808,6 +808,8 @@ def verify_standard_subspace(w: DiffForm, frame: Sequence[MultiVec]) -> Standard
     """
     if not frame:
         raise DependentFrame("empty frame")
+    if w.degree < 1:
+        raise DegreeError("a standard subspace needs a form of degree >= 1")
     chart = frame[0].chart
     d = chart.dim
     n = w.degree - 1

@@ -8,7 +8,13 @@ violated (hdw-residual, volterra, curve-check, lie-validate, comoment
 verify, verify), and 1 for malformed input or internal faults.
 
 Every payload is parsed and schema-checked before dispatch; violations are
-reported with their JSON paths.
+reported with their JSON paths.  The payload format lives in ``COMMANDS``:
+a command whose payload is plain fields has a row of ``(key, reader[, on])``
+fields, read in order by ``_fields``, where ``on`` names the earlier field
+whose chart the value lives on ("omega", "action", "map.source",
+"map.target").  The other commands keep a parser function.  Both use the
+readers of ``jsonio``: ``read_int`` (a JSON integer, so ``true`` is not 1),
+``read_list`` and ``built``.
 """
 from __future__ import annotations
 
@@ -59,11 +65,17 @@ from .jsonio import (
     gaussian_point_from_json,
     gaussian_point_to_json,
     point_from_json,
+    read_int,
+    read_list,
+    read_positive,
+    smooth_map_from_json,
     type_report_to_json,
+    vector_from_json,
 )
 from .liesym import (
     ComomentData,
     comoment_from_potential,
+    comoment_order,
     comoment_verify,
     conserved_classify,
     killing_form,
@@ -124,9 +136,10 @@ def parse_request(raw: bytes, command: str,
     sign = opts.get("sign_convention", SIGN_HDW)
     _expect(sign in (SIGN_HDW, SIGN_FIN1), "$.options.sign_convention",
             f"must be '{SIGN_HDW}' or '{SIGN_FIN1}'")
-    seed = opts.get("seed", 0)
-    _expect(isinstance(seed, int), "$.options.seed", "must be an integer")
-    return Request(command, COMMANDS[command][0](payload), mode, sign, seed)
+    seed = read_int(opts.get("seed", 0), "$.options.seed", None, msg="must be an integer")
+    fields = COMMANDS[command][0]
+    parsed = fields(payload) if callable(fields) else _fields(payload, fields)
+    return Request(command, parsed, mode, sign, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -134,95 +147,46 @@ def parse_request(raw: bytes, command: str,
 # ---------------------------------------------------------------------------
 
 
-def _int_field(payload, key, minimum=1):
-    v = _get(payload, key, "$")
-    _expect(isinstance(v, int) and v >= minimum, f"$.{key}",
-            f"must be an integer >= {minimum}")
-    return v
+def _fields(p, rows) -> dict:
+    """The payload ``p`` read by the rows ``(key, reader[, on])``, in order.
+
+    Each value is ``reader(p[key], "$.key")``; with ``on`` the reader also
+    gets the chart of the earlier field that ``on`` names: "omega" is that
+    form's chart, "map.source" the source chart of the map.
+    """
+    out = {}
+    for key, read, *on in rows:
+        context = []
+        for name in on:
+            field, _, attr = name.partition(".")
+            context.append(getattr(out[field], attr or "chart"))
+        out[key] = read(_get(p, key, "$"), f"$.{key}", *context)
+    return out
 
 
-def _form(p, key, hint=None, kind=None):
-    """The form (or ``kind`` "multivector") under payload key ``key``."""
-    return form_from_json(_get(p, key, "$"), f"$.{key}", expect_kind=kind,
-                          chart_hint=hint)
-
-
-def _parse_classify(p):
-    w = _form(p, "omega")
-    point = point_from_json(_get(p, "point", "$"), w.chart.dim, "$.point")
-    return {"omega": w, "point": point}
-
-
-def _parse_flat(p):
-    return {"omega": _form(p, "omega")}
-
-
-def _parse_hamvf(p):
-    w = _form(p, "omega")
-    H = _form(p, "hamiltonian", w.chart)
-    return {"omega": w, "hamiltonian": H}
-
-
-def _parse_hdw_residual(p):
-    w = _form(p, "omega")
-    X = _form(p, "field", w.chart, "multivector")
-    H = _form(p, "hamiltonian", w.chart)
-    return {"omega": w, "field": X, "hamiltonian": H}
-
-
-def _parse_multiphase(p):
-    return {"n": _int_field(p, "n"), "N": _int_field(p, "N")}
+def _list_of(item, msg: str, least: int):
+    """A row reader for a list of at least ``least`` values read by ``item``."""
+    return lambda v, path, *context: read_list(v, path, msg, item, *context, least=least)
 
 
 def _parse_volterra(p):
-    n = _int_field(p, "n")
-    N = _int_field(p, "N")
+    n, N = (read_int(_get(p, key, "$"), f"$.{key}") for key in ("n", "N"))
     model = multiphase_forms(n, N)
-    pdim = model.restricted_chart.dim
-    ham = expr_from_json(_get(p, "hamiltonian", "$"), pdim, "$.hamiltonian")
+    ham = expr_from_json(_get(p, "hamiltonian", "$"), "$.hamiltonian",
+                         model.restricted_chart.dim)
     section = _get(p, "section", "$")
     _expect(isinstance(section, dict), "$.section", "must be an object")
-    qs = _get(section, "q", "$.section")
-    ps = _get(section, "p", "$.section")
-    _expect(isinstance(qs, list) and len(qs) == N, "$.section.q",
-            f"must list {N} expressions in x1..x{n}")
-    _expect(isinstance(ps, list) and len(ps) == N, "$.section.p",
-            f"must list {N} rows of {n} expressions")
-    comps: List[RationalExpr] = [RationalExpr.variable(n, mu)
-                                 for mu in range(1, n + 1)]
-    for a, qj in enumerate(qs):
-        comps.append(expr_from_json(qj, n, f"$.section.q[{a}]"))
+    qs, ps = (_get(section, key, "$.section") for key in ("q", "p"))
+    q_msg = f"must list {N} expressions in x1..x{n}"
+    read_list(qs, "$.section.q", q_msg, size=N)  # both shapes before any entry
+    read_list(ps, "$.section.p", f"must list {N} rows of {n} expressions", size=N)
+    comps = [RationalExpr.variable(n, mu) for mu in range(1, n + 1)]
+    comps += read_list(qs, "$.section.q", q_msg, expr_from_json, n)
     for a, row in enumerate(ps):
-        _expect(isinstance(row, list) and len(row) == n, f"$.section.p[{a}]",
-                f"must list {n} expressions")
-        for mu, pj in enumerate(row):
-            comps.append(expr_from_json(pj, n, f"$.section.p[{a}][{mu}]"))
+        comps += read_list(row, f"$.section.p[{a}]", f"must list {n} expressions",
+                           expr_from_json, n, size=n)
     section_map = SmoothMap(chart(n), model.restricted_chart, tuple(comps))
     return {"model": model, "hamiltonian": ham, "section": section_map}
-
-
-def _parse_curve_check(p):
-    from .jsonio import smooth_map_from_json
-
-    psi = smooth_map_from_json(_get(p, "map", "$"), "$.map")
-    gamma = _form(p, "gamma", psi.source, "multivector")
-    X = _form(p, "field", psi.target, "multivector")
-    pts_json = _get(p, "points", "$")
-    _expect(isinstance(pts_json, list) and pts_json, "$.points",
-            "must be a nonempty list of points")
-    points = [point_from_json(pt, psi.source.dim, f"$.points[{i}]")
-              for i, pt in enumerate(pts_json)]
-    return {"map": psi, "gamma": gamma, "field": X, "points": points}
-
-
-def _parse_bracket(p):
-    w = _form(p, "omega")
-    args_json = _get(p, "args", "$")
-    _expect(isinstance(args_json, list) and len(args_json) >= 2, "$.args",
-            "must list at least two forms")
-    forms = [form_from_json(a, f"$.args[{i}]", chart_hint=w.chart)
-             for i, a in enumerate(args_json)]
-    return {"omega": w, "args": forms}
 
 
 def _parse_lie_validate(p):
@@ -239,49 +203,29 @@ def _parse_lie_validate(p):
 
 
 def _parse_comoment(p):
-    act = action_from_json(_get(p, "action", "$"), "$.action")
-    w = _form(p, "omega", act.chart)
-    mode = _get(p, "mode", "$")
+    out = _fields(p, (("action", action_from_json), ("omega", form_from_json, "action")))
+    w = out["omega"]
+    mode = out["mode"] = _get(p, "mode", "$")
     _expect(mode in ("from-potential", "verify"), "$.mode",
             "must be 'from-potential' or 'verify'")
-    out = {"action": act, "omega": w, "mode": mode}
+    n = comoment_order(w)  # in both modes, before the maps are counted
     if mode == "from-potential":
-        out["potential"] = _form(p, "potential", w.chart)
-        sign = p.get("potential_sign", 1)
-        _expect(sign in (1, -1), "$.potential_sign", "must be 1 or -1")
-        out["potential_sign"] = sign
+        out["potential"] = form_from_json(_get(p, "potential", "$"), "$.potential", w.chart)
+        sign = out["potential_sign"] = p.get("potential_sign", 1)
+        _expect(type(sign) is int and sign in (1, -1), "$.potential_sign", "must be 1 or -1")
     else:
-        n = w.degree - 1
-        out["maps"] = _comoment_from_json(_get(p, "maps", "$"), act.algebra,
-                                          n, w.chart)
+        out["maps"] = _comoment_from_json(_get(p, "maps", "$"), out["action"].algebra, n,
+                                          w.chart)
     return out
 
 
-def _parse_obstruction(p):
-    act = action_from_json(_get(p, "action", "$"), "$.action")
-    w = _form(p, "omega", act.chart)
-    i = _get(p, "i", "$")
-    _expect(isinstance(i, int) and i >= 1, "$.i", "must be a positive integer")
-    return {"action": act, "omega": w, "i": i}
-
-
-def _parse_conserved(p):
-    w = _form(p, "omega")
-    H = _form(p, "hamiltonian", w.chart)
-    alpha = _form(p, "alpha", w.chart)
-    return {"omega": w, "hamiltonian": H, "alpha": alpha}
-
-
 def _parse_move(p):
-    n = _int_field(p, "n", minimum=2)
-    src_json = _get(p, "src", "$")
-    dst_json = _get(p, "dst", "$")
-    for key, val in (("src", src_json), ("dst", dst_json)):
-        _expect(isinstance(val, list), f"$.{key}", "must be a list of points")
-    src = [gaussian_point_from_json(pt, n, f"$.src[{i}]")
-           for i, pt in enumerate(src_json)]
-    dst = [gaussian_point_from_json(pt, n, f"$.dst[{i}]")
-           for i, pt in enumerate(dst_json)]
+    n = read_int(_get(p, "n", "$"), "$.n", 2)
+    lists = {key: _get(p, key, "$") for key in ("src", "dst")}
+    for key, val in lists.items():  # both are lists before either is read
+        read_list(val, f"$.{key}", "must be a list of points")
+    src, dst = (read_list(val, f"$.{key}", "must be a list of points",
+                          gaussian_point_from_json, n) for key, val in lists.items())
     _expect(len(src) == len(dst), "$.dst", "must match the source count")
     return {"n": n, "src": src, "dst": dst}
 
@@ -292,57 +236,40 @@ def _parse_verify(p):
             f"must be one of {', '.join(VERIFY_CHECKS)}")
     out: Dict[str, Any] = {"check": check}
     if check in ("ring-laws", "exterior"):
-        dim = p.get("dim", 3 if check == "ring-laws" else 4)
-        samples = p.get("samples", 25 if check == "ring-laws" else 10)
-        _expect(isinstance(dim, int) and dim >= 1, "$.dim",
-                "must be a positive integer")
-        _expect(check == "ring-laws" or dim >= 2, "$.dim",
-                "must be at least 2 for the exterior check")
-        _expect(isinstance(samples, int) and samples >= 1, "$.samples",
-                "must be a positive integer")
-        out.update(dim=dim, samples=samples)
+        ring = check == "ring-laws"
+        out["dim"] = dim = read_positive(p.get("dim", 3 if ring else 4), "$.dim")
+        _expect(ring or dim >= 2, "$.dim", "must be at least 2 for the exterior check")
+        out["samples"] = read_positive(p.get("samples", 25 if ring else 10), "$.samples")
     elif check in ("linfty-relation", "jacobiator"):
-        w = _form(p, "omega")
-        args_json = _get(p, "args", "$")
+        w = out["omega"] = form_from_json(_get(p, "omega", "$"), "$.omega")
+        args = _get(p, "args", "$")
+        size, msg = 3, "must list exactly three forms"
         if check == "linfty-relation":
-            k = _get(p, "k", "$")
-            _expect(isinstance(k, int) and k >= 2, "$.k", "must be >= 2")
-            _expect(isinstance(args_json, list) and len(args_json) == k + 1,
-                    "$.args", f"must list {k + 1} forms")
-            out["k"] = k
-        else:
-            _expect(isinstance(args_json, list) and len(args_json) == 3,
-                    "$.args", "must list exactly three forms")
-        out["omega"] = w
-        out["args"] = [form_from_json(a, f"$.args[{i}]", chart_hint=w.chart)
-                       for i, a in enumerate(args_json)]
+            k = out["k"] = read_int(_get(p, "k", "$"), "$.k", 2, msg="must be >= 2")
+            size, msg = k + 1, f"must list {k + 1} forms"
+        out["args"] = read_list(args, "$.args", msg, form_from_json, w.chart, size=size)
     else:
-        frame_json = _get(p, "frame", "$")
-        _expect(isinstance(frame_json, list) and frame_json, "$.frame",
-                "must be a nonempty list of vector fields")
+        frame = _get(p, "frame", "$")
+        msg = "must be a nonempty list of vector fields"
+        read_list(frame, "$.frame", msg, least=1)  # the frame's shape before omega
         hint = None
         if check == "standard-subspace":
-            out["omega"] = _form(p, "omega")
+            out["omega"] = form_from_json(_get(p, "omega", "$"), "$.omega")
             hint = out["omega"].chart
-        out["frame"] = [
-            form_from_json(x, f"$.frame[{i}]", expect_kind="multivector",
-                           chart_hint=hint)
-            for i, x in enumerate(frame_json)
-        ]
+        out["frame"] = read_list(frame, "$.frame", msg, vector_from_json, hint)
     return out
 
 
 def _comoment_from_json(obj, algebra, n, chart_hint) -> ComomentData:
-    _expect(isinstance(obj, list) and len(obj) == n, "$.maps",
-            f"must list {n} components")
     d = algebra.dim
     maps = []
-    for i, comp in enumerate(obj, start=1):
-        _expect(isinstance(comp, list), f"$.maps[{i - 1}]", "must be a list")
+    comps = read_list(obj, "$.maps", f"must list {n} components", size=n)
+    for i, comp in enumerate(comps, start=1):
+        cp = f"$.maps[{i - 1}]"
         subsets = list(combinations(range(1, d + 1), i))
         entries = {}
-        for t, entry in enumerate(comp):
-            ep = f"$.maps[{i - 1}][{t}]"
+        for t, entry in enumerate(read_list(comp, cp, "must be a list")):
+            ep = f"{cp}[{t}]"
             _expect(isinstance(entry, dict), ep, "must be an object")
             idx = _get(entry, "idx", ep)
             key = (tuple(idx) if isinstance(idx, list)
@@ -350,10 +277,9 @@ def _comoment_from_json(obj, algebra, n, chart_hint) -> ComomentData:
             _expect(key in subsets, f"{ep}.idx",
                     f"must list {i} strictly increasing indices in 1..{d}")
             _expect(key not in entries, f"{ep}.idx", "repeats an earlier idx")
-            entries[key] = form_from_json(_get(entry, "form", ep), f"{ep}.form",
-                                          chart_hint=chart_hint)
+            entries[key] = form_from_json(_get(entry, "form", ep), f"{ep}.form", chart_hint)
         missing = [list(T) for T in subsets if T not in entries]
-        _expect(not missing, f"$.maps[{i - 1}]",
+        _expect(not missing, cp,
                 f"must list every {i}-subset of 1..{d}; missing {missing}")
         maps.append(entries)
     return ComomentData(algebra, n, tuple(maps))
@@ -625,21 +551,30 @@ def _cmd_verify(req: Request):
     return out, code
 
 
-# name -> (payload parser, handler), in the order the CLI lists them
-COMMANDS: Dict[str, Tuple[Callable[[dict], dict],
-                          Callable[[Request], Tuple[dict, int]]]] = {
-    "classify": (_parse_classify, _cmd_classify),
-    "flat": (_parse_flat, _cmd_flat),
-    "hamvf": (_parse_hamvf, _cmd_hamvf),
-    "hdw-residual": (_parse_hdw_residual, _cmd_hdw_residual),
-    "multiphase": (_parse_multiphase, _cmd_multiphase),
+OMEGA = ("omega", form_from_json)
+
+# name -> (payload field rows or parser, handler), in the order the CLI lists them
+COMMANDS: Dict[str, Tuple[Any, Callable[[Request], Tuple[dict, int]]]] = {
+    "classify": ((OMEGA, ("point", point_from_json, "omega")), _cmd_classify),
+    "flat": ((OMEGA,), _cmd_flat),
+    "hamvf": ((OMEGA, ("hamiltonian", form_from_json, "omega")), _cmd_hamvf),
+    "hdw-residual": ((OMEGA, ("field", vector_from_json, "omega"),
+                      ("hamiltonian", form_from_json, "omega")), _cmd_hdw_residual),
+    "multiphase": ((("n", read_int), ("N", read_int)), _cmd_multiphase),
     "volterra": (_parse_volterra, _cmd_volterra),
-    "curve-check": (_parse_curve_check, _cmd_curve_check),
-    "bracket": (_parse_bracket, _cmd_bracket),
+    "curve-check": ((("map", smooth_map_from_json),
+                     ("gamma", vector_from_json, "map.source"),
+                     ("field", vector_from_json, "map.target"),
+                     ("points", _list_of(point_from_json, "must be a nonempty list of points",
+                                         1), "map.source")), _cmd_curve_check),
+    "bracket": ((OMEGA, ("args", _list_of(form_from_json, "must list at least two forms", 2),
+                         "omega")), _cmd_bracket),
     "lie-validate": (_parse_lie_validate, _cmd_lie_validate),
     "comoment": (_parse_comoment, _cmd_comoment),
-    "obstruction": (_parse_obstruction, _cmd_obstruction),
-    "conserved": (_parse_conserved, _cmd_conserved),
+    "obstruction": ((("action", action_from_json), ("omega", form_from_json, "action"),
+                     ("i", read_positive)), _cmd_obstruction),
+    "conserved": ((OMEGA, ("hamiltonian", form_from_json, "omega"),
+                   ("alpha", form_from_json, "omega")), _cmd_conserved),
     "move": (_parse_move, _cmd_move),
     "verify": (_parse_verify, _cmd_verify),
 }

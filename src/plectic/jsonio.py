@@ -52,6 +52,45 @@ def _get(obj: dict, key: str, path: str):
     return obj[key]
 
 
+# The shared readers: integers (JSON ``true`` is not 1), lists read item by
+# item at ``path[i]``, and constructors whose failure is reported at a path.
+# A reader takes the JSON value, its path and any context (a chart, a
+# dimension) it needs.
+
+
+def read_int(v, path: str, lo: Optional[int] = 1, hi: Optional[int] = None,
+             msg: Optional[str] = None) -> int:
+    """A JSON integer in lo..hi (``None`` leaves a side open); ``true`` is
+    not 1."""
+    ok = type(v) is int and (lo is None or v >= lo) and (hi is None or v <= hi)
+    _expect(ok, path, msg or (f"must be an integer >= {lo}" if hi is None
+                              else f"must be an integer in {lo}..{hi}"))
+    return v
+
+
+def read_positive(v, path: str) -> int:
+    return read_int(v, path, msg="must be a positive integer")
+
+
+def read_list(obj, path: str, msg: str, item=None, *context,
+              size: Optional[int] = None, least: int = 0) -> list:
+    """A list of ``size`` (or at least ``least``) items, else ``msg``; with
+    ``item``, the list of ``item(value, f"{path}[i]", *context)``."""
+    _expect(isinstance(obj, list) and len(obj) >= least and size in (None, len(obj)),
+            path, msg)
+    if item is None:
+        return obj
+    return [item(v, f"{path}[{i}]", *context) for i, v in enumerate(obj)]
+
+
+def built(path: str, make, *args, note: str = ""):
+    """``make(*args)``, with any exception reported at ``path``."""
+    try:
+        return make(*args)
+    except Exception as exc:
+        _fail(path, f"{note}{exc}")
+
+
 # -- charts -----------------------------------------------------------------
 
 
@@ -64,13 +103,9 @@ def chart_to_json(ch: Chart) -> dict:
 
 def chart_from_json(obj, path: str = "chart") -> Chart:
     _expect(isinstance(obj, dict), path, "must be an object")
-    dim = _get(obj, "dim", path)
-    _expect(isinstance(dim, int) and dim >= 1, f"{path}.dim", "must be a positive integer")
-    positive = obj.get("positive", [])
-    _expect(isinstance(positive, list), f"{path}.positive", "must be a list")
-    for i, v in enumerate(positive):
-        _expect(isinstance(v, int) and 1 <= v <= dim, f"{path}.positive[{i}]",
-                f"must be an integer in 1..{dim}")
+    dim = read_positive(_get(obj, "dim", path), f"{path}.dim")
+    positive = read_list(obj.get("positive", []), f"{path}.positive", "must be a list",
+                         read_int, 1, dim)
     star = obj.get("star_shaped", True)
     _expect(isinstance(star, bool), f"{path}.star_shaped", "must be boolean")
     return chart(dim, positive, star_shaped=star)
@@ -79,14 +114,11 @@ def chart_from_json(obj, path: str = "chart") -> Chart:
 # -- expressions, forms, multivectors ----------------------------------------
 
 
-def expr_from_json(obj, dim: int, path: str) -> RationalExpr:
-    if isinstance(obj, int):
+def expr_from_json(obj, path: str, dim: int) -> RationalExpr:
+    if type(obj) is int:
         return RationalExpr.const(dim, obj)
     _expect(isinstance(obj, str), path, "must be an expression string or integer")
-    try:
-        return parse_expression(obj, dim)
-    except Exception as exc:
-        _fail(path, f"bad expression: {exc}")
+    return built(path, parse_expression, obj, dim, note="bad expression: ")
 
 
 def form_to_json(a) -> dict:
@@ -103,8 +135,8 @@ def form_to_json(a) -> dict:
     return out
 
 
-def form_from_json(obj, path: str = "form", expect_kind: Optional[str] = None,
-                   chart_hint: Optional[Chart] = None):
+def form_from_json(obj, path: str = "form", chart_hint: Optional[Chart] = None,
+                   expect_kind: Optional[str] = None):
     _expect(isinstance(obj, dict), path, "must be an object")
     kind = obj.get("kind", "form")
     _expect(kind in ("form", "multivector"), f"{path}.kind",
@@ -117,50 +149,40 @@ def form_from_json(obj, path: str = "form", expect_kind: Optional[str] = None,
         ch = chart_hint
     else:
         _fail(f"{path}.chart", "missing chart")
-    degree = _get(obj, "degree", path)
-    _expect(isinstance(degree, int) and degree >= 0, f"{path}.degree",
-            "must be a nonnegative integer")
+    degree = read_int(_get(obj, "degree", path), f"{path}.degree", 0,
+                      msg="must be a nonnegative integer")
     _expect(degree <= ch.dim, f"{path}.degree", "exceeds chart dimension")
-    terms = _get(obj, "terms", path)
-    _expect(isinstance(terms, list), f"{path}.terms", "must be a list")
+    terms = read_list(_get(obj, "terms", path), f"{path}.terms", "must be a list")
     coeffs = {}
     for t, term in enumerate(terms):
         tp = f"{path}.terms[{t}]"
         _expect(isinstance(term, dict), tp, "must be an object")
-        idx = _get(term, "idx", tp)
-        _expect(isinstance(idx, list), f"{tp}.idx", "must be a list")
+        idx = read_list(_get(term, "idx", tp), f"{tp}.idx", "must be a list")
         _expect(len(idx) == degree, f"{tp}.idx",
                 f"length {len(idx)} does not match degree {degree}")
         for v in idx:
-            _expect(isinstance(v, int) and 1 <= v <= ch.dim, f"{tp}.idx",
-                    f"indices must lie in 1..{ch.dim}")
+            read_int(v, f"{tp}.idx", 1, ch.dim, f"indices must lie in 1..{ch.dim}")
         _expect(all(idx[i] < idx[i + 1] for i in range(len(idx) - 1)),
                 f"{tp}.idx", "must be strictly increasing")
-        coeff = expr_from_json(_get(term, "coeff", tp), ch.dim, f"{tp}.coeff")
+        coeff = expr_from_json(_get(term, "coeff", tp), f"{tp}.coeff", ch.dim)
         key = tuple(idx)
-        if key in coeffs:
-            _fail(f"{tp}.idx", "duplicate index tuple")
+        _expect(key not in coeffs, f"{tp}.idx", "duplicate index tuple")
         coeffs[key] = coeff
-    try:
-        if kind == "multivector":
-            return MultiVec(ch, degree, coeffs)
-        return DiffForm(ch, degree, coeffs)
-    except Exception as exc:
-        _fail(path, str(exc))
+    return built(path, MultiVec if kind == "multivector" else DiffForm, ch, degree, coeffs)
+
+
+def vector_from_json(obj, path: str, chart_hint: Optional[Chart] = None) -> MultiVec:
+    return form_from_json(obj, path, chart_hint, "multivector")
 
 
 def smooth_map_from_json(obj, path: str = "map") -> SmoothMap:
     _expect(isinstance(obj, dict), path, "must be an object")
     src = chart_from_json(_get(obj, "source", path), f"{path}.source")
     tgt = chart_from_json(_get(obj, "target", path), f"{path}.target")
-    comps = _get(obj, "components", path)
-    _expect(isinstance(comps, list) and len(comps) == tgt.dim,
-            f"{path}.components", f"must list {tgt.dim} expressions")
-    parsed = tuple(
-        expr_from_json(c, src.dim, f"{path}.components[{i}]")
-        for i, c in enumerate(comps)
-    )
-    return SmoothMap(src, tgt, parsed)
+    comps = read_list(_get(obj, "components", path), f"{path}.components",
+                      f"must list {tgt.dim} expressions", expr_from_json, src.dim,
+                      size=tgt.dim)
+    return SmoothMap(src, tgt, tuple(comps))
 
 
 # -- points ------------------------------------------------------------------
@@ -168,37 +190,27 @@ def smooth_map_from_json(obj, path: str = "map") -> SmoothMap:
 
 def _rational_from_json(v, path: str) -> Fraction:
     """An integer or a rational string such as "-3/4"."""
-    if isinstance(v, int):
+    if type(v) is int:
         return Q(v)
-    if not isinstance(v, str):
-        _fail(path, "must be an integer or rational string")
-    try:
-        return parse_fraction(v)
-    except Exception as exc:
-        _fail(path, str(exc))
+    _expect(isinstance(v, str), path, "must be an integer or rational string")
+    return built(path, parse_fraction, v)
 
 
-def point_from_json(obj, dim: int, path: str) -> List[Fraction]:
-    _expect(isinstance(obj, list) and len(obj) == dim, path,
-            f"must be a list of {dim} rationals")
-    return [_rational_from_json(v, f"{path}[{i}]") for i, v in enumerate(obj)]
+def point_from_json(obj, path: str, ch: Chart) -> List[Fraction]:
+    return read_list(obj, path, f"must be a list of {ch.dim} rationals",
+                     _rational_from_json, size=ch.dim)
 
 
-def gaussian_point_from_json(obj, n: int, path: str) -> List[GaussianRational]:
-    _expect(isinstance(obj, list) and len(obj) == n, path,
-            f"must be a list of {n} Gaussian rationals")
-    out = []
-    for i, v in enumerate(obj):
-        if isinstance(v, int):
-            out.append(GaussianRational(v))
-        elif isinstance(v, str):
-            try:
-                out.append(parse_gaussian(v))
-            except Exception as exc:
-                _fail(f"{path}[{i}]", str(exc))
-        else:
-            _fail(f"{path}[{i}]", "must be an integer or 'a/b+c/d i' string")
-    return out
+def _gaussian_from_json(v, path: str) -> GaussianRational:
+    if type(v) is int:
+        return GaussianRational(v)
+    _expect(isinstance(v, str), path, "must be an integer or 'a/b+c/d i' string")
+    return built(path, parse_gaussian, v)
+
+
+def gaussian_point_from_json(obj, path: str, n: int) -> List[GaussianRational]:
+    return read_list(obj, path, f"must be a list of {n} Gaussian rationals",
+                     _gaussian_from_json, size=n)
 
 
 def gaussian_point_to_json(pt: Sequence[GaussianRational]) -> List[str]:
@@ -210,45 +222,29 @@ def gaussian_point_to_json(pt: Sequence[GaussianRational]) -> List[str]:
 
 def algebra_from_json(obj, path: str = "algebra") -> LieAlgebraData:
     _expect(isinstance(obj, dict), path, "must be an object")
-    dim = _get(obj, "dim", path)
-    _expect(isinstance(dim, int) and dim >= 1, f"{path}.dim",
-            "must be a positive integer")
-    c = _get(obj, "c", path)
-    _expect(isinstance(c, list) and len(c) == dim, f"{path}.c",
-            f"must be a {dim}^3 nested array")
-    conv = []
-    for i, row in enumerate(c):
-        _expect(isinstance(row, list) and len(row) == dim, f"{path}.c[{i}]",
-                f"must list {dim} vectors")
-        crow = []
-        for j, vec in enumerate(row):
-            _expect(isinstance(vec, list) and len(vec) == dim,
-                    f"{path}.c[{i}][{j}]", f"must list {dim} rationals")
-            crow.append(tuple(_rational_from_json(v, f"{path}.c[{i}][{j}][{k}]")
-                              for k, v in enumerate(vec)))
-        conv.append(tuple(crow))
-    try:
-        return LieAlgebraData(dim, tuple(conv))
-    except Exception as exc:
-        _fail(path, str(exc))
+    dim = read_positive(_get(obj, "dim", path), f"{path}.dim")
+
+    def vector(v, vp):
+        return tuple(read_list(v, vp, f"must list {dim} rationals", _rational_from_json,
+                               size=dim))
+
+    def row(v, rp):
+        return tuple(read_list(v, rp, f"must list {dim} vectors", vector, size=dim))
+
+    c = read_list(_get(obj, "c", path), f"{path}.c", f"must be a {dim}^3 nested array",
+                  row, size=dim)
+    return built(path, LieAlgebraData, dim, tuple(c))
 
 
 def action_from_json(obj, path: str = "action") -> LieAction:
     _expect(isinstance(obj, dict), path, "must be an object")
     algebra = algebra_from_json(_get(obj, "algebra", path), f"{path}.algebra")
-    gens_json = _get(obj, "generators", path)
-    _expect(isinstance(gens_json, list) and len(gens_json) == algebra.dim,
-            f"{path}.generators", f"must list {algebra.dim} vector fields")
-    gens = []
-    for i, gj in enumerate(gens_json):
-        g = form_from_json(gj, f"{path}.generators[{i}]", expect_kind="multivector")
-        gens.append(g)
+    gens = read_list(_get(obj, "generators", path), f"{path}.generators",
+                     f"must list {algebra.dim} vector fields", vector_from_json,
+                     size=algebra.dim)
     surrogate = obj.get("surrogate", False)
     _expect(isinstance(surrogate, bool), f"{path}.surrogate", "must be boolean")
-    try:
-        return LieAction(algebra, tuple(gens), surrogate=surrogate)
-    except Exception as exc:
-        _fail(path, str(exc))
+    return built(path, LieAction, algebra, gens, surrogate)
 
 
 # -- reports -----------------------------------------------------------------

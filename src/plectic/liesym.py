@@ -427,11 +427,18 @@ class ComomentData(Record):
         return val if sign > 0 else -val
 
 
+def comoment_order(w: DiffForm) -> int:
+    """The n of an (n+1)-form w; a comoment needs n >= 1."""
+    if w.degree < 2:
+        raise DegreeError(f"a comoment needs a form of degree >= 2, not {w.degree}")
+    return w.degree - 1
+
+
 def comoment_from_potential(act: LieAction, eta: DiffForm, w: DiffForm,
                             potential_sign: int = 1) -> ComomentData:
     """Comoment f_k = (-1)^k (-1)^(k(k+1)/2) i_{z(xi_k)}..i_{z(xi_1)} eta
     from an invariant potential (d eta = w, or -w with potential_sign=-1)."""
-    n = w.degree - 1
+    n = comoment_order(w)
     if eta.degree != n:
         raise DegreeError(f"potential must have degree {n}")
     target = w if potential_sign == 1 else -w
@@ -473,6 +480,7 @@ def comoment_verify(act: LieAction, w: DiffForm, cm: ComomentData) -> ComomentRe
     Locally constant shifts of any f_{i+1} are invisible to l_1 f_{i+1}; the
     kernel note records this freedom.
     """
+    comoment_order(w)
     n = cm.n
     d = act.algebra.dim
     lifting = {}

@@ -303,6 +303,59 @@ def test_rational_entries_share_paths_and_messages(cmd, payload, violation):
     assert err.value.violations == [violation]
 
 
+def _vec3(i):
+    return {"chart": {"dim": 3, "positive": []}, "kind": "multivector", "degree": 1,
+            "terms": [{"idx": [i], "coeff": "1"}]}
+
+
+def _form3(degree, coeff="1"):
+    return {"chart": {"dim": 3, "positive": []}, "degree": degree,
+            "terms": [{"idx": list(range(1, degree + 1)), "coeff": coeff}]}
+
+
+LINE_ACTION = {"algebra": {"dim": 1, "c": [[[0]]]}, "generators": [_vec3(2)]}
+
+
+@pytest.mark.parametrize("cmd,payload,violation", [
+    ("multiphase", {"n": True, "N": 1}, "$.n: must be an integer >= 1"),
+    ("verify", {"check": "ring-laws", "samples": True},
+     "$.samples: must be a positive integer"),
+    ("classify", {"omega": {"chart": {"dim": 6}, "degree": 3,
+                            "terms": [{"idx": [True, 2, 3], "coeff": "1"}]},
+                  "point": [0] * 6},
+     "$.omega.terms[0].idx: indices must lie in 1..6"),
+    ("classify", {"omega": W6_product(), "point": [0, True, 0, 0, 0, 0]},
+     "$.point[1]: must be an integer or rational string"),
+    ("comoment", {"action": LINE_ACTION, "omega": _form3(3), "mode": "from-potential",
+                  "potential": _form3(2, "x3"), "potential_sign": True},
+     "$.potential_sign: must be 1 or -1"),
+])
+def test_a_json_boolean_is_not_an_integer(cmd, payload, violation):
+    with pytest.raises(SchemaError) as err:
+        go(cmd, payload)
+    assert err.value.violations == [violation]
+
+
+@pytest.mark.parametrize("cmd,payload,detail", [
+    ("comoment", {"action": LINE_ACTION, "omega": _form3(1), "mode": "verify", "maps": []},
+     "a comoment needs a form of degree >= 2, not 1"),
+    ("comoment", {"action": LINE_ACTION, "omega": _form3(0), "mode": "verify", "maps": []},
+     "a comoment needs a form of degree >= 2, not 0"),
+    ("comoment", {"action": LINE_ACTION, "omega": _form3(0), "mode": "from-potential",
+                  "potential": _form3(0)},
+     "a comoment needs a form of degree >= 2, not 0"),
+    ("verify", {"check": "standard-subspace", "omega": _form3(0), "frame": [_vec3(1)]},
+     "a standard subspace needs a form of degree >= 1"),
+])
+def test_a_form_below_the_needed_degree_is_a_degree_error(tmp_path, capsys, cmd, payload,
+                                                          detail):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    assert main([cmd, str(path)]) == EXIT_ERROR
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == {"error": {"kind": "DegreeError", "detail": detail}}
+
+
 def test_form_json_roundtrip_byte_identical():
     from plectic.jsonio import form_from_json, form_to_json
 
@@ -353,9 +406,10 @@ def test_parse_request_checks_the_command_and_seed():
     with pytest.raises(SchemaError) as err:
         parse_request(b"{}", "nope")
     assert [v for v in err.value.violations if v.startswith("$.command")]
-    with pytest.raises(SchemaError) as err:
-        parse_request(raw, "verify", {"seed": "2"})
-    assert err.value.violations == ["$.options.seed: must be an integer"]
+    for seed in ("2", True):
+        with pytest.raises(SchemaError) as err:
+            parse_request(raw, "verify", {"seed": seed})
+        assert err.value.violations == ["$.options.seed: must be an integer"]
 
 
 def run_cli(tmp_path, cmd, payload):
