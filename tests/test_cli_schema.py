@@ -53,6 +53,9 @@ def _payloads():
     return out + EXTRA
 
 
+_DELETE = object()
+
+
 def _replace(obj, path, value):
     """A copy of ``obj`` with the node at ``path`` set to ``value``, or
     deleted when ``value`` is ``_DELETE``."""
@@ -71,16 +74,13 @@ def _replace(obj, path, value):
     return out
 
 
-_DELETE = object()
-
-
-def _nodes(obj, path=()):
-    """Every (path, value) below ``obj``, depth first in key order."""
+def _paths(obj, path=()):
+    """The path of every value below ``obj``, depth first in key order."""
     items = (sorted(obj.items()) if isinstance(obj, dict)
              else enumerate(obj) if isinstance(obj, list) else ())
     for k, v in items:
-        yield path + (k,), v
-        yield from _nodes(v, path + (k,))
+        yield path + (k,)
+        yield from _paths(v, path + (k,))
 
 
 def _label(path):
@@ -88,7 +88,7 @@ def _label(path):
 
 
 def _mutations(payload):
-    for path, _v in _nodes(payload):
+    for path in _paths(payload):
         if isinstance(path[-1], str):
             yield f"del {_label(path)}", _replace(payload, path, _DELETE)
         for bad in BAD_VALUES:
@@ -139,7 +139,7 @@ def test_a_boolean_is_not_an_integer(cmd):
     for c, payload in _payloads():
         if c != cmd:
             continue
-        for path, _v in _nodes(payload):
+        for path in _paths(payload):
             if path[-1] in BOOLEAN_FIELDS:
                 continue
             as_float = _report(cmd, _replace(payload, path, 1.5))
