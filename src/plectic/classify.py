@@ -41,6 +41,7 @@ from .errors import (
     WrongType,
 )
 from .exterior import (
+    _accumulate,
     _cleared,
     _contraction_columns,
     Chart,
@@ -55,7 +56,7 @@ from .exterior import (
     vf_bracket,
 )
 from .record import Record
-from .scalar import GaussianRational, RationalExpr
+from .scalar import GaussianRational, RationalExpr, _constant_coeff
 
 Q = Fraction
 
@@ -157,24 +158,6 @@ class NondegeneracyReport(NamedTuple):
         return self.nondegenerate
 
 
-def _split_constants(w: DiffForm) -> Tuple[Dict[tuple, object], DiffForm]:
-    """(the values of w's constant coefficients, the form of its other
-    terms); each constant coefficient is read once."""
-    constants = {idx: c.constant_value() for idx, c in w.coeffs.items() if c.is_constant}
-    varying = {idx: c for idx, c in w.coeffs.items() if idx not in constants}
-    return constants, DiffForm._raw(w.chart, w.degree, varying)
-
-
-def _values_at(constants: Dict[tuple, object], varying: DiffForm,
-               point: Sequence) -> Dict[tuple, Fraction]:
-    """w's coefficients at the point, from the parts ``_split_constants``
-    returns: the constant ones as read, the others evaluated."""
-    pt = varying.chart.check_point(point)
-    values = {idx: _rational(v) for idx, v in constants.items()}
-    values.update((idx, _rational(c.eval(pt))) for idx, c in varying.coeffs.items())
-    return values
-
-
 def _rational(v) -> Fraction:
     """v as a Fraction; a Gaussian value must be real."""
     if type(v) is Fraction:
@@ -191,12 +174,10 @@ def nondegenerate(w: DiffForm, point: Optional[Sequence] = None) -> Nondegenerac
     if w.degree < 2:
         raise DegreeError("non-degeneracy test needs a form of degree >= 2")
     chart = w.chart
-    if point is not None:  # in int, scaled by the lcm of the denominators
-        _D, values = _cleared(_values_at(*_split_constants(w), point))
-        cols = _contraction_columns(values, chart.dim)
-        matrix = [[c.get(t, 0) for c in cols] for t in sorted(set().union(*cols))]
-    else:
-        _rows, matrix = contraction_matrix(w)
+    if point is not None:  # evaluate first; a non-real value raises ShapeError
+        w = DiffForm(chart, w.degree, {idx: _rational(c.constant_value())
+                                       for idx, c in w.eval_at(point).coeffs.items()})
+    _rows, matrix = contraction_matrix(w)
     if not matrix:
         kernel_vecs = [coordinate_vector(chart, v) for v in range(1, chart.dim + 1)]
         return NondegeneracyReport(False, tuple(kernel_vecs))
@@ -249,17 +230,12 @@ class EndField(Record):
     def apply(self, X: MultiVec) -> MultiVec:
         if X.degree != 1:
             raise DegreeError("EndField acts on vector fields")
-        d = self.chart.dim
-        out = {}
-        for k in range(1, d + 1):
-            acc = RationalExpr.const(d, 0)
-            for i in range(1, d + 1):
-                xi = X.coeffs.get((i,))
-                if xi is not None:
-                    acc = acc + self.matrix[k - 1][i - 1] * xi
-            if acc:
-                out[(k,)] = acc
-        return MultiVec(self.chart, 1, out)
+        out: Dict[Tuple[int], RationalExpr] = {}
+        for (i,), xi in sorted(X.coeffs.items()):  # each row sums in increasing i
+            for k, row in enumerate(self.matrix, start=1):
+                if row[i - 1]:
+                    _accumulate(out, (k,), row[i - 1] * xi)
+        return MultiVec(self.chart, 1, dict(sorted(out.items())))
 
     def compose(self, other: "EndField") -> "EndField":
         if other.chart != self.chart:
@@ -301,17 +277,6 @@ class EndField(Record):
 
     def __neg__(self) -> "EndField":
         return self.scale(RationalExpr.const(self.chart.dim, -1))
-
-    def __eq__(self, other):
-        if not isinstance(other, EndField):
-            return NotImplemented
-        if self.chart != other.chart:
-            return False
-        return all(
-            a == b for ra, rb in zip(self.matrix, other.matrix) for a, b in zip(ra, rb)
-        )
-
-    __hash__ = Record.__hash__
 
     def is_multiple_of_identity(self) -> Optional[RationalExpr]:
         """The scalar s with self = s*I, or None."""
@@ -429,10 +394,16 @@ def _rank_at_least_two(rows: Sequence[Sequence[int]]) -> bool:
 
 def _classify_at(w: DiffForm, point: Sequence) -> Tuple[TypeReport, Fraction]:
     """``classify6``'s report together with the exact trace(J(p)^2) for the
-    standard volume."""
-    constants, varying = _split_constants(w)
-    _require_closed_3form_dim6(varying)  # d of a constant is zero
-    D, values = _cleared(_values_at(constants, varying, point))
+    standard volume.  Each constant coefficient is read once, and only the
+    others are checked for closedness (d of a constant is zero) and evaluated."""
+    constants = {idx: v for idx, c in w.coeffs.items()
+                 if (v := _constant_coeff(c)) is not None}
+    varying = {idx: c for idx, c in w.coeffs.items() if idx not in constants}
+    _require_closed_3form_dim6(DiffForm._raw(w.chart, w.degree, varying))
+    pt = w.chart.check_point(point)
+    values = {idx: _rational(v) for idx, v in constants.items()}
+    values.update((idx, _rational(c.eval(pt))) for idx, c in varying.items())
+    D, values = _cleared(values)
     gj = _volume_times_j(values, 0)
     tv = _trace_sq(gj, 0)  # trace(J^2) times D^4 > 0: the sign is exact
     if tv > 0:
@@ -641,24 +612,14 @@ def nijenhuis(J: EndField):
     if not J.square() == minus_id:
         raise NotAlmostComplex("J^2 != -I")
     values: Dict[Tuple[int, int], MultiVec] = {}
+    e = [coordinate_vector(chart, i) for i in range(1, d + 1)]
     cols = [J.column_field(i) for i in range(1, d + 1)]
-
-    def partial_field(X: MultiVec, j: int) -> MultiVec:
-        """[e_j, X] = d_j X = -[X, e_j]; and [e_i, e_j] = 0."""
-        out = {}
-        for k, c in X.coeffs.items():
-            p = c.partial(j)
-            if p:
-                out[k] = p
-        return MultiVec._raw(chart, 1, out)
-
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            term = vf_bracket(cols[i - 1], cols[j - 1])
-            term = term - J.apply(-partial_field(cols[i - 1], j))
-            term = term - J.apply(partial_field(cols[j - 1], i))
-            if term:
-                values[(i, j)] = term
+    for i, j in combinations(range(d), 2):
+        # N(e_i, e_j) = [Je_i, Je_j] - J[Je_i, e_j] - J[e_i, Je_j]
+        term = (vf_bracket(cols[i], cols[j]) - J.apply(vf_bracket(cols[i], e[j]))
+                - J.apply(vf_bracket(e[i], cols[j])))
+        if term:
+            values[(i + 1, j + 1)] = term
     return NijenhuisReport(chart, values)
 
 

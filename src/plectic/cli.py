@@ -51,6 +51,7 @@ from .hdw import (
     hamilton_volterra_residual,
     hdw_residual,
     multiphase_forms,
+    plectic_order,
 )
 from .jsonio import (
     _expect,
@@ -75,7 +76,6 @@ from .jsonio import (
 from .liesym import (
     ComomentData,
     comoment_from_potential,
-    comoment_order,
     comoment_verify,
     conserved_classify,
     killing_form,
@@ -208,7 +208,7 @@ def _parse_comoment(p):
     mode = out["mode"] = _get(p, "mode", "$")
     _expect(mode in ("from-potential", "verify"), "$.mode",
             "must be 'from-potential' or 'verify'")
-    n = comoment_order(w)  # in both modes, before the maps are counted
+    n = plectic_order(w, "a comoment")  # in both modes, before the maps are counted
     if mode == "from-potential":
         out["potential"] = form_from_json(_get(p, "potential", "$"), "$.potential", w.chart)
         sign = out["potential_sign"] = p.get("potential_sign", 1)

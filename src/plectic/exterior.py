@@ -35,6 +35,7 @@ from .scalar import (
     Fraction,
     RationalExpr,
     ScalarExpr,
+    _as_fraction,
     _constant_coeff,
     parse_expression,
 )
@@ -75,7 +76,7 @@ class Chart(Record):
     def check_point(self, point: Sequence) -> List[Fraction]:
         if len(point) != self.dim:
             raise ShapeError(f"point length {len(point)} != dim {self.dim}")
-        pt = [Fraction(v) for v in point]
+        pt = [_as_fraction(v) for v in point]
         for i in self.positive:
             if pt[i - 1] <= 0:
                 raise DomainViolation(
@@ -441,27 +442,28 @@ def full_contract(a: DiffForm, vectors: Sequence[MultiVec]) -> RationalExpr:
 
 
 def vf_bracket(X: MultiVec, Y: MultiVec) -> MultiVec:
-    """Lie bracket of two vector fields."""
+    """Lie bracket of two vector fields.
+
+    Component k sums X^i d_i Y^k and then -Y^i d_i X^k in increasing i over
+    the components present, each partial only in a variable its coefficient
+    uses, so it prints as the dense sum does."""
     if X.degree != 1 or Y.degree != 1:
         raise DegreeError("bracket needs two vector fields")
     if X.chart != Y.chart:
         raise ChartMismatch("bracket of fields on different charts")
-    dim = X.chart.dim
-    out = {}
-    for k in range(1, dim + 1):
-        acc = RationalExpr.const(dim, 0)
-        yk = Y.coeffs.get((k,))
-        xk = X.coeffs.get((k,))
-        for i in range(1, dim + 1):
-            xi = X.coeffs.get((i,))
-            yi = Y.coeffs.get((i,))
-            if xi is not None and yk is not None:
-                acc = acc + xi * yk.partial(i)
-            if yi is not None and xk is not None:
-                acc = acc - yi * xk.partial(i)
-        if acc:
-            out[(k,)] = acc
-    return MultiVec(X.chart, 1, out)
+    sides = [(a.coeffs, [(k, c, c.used_vars()) for k, c in b.coeffs.items()], sign)
+             for a, b, sign in ((X, Y, 1), (Y, X, -1))]
+    out: Dict[IndexTuple, RationalExpr] = {}
+    for (i,) in sorted(X.coeffs.keys() | Y.coeffs.keys()):
+        for a, b, sign in sides:
+            ai = a.get((i,))
+            if ai is not None:
+                for k, bk, used in b:
+                    if i in used:
+                        term = ai * bk.partial(i, sign)
+                        if term:  # a partial of an uncancelled x/x is zero
+                            _accumulate(out, k, term)
+    return MultiVec._raw(X.chart, 1, dict(sorted(out.items())))
 
 
 class SmoothMap(Record):

@@ -53,6 +53,13 @@ def _rhs_sign(w: DiffForm, sign_convention: str) -> int:
     raise ShapeError(f"unknown sign convention {sign_convention!r}")
 
 
+def plectic_order(w: DiffForm, subject: str) -> int:
+    """The n of an (n+1)-form w; every n-plectic construction needs n >= 1."""
+    if w.degree < 2:
+        raise DegreeError(f"{subject} needs a form of degree >= 2, not {w.degree}")
+    return w.degree - 1
+
+
 @lru_cache(maxsize=8)
 def _factored_contraction(w: DiffForm, sign: int):
     """(row tuples, their set, Factored matrix) of v -> sign i_v w: solving
@@ -66,7 +73,7 @@ def ham_vector_field(w: DiffForm, H: DiffForm,
     """Unique vector field X with i_X w = -dH (w non-degenerate)."""
     if H.chart != w.chart:
         raise ChartMismatch("Hamiltonian form lives on a different chart")
-    n = w.degree - 1
+    n = plectic_order(w, "a Hamiltonian vector field")
     if H.degree != n - 1:
         raise DegreeError(
             f"Hamiltonian form must have degree {n - 1}, got {H.degree}"
@@ -101,7 +108,7 @@ def hdw_residual(w: DiffForm, X: MultiVec, H: DiffForm,
     solution)."""
     if X.chart != w.chart or H.chart != w.chart:
         raise ChartMismatch("operands live on different charts")
-    n = w.degree - 1
+    n = plectic_order(w, "an HDW residual")
     if X.degree + H.degree != n:
         raise DegreeError(
             f"degrees inconsistent: deg X + deg H = {X.degree + H.degree} != {n}"

@@ -47,8 +47,10 @@ from .exterior import (
     sort_index_tuple,
     vf_bracket,
 )
+from .hdw import plectic_order
 from .linfty import Observable, _bracket_sign
 from .record import Record
+from .scalar import _as_fraction
 
 Q = Fraction
 
@@ -61,7 +63,7 @@ class LieAlgebraData(Record):
     def __init__(self, dim: int, c: Sequence):
         d = dim
         c = tuple(
-            tuple(tuple(Q(v) for v in vec) for vec in row) for row in c
+            tuple(tuple(_as_fraction(v) for v in vec) for vec in row) for row in c
         )
         if len(c) != d or any(len(row) != d for row in c) or any(
             len(vec) != d for row in c for vec in row
@@ -87,8 +89,8 @@ class LieAlgebraData(Record):
 
     def bracket(self, u: Sequence, v: Sequence) -> List[Fraction]:
         d = self.dim
-        u = [Q(x) for x in u]
-        v = [Q(x) for x in v]
+        u = [_as_fraction(x) for x in u]
+        v = [_as_fraction(x) for x in v]
         out = [Q(0)] * d
         for i in range(d):
             if not u[i]:
@@ -156,7 +158,7 @@ class KillingReport(NamedTuple):
         for i in range(d):
             for j in range(d):
                 if self.matrix[i][j]:
-                    acc += Q(u[i]) * Q(v[j]) * self.matrix[i][j]
+                    acc += _as_fraction(u[i]) * _as_fraction(v[j]) * self.matrix[i][j]
         return acc
 
 
@@ -354,7 +356,7 @@ def _contract_generators(act: LieAction, T: Sequence[int], a: DiffForm) -> DiffF
 
 def obstruction_cochain(act: LieAction, w: DiffForm, index: int) -> ObstructionReport:
     """The iterated-contraction cochain (xi_1..xi_i) -> i_{z(xi_i)}..i_{z(xi_1)} w."""
-    n = w.degree - 1
+    n = plectic_order(w, "an obstruction cochain")
     if not 1 <= index <= n + 1:
         raise DegreeError(f"obstruction index {index} outside 1..{n + 1}")
     if act.chart != w.chart:
@@ -427,18 +429,11 @@ class ComomentData(Record):
         return val if sign > 0 else -val
 
 
-def comoment_order(w: DiffForm) -> int:
-    """The n of an (n+1)-form w; a comoment needs n >= 1."""
-    if w.degree < 2:
-        raise DegreeError(f"a comoment needs a form of degree >= 2, not {w.degree}")
-    return w.degree - 1
-
-
 def comoment_from_potential(act: LieAction, eta: DiffForm, w: DiffForm,
                             potential_sign: int = 1) -> ComomentData:
     """Comoment f_k = (-1)^k (-1)^(k(k+1)/2) i_{z(xi_k)}..i_{z(xi_1)} eta
     from an invariant potential (d eta = w, or -w with potential_sign=-1)."""
-    n = comoment_order(w)
+    n = plectic_order(w, "a comoment")
     if eta.degree != n:
         raise DegreeError(f"potential must have degree {n}")
     target = w if potential_sign == 1 else -w
@@ -480,7 +475,7 @@ def comoment_verify(act: LieAction, w: DiffForm, cm: ComomentData) -> ComomentRe
     Locally constant shifts of any f_{i+1} are invisible to l_1 f_{i+1}; the
     kernel note records this freedom.
     """
-    comoment_order(w)
+    plectic_order(w, "a comoment")
     n = cm.n
     d = act.algebra.dim
     lifting = {}

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import ChartMismatch, DegreeError
 from .exterior import DiffForm, MultiVec, ext_d, interior
-from .hdw import ham_vector_field
+from .hdw import ham_vector_field, plectic_order
 from .record import Record
 
 
@@ -48,7 +48,7 @@ def make_observable(w: DiffForm, alpha: DiffForm) -> Observable:
     """Wrap a form as an observable, solving for its field at top degree."""
     if alpha.chart != w.chart:
         raise ChartMismatch("observable lives on a different chart")
-    n = w.degree - 1
+    n = plectic_order(w, "an observable")
     if alpha.degree > n - 1:
         raise DegreeError(f"observables have degree at most {n - 1}")
     if alpha.degree == n - 1:

@@ -31,6 +31,7 @@ from plectic.classify import (
 )
 from plectic.errors import (
     DependentFrame,
+    IrrationalScale,
     IrrationalValue,
     NotAlmostComplex,
     NotClosed,
@@ -46,13 +47,15 @@ from plectic.exterior import (
     form,
     interior,
     multivec,
+    pullback,
+    SmoothMap,
     vf_bracket,
     wedge,
 )
 from plectic.hdw import multiphase_forms
 from plectic.linalg import det
 from plectic.scalar import GaussianRational, RationalExpr, parse_expression
-from util import rand_form, rand_rational_gl
+from util import rand_form, rand_poly, rand_rational_gl
 
 C6 = chart(6)
 HALF = catalog.half_space6()
@@ -633,6 +636,89 @@ def test_nijenhuis_nonintegrable_example():
 def test_nijenhuis_requires_acs():
     with pytest.raises(NotAlmostComplex):
         nijenhuis(EndField.identity(chart(4)))
+
+
+def _rand_quotient(rng, dim, dens=None):
+    """A seeded coefficient: a polynomial, a quotient by a polynomial (one of
+    ``dens`` if given, so that sums meet equal denominators), or an
+    uncancelled p/p, whose partials are zero."""
+    num, den = rand_poly(rng, dim), rng.choice(dens) if dens else rand_poly(rng, dim)
+    kind = rng.randrange(4)
+    if kind == 0 or not den:
+        return num
+    if kind == 1:
+        return RationalExpr(den.num, den.num)
+    return RationalExpr(num.num * den.num if kind == 2 else num.num, den.num)
+
+
+def _rand_field(rng, ch, dens=None):
+    keys = rng.sample(range(1, ch.dim + 1), rng.randint(1, ch.dim))
+    return multivec(ch, 1, {(k,): _rand_quotient(rng, ch.dim, dens) for k in keys})
+
+
+def _complex_pullback(rng):
+    """omega_f(f) for a negative f, pulled back along a triangular map with
+    x2 -> a x2 (a a square) and constant diagonal, so that sqrt(-6 / trace(J^2))
+    stays exact; returns (J normalized to J^2 = -I, or None)."""
+    a = rng.choice([1, 4, Q(1, 4), 9])
+    order = [2, 1, 3, 4, 5, 6]
+    comps = [None] * 6
+    for pos, i in enumerate(order):
+        terms = [f"{a}*x2" if i == 2 else f"{rng.choice([1, -1, 2])}*x{i}"]
+        for _ in range(rng.randint(0, 2) if pos else 0):
+            j, k = rng.choice(order[:pos]), rng.choice(order[:pos])
+            terms.append(f"{rng.randint(-2, 2)}*x{j}*x{k}")
+        comps[i - 1] = parse_expression(" + ".join(terms), 6)
+    f = rng.choice(("-1", "-x2", "-x2^2", "-1/x2", "-4*x2^3", "-x2^(1/2)"))
+    w = pullback(SmoothMap(HALF, HALF, comps), catalog.omega_f(f))
+    J = hitchin_endomorphism(w, standard_volume(HALF))
+    t = _trace_sq(J.matrix, RationalExpr.const(6, 0))
+    try:
+        return J.scale(classify._sqrt_rational_expr(RationalExpr.const(6, -6) / t))
+    except IrrationalScale:
+        return None
+
+
+def test_vector_field_layer_matches_the_dense_reference():
+    """Brackets, J.X and Nijenhuis values print exactly as the dense sums do,
+    with the same component order."""
+    from field_reference import reference_apply, reference_bracket, reference_nijenhuis
+
+    rng = random.Random(4240)
+    for _ in range(150):
+        ch = chart(rng.randint(2, 6))
+        dens = [rand_poly(rng, ch.dim) for _ in range(2)] if rng.random() < 0.5 else None
+        X, Y = _rand_field(rng, ch, dens), _rand_field(rng, ch, dens)
+        got, want = vf_bracket(X, Y), reference_bracket(X, Y)
+        assert repr(got) == repr(want) and list(got.coeffs) == list(want.coeffs), (X, Y)
+        J = EndField(ch, tuple(tuple(_rand_quotient(rng, ch.dim, dens) if rng.random() < 0.6
+                                     else RationalExpr.const(ch.dim, 0)
+                                     for _ in range(ch.dim)) for _ in range(ch.dim)))
+        got, want = J.apply(X), reference_apply(J, X)
+        assert repr(got) == repr(want) and list(got.coeffs) == list(want.coeffs), (J, X)
+    witnesses = 0
+    for _ in range(30):
+        J = _complex_pullback(rng)
+        if J is not None:
+            got = nijenhuis(J).values
+            assert repr(got) == repr(reference_nijenhuis(J))
+            witnesses += bool(got)
+    assert witnesses >= 15
+
+
+def test_endfield_equality_is_by_value():
+    """Record equality compares the entries by value, as elementwise == does:
+    an entry times (x1 + 1)/(x1 + 1) prints differently and is equal."""
+    rng = random.Random(4241)
+    c3 = chart(3)
+    unit = parse_expression("(x1 + 1)/(x1 + 1)", 3)
+    for _ in range(20):
+        rows = [[_rand_quotient(rng, 3) for _ in range(3)] for _ in range(3)]
+        J = EndField.from_rows(c3, rows)
+        K = EndField.from_rows(c3, [[v * unit for v in row] for row in rows])
+        assert str(J.matrix) != str(K.matrix) and J == K and hash(J) == hash(K)
+        rows[rng.randrange(3)][rng.randrange(3)] += 1
+        assert J != EndField.from_rows(c3, rows)
 
 
 # -- involutivity ------------------------------------------------------------------

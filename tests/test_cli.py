@@ -346,6 +346,27 @@ def test_a_json_boolean_is_not_an_integer(cmd, payload, violation):
      "a comoment needs a form of degree >= 2, not 0"),
     ("verify", {"check": "standard-subspace", "omega": _form3(0), "frame": [_vec3(1)]},
      "a standard subspace needs a form of degree >= 1"),
+    ("hamvf", {"omega": _form3(1), "hamiltonian": _form3(0, "x1")},
+     "a Hamiltonian vector field needs a form of degree >= 2, not 1"),
+    ("hamvf", {"omega": _form3(0), "hamiltonian": _form3(0, "x1")},
+     "a Hamiltonian vector field needs a form of degree >= 2, not 0"),
+    ("hdw-residual", {"omega": _form3(1), "field": _vec3(1), "hamiltonian": _form3(0, "x1")},
+     "an HDW residual needs a form of degree >= 2, not 1"),
+    ("bracket", {"omega": _form3(1), "args": [_form3(0, "x1"), _form3(0, "x2")]},
+     "an observable needs a form of degree >= 2, not 1"),
+    ("conserved", {"omega": _form3(1), "hamiltonian": _form3(0, "x1"),
+                   "alpha": _form3(0, "x2")},
+     "an observable needs a form of degree >= 2, not 1"),
+    ("verify", {"check": "jacobiator", "omega": _form3(1),
+                "args": [_form3(0, "x1"), _form3(0, "x2"), _form3(0, "x3")]},
+     "an observable needs a form of degree >= 2, not 1"),
+    ("verify", {"check": "linfty-relation", "k": 2, "omega": _form3(1),
+                "args": [_form3(0, "x1"), _form3(0, "x2"), _form3(0, "x3")]},
+     "an observable needs a form of degree >= 2, not 1"),
+    ("obstruction", {"action": LINE_ACTION, "omega": _form3(1), "i": 1},
+     "an obstruction cochain needs a form of degree >= 2, not 1"),
+    ("obstruction", {"action": LINE_ACTION, "omega": _form3(0), "i": 1},
+     "an obstruction cochain needs a form of degree >= 2, not 0"),
 ])
 def test_a_form_below_the_needed_degree_is_a_degree_error(tmp_path, capsys, cmd, payload,
                                                           detail):

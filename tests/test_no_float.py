@@ -34,3 +34,25 @@ def test_no_float_outside_the_float_trace_presentation():
 def test_float_calls_and_literals_are_found():
     tree = ast.parse("def f(x):\n    return float(x)\n\ny = 1e-9\nz = 2j\nn = 3\n")
     assert list(_floats(tree)) == [("f", 2), (None, 4), (None, 5)]
+
+
+def test_library_entry_points_reject_a_float_input():
+    """A float is read exactly or not at all: each entry point that takes
+    rational values raises ShapeError instead of a binary fraction."""
+    import pytest
+
+    from plectic import catalog, classify, liesym
+    from plectic.errors import ShapeError
+
+    w, point = catalog.omega_f("x2^2+1"), [0.1, 0.3, 0, 0, 0, 0]
+    so3, killing = liesym.so3(), liesym.killing_form(liesym.so3())
+    calls = [lambda: classify.classify6(w, point), lambda: w.eval_at(point),
+             lambda: classify.nondegenerate(w, point),
+             lambda: liesym.LieAlgebraData(1, [[[0.1]]]),
+             lambda: so3.bracket([0.1, 0, 0], [0, 1, 0]),
+             lambda: so3.bracket([0, 1, 0], [0, 0.1, 0]),
+             lambda: killing.value([0.1, 0, 0], [1, 0, 0]),
+             lambda: killing.value([1, 0, 0], [0.1, 0, 0])]
+    for call in calls:
+        with pytest.raises(ShapeError, match=r"^not an exact rational: 0\.1$"):
+            call()
