@@ -56,7 +56,7 @@ from .exterior import (
     vf_bracket,
 )
 from .record import Record
-from .scalar import GaussianRational, RationalExpr, _constant_coeff
+from .scalar import RationalExpr, _as_fraction, _constant_coeff
 
 Q = Fraction
 
@@ -97,7 +97,7 @@ def _monomial_sign(expr: RationalExpr, chart: Chart) -> Optional[str]:
     for i, e in enumerate(exps, start=1):
         if e and i not in chart.positive:
             return None
-    return "+" if _rational(c) > 0 else "-"
+    return "+" if _as_fraction(c) > 0 else "-"
 
 
 def sign_on_chart(expr: RationalExpr, chart: Chart) -> SignReport:
@@ -110,7 +110,7 @@ def sign_on_chart(expr: RationalExpr, chart: Chart) -> SignReport:
     if expr.is_zero:
         return SignReport("0", True)
     if expr.is_constant:
-        return SignReport("+" if _rational(expr.constant_value()) > 0 else "-", True)
+        return SignReport("+" if _as_fraction(expr.constant_value()) > 0 else "-", True)
     mono = _monomial_sign(expr, chart)
     if mono is not None:
         return SignReport(mono, True)
@@ -127,7 +127,7 @@ def sign_on_chart(expr: RationalExpr, chart: Chart) -> SignReport:
             v = expr.eval(point)
         except PlecticError:
             continue
-        v = _rational(v)
+        v = _as_fraction(v)
         if v > 0 and pos_w is None:
             pos_w = (tuple(point), v)
         elif v < 0 and neg_w is None:
@@ -158,24 +158,13 @@ class NondegeneracyReport(NamedTuple):
         return self.nondegenerate
 
 
-def _rational(v) -> Fraction:
-    """v as a Fraction; a Gaussian value must be real."""
-    if type(v) is Fraction:
-        return v
-    if isinstance(v, GaussianRational):
-        if not v.is_real:
-            raise ShapeError(f"not an exact rational: {v!r}")
-        return v.re
-    return Q(v)
-
-
 def nondegenerate(w: DiffForm, point: Optional[Sequence] = None) -> NondegeneracyReport:
     """Is v -> i_v w injective (exactly, at a point or over the fraction field)?"""
     if w.degree < 2:
         raise DegreeError("non-degeneracy test needs a form of degree >= 2")
     chart = w.chart
     if point is not None:  # evaluate first; a non-real value raises ShapeError
-        w = DiffForm(chart, w.degree, {idx: _rational(c.constant_value())
+        w = DiffForm(chart, w.degree, {idx: _as_fraction(c.constant_value())
                                        for idx, c in w.eval_at(point).coeffs.items()})
     _rows, matrix = contraction_matrix(w)
     if not matrix:
@@ -237,14 +226,12 @@ class EndField(Record):
                     _accumulate(out, (k,), row[i - 1] * xi)
         return MultiVec(self.chart, 1, dict(sorted(out.items())))
 
-    def compose(self, other: "EndField") -> "EndField":
-        if other.chart != self.chart:
-            raise ChartMismatch("composing endomorphisms on different charts")
+    def square(self) -> "EndField":
         # summing only the nonzero products prints the same as the dense sum:
         # adding a zero leaves a RationalExpr's numerator and denominator as
         # they are
         zero = RationalExpr.const(self.chart.dim, 0)
-        cols = list(zip(*other.matrix))
+        cols = list(zip(*self.matrix))
         rows = []
         for row in self.matrix:
             out = []
@@ -253,9 +240,6 @@ class EndField(Record):
                 out.append(reduce(add, terms) if terms else zero)
             rows.append(tuple(out))
         return EndField(self.chart, tuple(rows))
-
-    def square(self) -> "EndField":
-        return self.compose(self)
 
     def trace(self) -> RationalExpr:
         d = self.chart.dim
@@ -376,7 +360,7 @@ def _require_closed_3form_dim6(w: DiffForm):
     if w.chart.dim != 6 or w.degree != 3:
         raise ShapeError("classification needs a 3-form on a 6-dimensional chart")
     for x in (v for c in w.coeffs.values() for p in (c.num, c.den) for v in p.terms.values()):
-        _rational(x)  # a non-real coefficient raises ShapeError
+        _as_fraction(x)  # a non-real coefficient raises ShapeError
     if ext_d(w):
         raise NotClosed("the form is not closed")
 
@@ -401,8 +385,8 @@ def _classify_at(w: DiffForm, point: Sequence) -> Tuple[TypeReport, Fraction]:
     varying = {idx: c for idx, c in w.coeffs.items() if idx not in constants}
     _require_closed_3form_dim6(DiffForm._raw(w.chart, w.degree, varying))
     pt = w.chart.check_point(point)
-    values = {idx: _rational(v) for idx, v in constants.items()}
-    values.update((idx, _rational(c.eval(pt))) for idx, c in varying.items())
+    values = {idx: _as_fraction(v) for idx, v in constants.items()}
+    values.update((idx, _as_fraction(c.eval(pt))) for idx, c in varying.items())
     D, values = _cleared(values)
     gj = _volume_times_j(values, 0)
     tv = _trace_sq(gj, 0)  # trace(J^2) times D^4 > 0: the sign is exact
@@ -447,9 +431,9 @@ def _derivation_action(J: EndField, w: DiffForm) -> DiffForm:
     (Hitchin, arXiv:math/0010054), so u = 3s (alpha - beta)."""
     chart = w.chart
     u = DiffForm._raw(chart, w.degree, {})
-    for i, row in enumerate(J.matrix, start=1):
+    for row, col in zip(J.matrix, _contraction_columns(w.coeffs, chart.dim)):
         theta = DiffForm._raw(chart, 1, {(k,): c for k, c in enumerate(row, start=1) if c})
-        u = u + theta.wedge(interior(coordinate_vector(chart, i), w))
+        u = u + theta.wedge(DiffForm._raw(chart, w.degree - 1, col))
     return u
 
 
@@ -546,10 +530,8 @@ def extract_acs(w: DiffForm) -> EndField:
     if m < 2:
         raise ShapeError("need m >= 2")
     zero = RationalExpr.const(d, 0)
-    basis = [coordinate_vector(chart, i) for i in range(1, d + 1)]
     # C[j][k] = i_{e_{k+1}} i_{e_{j+1}} w, by coefficient; C[j][k] = -C[k][j]
-    C = [[interior(e, f).coeffs if e is not basis[j] else {} for e in basis]
-         for j, f in enumerate(interior(e, w) for e in basis)]
+    C = [_contraction_columns(col, d) for col in _contraction_columns(w.coeffs, d)]
     rows = []
     for i in range(d):
         for j in range(i, d):
@@ -599,7 +581,7 @@ def extract_acs(w: DiffForm) -> EndField:
     det_sign = sign_on_chart(det, chart)
     if det_sign.sign == "-":
         J = -J
-    if not J.square() == EndField.identity(chart).scale(RationalExpr.const(d, -1)):
+    if J.square().is_multiple_of_identity() != -1:
         raise WrongType("normalized solution does not satisfy J^2 = -I")
     return J
 
@@ -608,8 +590,7 @@ def nijenhuis(J: EndField):
     """Nijenhuis tensor of an almost-complex structure on coordinate pairs."""
     chart = J.chart
     d = chart.dim
-    minus_id = EndField.identity(chart).scale(RationalExpr.const(d, -1))
-    if not J.square() == minus_id:
+    if J.square().is_multiple_of_identity() != -1:
         raise NotAlmostComplex("J^2 != -I")
     values: Dict[Tuple[int, int], MultiVec] = {}
     e = [coordinate_vector(chart, i) for i in range(1, d + 1)]

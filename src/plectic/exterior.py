@@ -148,14 +148,7 @@ class _Alternating:
                     raise ShapeError(f"index tuple {idx} not strictly increasing")
                 c = _coerce_coeff(c, chart.dim)
                 if c:
-                    if idx in clean:
-                        s = clean[idx] + c
-                        if s:
-                            clean[idx] = s
-                        else:
-                            del clean[idx]
-                    else:
-                        clean[idx] = c
+                    _accumulate(clean, idx, c)
         _check_domain(chart, clean.values())
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "degree", degree)
@@ -710,12 +703,9 @@ def poincare_homotopy(a: DiffForm) -> DiffForm:
                 sign = -1 if pos % 2 else 1
                 newexps = list(exps)
                 newexps[i - 1] = newexps[i - 1] + 1
-                key = idx[:pos] + idx[pos + 1:]
-                mono = ScalarExpr.monomial(dim, w if sign > 0 else -w, newexps)
-                cur = out.get(key)
-                out[key] = mono if cur is None else cur + mono
-    coeffs = {key: RationalExpr(s) for key, s in out.items() if not s.is_zero}
-    return DiffForm(chart_, k - 1, coeffs)
+                _accumulate(out, idx[:pos] + idx[pos + 1:],
+                            ScalarExpr.monomial(dim, w if sign > 0 else -w, newexps))
+    return DiffForm(chart_, k - 1, {key: RationalExpr(s) for key, s in out.items()})
 
 
 def contraction_solve(vol: DiffForm, beta: DiffForm, m: int) -> MultiVec:

@@ -48,7 +48,7 @@ from .exterior import (
     vf_bracket,
 )
 from .hdw import plectic_order
-from .linfty import Observable, _bracket_sign
+from .linfty import Observable, _rogers_bracket
 from .record import Record
 from .scalar import _as_fraction
 
@@ -461,12 +461,6 @@ class ComomentReport(NamedTuple):
     kernel_note: str
 
 
-def _f1_star_l(act: LieAction, w: DiffForm, T: Sequence[int]) -> DiffForm:
-    """l_{i+1}(f1(xi_1),..,f1(xi_{i+1})) using the action fields."""
-    res = _contract_generators(act, T, w)
-    return res if _bracket_sign(len(T)) > 0 else -res
-
-
 def comoment_verify(act: LieAction, w: DiffForm, cm: ComomentData) -> ComomentReport:
     """Residuals of the lifting condition and the homotopy-morphism relations.
 
@@ -491,7 +485,8 @@ def comoment_verify(act: LieAction, w: DiffForm, cm: ComomentData) -> ComomentRe
                 acc = acc - cm.evaluate(i, S).scale(c)
             if i + 1 <= n:
                 acc = acc + ext_d(cm.evaluate(i + 1, list(T)))
-            acc = acc + _f1_star_l(act, w, T)
+            # f_1^* l_{i+1}(T): the bracket formula on the action's fields
+            acc = acc + _rogers_bracket(w, [act.generators[t - 1] for t in T])
             relations[(i, T)] = acc
     all_zero = all(v.is_zero for v in lifting.values()) and all(
         v.is_zero for v in relations.values()

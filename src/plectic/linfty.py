@@ -56,14 +56,18 @@ def make_observable(w: DiffForm, alpha: DiffForm) -> Observable:
     return Observable(alpha, None)
 
 
-def _bracket_sign(k: int) -> int:
-    return -1 if (k * (k + 1) // 2) % 2 == 0 else 1
+def _rogers_bracket(w: DiffForm, fields: Sequence[MultiVec]) -> DiffForm:
+    """-(-1)^(k(k+1)/2) i_{X_k} ... i_{X_1} w for the fields X_1, .., X_k."""
+    k = len(fields)
+    for X in fields:
+        w = interior(X, w)
+    return -w if k * (k + 1) // 2 % 2 == 0 else w
 
 
 def l_k(w: DiffForm, args: Sequence[Observable]) -> DiffForm:
     """The k-ary bracket on Hamiltonian top-degree observables."""
     k = len(args)
-    n = w.degree - 1
+    n = plectic_order(w, "a bracket")
     if not 2 <= k <= n + 1:
         raise DegreeError(f"bracket arity {k} outside 2..{n + 1}")
     if any(not a.is_top for a in args):
@@ -73,11 +77,7 @@ def l_k(w: DiffForm, args: Sequence[Observable]) -> DiffForm:
             stacklevel=2,
         )
         return DiffForm(w.chart, n + 1 - k, {})
-    res = w
-    for a in args:
-        res = interior(a.ham_field, res)
-    sign = _bracket_sign(k)
-    return res if sign > 0 else -res
+    return _rogers_bracket(w, [a.ham_field for a in args])
 
 
 def l2(w: DiffForm, a: Observable, b: Observable) -> DiffForm:
@@ -103,7 +103,7 @@ def _ce_sum(w: DiffForm, k: int, args: Sequence[Observable]) -> DiffForm:
 def linfty_relation_residual(w: DiffForm, k: int,
                              args: Sequence[Observable]) -> DiffForm:
     """(d l_k)(args) - l_1(l_{k+1}(args)); zero for a genuine n-plectic form."""
-    n = w.degree - 1
+    n = plectic_order(w, "an L-infinity relation")
     if not 2 <= k <= n + 1:
         raise DegreeError(f"relation index {k} outside 2..{n + 1}")
     if len(args) != k + 1:

@@ -50,14 +50,18 @@ ONE = Fraction(1)
 
 
 def _as_fraction(v) -> Fraction:
+    """v as a Fraction: a string is read by ``parse_fraction``, a real
+    GaussianRational as its rational; any other value raises ShapeError."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        return parse_fraction(v)
     if isinstance(v, Rational):
         return Fraction(v)
+    if isinstance(v, GaussianRational) and v.is_real:
+        return v.re
     raise ShapeError(f"not an exact rational: {v!r}")
 
 
@@ -297,8 +301,9 @@ def fraction_root(fr: Fraction, q: int) -> Optional[Fraction]:
     return Fraction(a, b)
 
 
-def fraction_pow(base: Fraction, e: Fraction) -> Fraction:
-    """Exact base**e; raises when the result leaves Q."""
+def fraction_pow(base: Coeff, e: Fraction) -> Coeff:
+    """Exact base**e; raises when the result leaves Q, or Q(i) for a
+    Gaussian base, which takes integer exponents only."""
     if e.denominator == 1:
         k = e.numerator
         if k >= 0:
@@ -306,6 +311,8 @@ def fraction_pow(base: Fraction, e: Fraction) -> Fraction:
         if base == 0:
             raise DivisionByZero("0 raised to a negative power")
         return ONE / base**(-k)
+    if isinstance(base, GaussianRational):
+        raise IrrationalValue("fractional power of a Gaussian rational")
     if base < 0:
         raise DomainViolation(
             f"fractional power of negative value {base}"
@@ -577,20 +584,12 @@ class ScalarExpr:
         """
         if len(point) != self.dim:
             raise ShapeError(f"point of length {len(point)}, expected {self.dim}")
-        pt = [v if isinstance(v, GaussianRational) else _as_fraction(v) for v in point]
+        pt = [_coeff(v) for v in point]
         total = None
         for exps, c in self.terms.items():
             acc = c
             for v, e in zip(pt, exps):
-                if not e:
-                    continue
-                if isinstance(v, GaussianRational):
-                    if e.denominator != 1:
-                        raise IrrationalValue(
-                            "fractional power of a Gaussian rational"
-                        )
-                    acc = acc * v ** e.numerator
-                else:
+                if e:
                     acc = acc * fraction_pow(v, e)
             total = acc if total is None else total + acc
         return ZERO if total is None else total
@@ -882,14 +881,8 @@ class RationalExpr:
             )
         # keep rational exponents inside the term rather than the quotient
         ((exps, c),) = self.as_scalar().terms.items()
-        if isinstance(c, GaussianRational):
-            if e.denominator != 1:
-                raise IrrationalValue("fractional power of a Gaussian coefficient")
-            newc: Coeff = c ** e.numerator
-        else:
-            newc = fraction_pow(c, e)
         return RationalExpr(
-            ScalarExpr(self.dim, {tuple(x * e for x in exps): newc})
+            ScalarExpr(self.dim, {tuple(x * e for x in exps): fraction_pow(c, e)})
         )
 
     # -- calculus -----------------------------------------------------

@@ -18,6 +18,7 @@ from plectic.exterior import (
     pullback,
 )
 from plectic.linfty import (
+    Observable,
     TrivialExtensionWarning,
     jacobiator_identity_residual,
     l2,
@@ -95,6 +96,18 @@ def test_l_k_arity_bounds():
         l_k(W3, [top])
     with pytest.raises(DegreeError):
         l_k(W3, [top, top, top, top])
+
+
+def test_bracket_and_relation_name_the_degree_they_need():
+    # a form of degree < 2 has no plectic order: l_k and the relation say so
+    # rather than reporting an empty arity range
+    args = [Observable(function_form(C2, "x1")), Observable(function_form(C2, "x2"))]
+    for w in (form(C2, 1, {(1,): 1}), function_form(C2, "1")):
+        got = f"degree >= 2, not {w.degree}"
+        with pytest.raises(DegreeError, match=f"a bracket needs a form of {got}"):
+            l_k(w, args)
+        with pytest.raises(DegreeError, match=f"an L-infinity relation needs a form of {got}"):
+            linfty_relation_residual(w, 2, args + args[:1])
 
 
 def test_volume_l2_formula_r3():

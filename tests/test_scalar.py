@@ -12,8 +12,10 @@ from plectic.errors import (
     DomainViolation,
     IrrationalValue,
     ParseError,
+    ShapeError,
 )
 from plectic.exterior import chart, constant_linear_pullback, form
+from plectic.liesym import LieAlgebraData
 from plectic.scalar import (
     GaussianRational,
     RationalExpr,
@@ -84,6 +86,42 @@ def test_exact_roots_of_large_integers():
         fraction_pow(Q(r**3 + 1), Q(1, 3))
     with pytest.raises(IrrationalValue):
         fraction_pow(Q(10**400), Q(1, 3))
+
+
+def test_gaussian_powers_go_through_fraction_pow():
+    g = [GaussianRational(1, 1), GaussianRational(0, 2)]  # (1+i)^2 = 2i
+    assert expr("x1^2/x2", dim=2).eval(g) == 1
+    assert expr("x1^2*x2^(-1)", dim=2).eval(g) == 1
+    mono = RationalExpr(ScalarExpr(2, {(1, 0): GaussianRational(1, 1)}))
+    # (1+i)^-2 = 1/(2i) = -i/2
+    want = RationalExpr(ScalarExpr(2, {(-2, 0): GaussianRational(0, Q(-1, 2))}))
+    assert mono.pow_fraction(Q(-2)) == want
+    assert fraction_pow(GaussianRational(1, 1), Q(-2)) == GaussianRational(0, Q(-1, 2))
+    for fractional in (lambda: mono.pow_fraction(Q(1, 2)),
+                       lambda: expr("x1^(1/2)", dim=1).eval([GaussianRational(0, 1)]),
+                       lambda: fraction_pow(GaussianRational(4), Q(1, 2))):
+        with pytest.raises(IrrationalValue, match="fractional power of a Gaussian rational"):
+            fractional()
+    for zero_pole in (lambda: expr("x1^(-1)", dim=1).eval([GaussianRational(0)]),
+                      lambda: fraction_pow(GaussianRational(0), Q(-2))):
+        with pytest.raises(DivisionByZero, match="0 raised to a negative power"):
+            zero_pole()
+
+
+def test_library_rationals_are_read_as_payloads_are():
+    # one reader: an integer or p/q string, a Fraction, or a real Gaussian
+    c = chart(2)
+    assert c.check_point(["3/2", " -2 "]) == [Q(3, 2), -2]
+    assert c.check_point([GaussianRational(1, 0), 0]) == [1, 0]
+    assert LieAlgebraData(1, [[["0"]]]).c == (((0,),),)
+    for text in ("1e5", "1.5", "abc"):
+        with pytest.raises(ParseError):
+            c.check_point([text, 0])
+    for text in ("0.0", "abc"):
+        with pytest.raises(ParseError):
+            LieAlgebraData(1, [[[text]]])
+    with pytest.raises(ShapeError, match="not an exact rational: 1\\+2i"):
+        c.check_point([GaussianRational(1, 2), 0])
 
 
 def test_evaluate_negative_fractional_power():
