@@ -15,8 +15,6 @@ from typing import Optional, Union
 from .exterior import Chart, DiffForm, chart, wedge
 from .scalar import RationalExpr, parse_expression
 
-Q = Fraction
-
 
 def product6() -> DiffForm:
     """dx123 + dx456, the product-type normal form."""

@@ -44,6 +44,7 @@ from .exterior import (
     _accumulate,
     _cleared,
     _contraction_columns,
+    _vector_fields,
     Chart,
     DiffForm,
     MultiVec,
@@ -88,8 +89,6 @@ class SignReport(NamedTuple):
 
 def _monomial_sign(expr: RationalExpr, chart: Chart) -> Optional[str]:
     """Sign when the expression is a monomial positive on the chart's orthant."""
-    if expr.is_zero:
-        return "0"
     if not (expr.num.is_monomial() and expr.den.is_monomial()):
         return None
     folded = expr.as_scalar()
@@ -109,8 +108,6 @@ def sign_on_chart(expr: RationalExpr, chart: Chart) -> SignReport:
     """
     if expr.is_zero:
         return SignReport("0", True)
-    if expr.is_constant:
-        return SignReport("+" if _as_fraction(expr.constant_value()) > 0 else "-", True)
     mono = _monomial_sign(expr, chart)
     if mono is not None:
         return SignReport(mono, True)
@@ -174,12 +171,6 @@ def nondegenerate(w: DiffForm, point: Optional[Sequence] = None) -> Nondegenerac
     return NondegeneracyReport(not kernel_vecs, kernel_vecs)
 
 
-def _vector_fields(chart: Chart, vectors) -> tuple:
-    """Each coefficient vector as the vector field on the chart."""
-    return tuple(MultiVec(chart, 1, {(k + 1,): v[k] for k in range(chart.dim) if v[k]})
-                 for v in vectors)
-
-
 # ---------------------------------------------------------------------------
 # the endomorphism field J
 # ---------------------------------------------------------------------------
@@ -209,12 +200,7 @@ class EndField(Record):
         )
 
     def column_field(self, col: int) -> MultiVec:
-        coeffs = {
-            (k,): self.matrix[k - 1][col - 1]
-            for k in range(1, self.chart.dim + 1)
-            if self.matrix[k - 1][col - 1]
-        }
-        return MultiVec(self.chart, 1, coeffs)
+        return _vector_fields(self.chart, [[row[col - 1] for row in self.matrix]])[0]
 
     def apply(self, X: MultiVec) -> MultiVec:
         if X.degree != 1:

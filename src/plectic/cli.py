@@ -520,15 +520,11 @@ def _cmd_verify(req: Request):
         out = _verify_ring_laws(a, req.seed)
     elif check == "exterior":
         out = _verify_exterior(a, req.seed)
-    elif check == "linfty-relation":
+    elif check in ("linfty-relation", "jacobiator"):
         w = a["omega"]
         obs = [make_observable(w, f) for f in a["args"]]
-        res = linfty_relation_residual(w, a["k"], obs)
-        out = {"ok": res.is_zero, "residual": form_to_json(res)}
-    elif check == "jacobiator":
-        w = a["omega"]
-        x, y, z = (make_observable(w, f) for f in a["args"])
-        res = jacobiator_identity_residual(w, x, y, z)
+        res = (linfty_relation_residual(w, a["k"], obs) if check == "linfty-relation"
+               else jacobiator_identity_residual(w, *obs))
         out = {"ok": res.is_zero, "residual": form_to_json(res)}
     elif check == "involutive":
         rep = involutive(a["frame"])

@@ -32,15 +32,12 @@ from .errors import (
 )
 from .record import Record
 from .scalar import (
-    Fraction,
     RationalExpr,
     ScalarExpr,
     _as_fraction,
     _constant_coeff,
     parse_expression,
 )
-
-Q = Fraction
 
 IndexTuple = Tuple[int, ...]
 
@@ -327,6 +324,12 @@ def function_form(chart: Chart, expr) -> DiffForm:
 
 def coordinate_vector(chart: Chart, index: int) -> MultiVec:
     return MultiVec(chart, 1, {(index,): 1})
+
+
+def _vector_fields(chart: Chart, vectors) -> tuple:
+    """Each coefficient vector as the vector field on the chart."""
+    return tuple(MultiVec(chart, 1, {(k + 1,): v[k] for k in range(chart.dim) if v[k]})
+                 for v in vectors)
 
 
 def basis_one_form(chart: Chart, index: int) -> DiffForm:

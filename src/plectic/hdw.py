@@ -25,6 +25,7 @@ from .errors import (
 )
 from .exterior import (
     _minor_sums,
+    _vector_fields,
     Chart,
     DiffForm,
     MultiVec,
@@ -86,7 +87,7 @@ def ham_vector_field(w: DiffForm, H: DiffForm,
     sol, free = None, []
     if row_set.issuperset(rhs):  # else dH has a term no i_v w has
         if not rows:
-            return MultiVec(chart_, 1, {})
+            raise DegenerateForm("the zero form is degenerate")
         zero = RationalExpr.const(dim, 0)
         sol, free = linalg.solve(factored, [rhs.get(t, zero) for t in rows])
     if sol is None:
@@ -98,8 +99,7 @@ def ham_vector_field(w: DiffForm, H: DiffForm,
         raise DegenerateForm(
             "contraction map has a kernel; the form is degenerate"
         )
-    coeffs = {(v + 1,): sol[v] for v in range(dim) if sol[v]}
-    return MultiVec(chart_, 1, coeffs)
+    return _vector_fields(chart_, [sol])[0]
 
 
 def hdw_residual(w: DiffForm, X: MultiVec, H: DiffForm,

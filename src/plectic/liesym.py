@@ -347,6 +347,22 @@ class ObstructionReport(NamedTuple):
         return bool(self.vanishes)
 
 
+def _exact_if_closed(a: DiffForm) -> Optional[bool]:
+    """Is the closed form a exact on its chart?  True for zero or when
+    d(h a) == a, h the radial homotopy; False for a nonzero function or a
+    failed check; None on a chart that is not star-shaped or at a pole."""
+    if not a:
+        return True
+    if a.degree == 0:
+        return False
+    if not a.chart.star_shaped:
+        return None
+    try:
+        return ext_d(poincare_homotopy(a)) == a
+    except HomotopyPole:
+        return None
+
+
 def _contract_generators(act: LieAction, T: Sequence[int], a: DiffForm) -> DiffForm:
     """i_{z(e_tk)} .. i_{z(e_t1)} a for T = (t1, .., tk)."""
     for t in T:
@@ -367,24 +383,8 @@ def obstruction_cochain(act: LieAction, w: DiffForm, index: int) -> ObstructionR
     cochain = {T: _contract_generators(act, T, w)
                for T in combinations(range(1, d + 1), index)}
     if index <= n:
-        exact: Dict[Tuple[int, ...], Optional[bool]] = {}
-        for T, val in cochain.items():
-            if val.is_zero:
-                exact[T] = True
-                continue
-            if val.degree == 0:
-                exact[T] = False
-                continue
-            if not ext_d(val).is_zero:
-                exact[T] = False
-                continue
-            if not w.chart.star_shaped:
-                exact[T] = None
-                continue
-            try:
-                exact[T] = ext_d(poincare_homotopy(val)) == val
-            except HomotopyPole:
-                exact[T] = None
+        exact = {T: False if ext_d(val) else _exact_if_closed(val)
+                 for T, val in cochain.items()}
         flags = list(exact.values())
         vanishes: Optional[bool]
         if all(f is True for f in flags):
@@ -518,15 +518,10 @@ def conserved_classify(w: DiffForm, H: Observable, alpha: DiffForm) -> str:
         return STRICT
     if not ext_d(L).is_zero:
         return NOT_CONSERVED
-    if L.degree == 0:
-        return LOCALLY
-    if not w.chart.star_shaped:
-        return LOCALLY
-    try:
-        h = poincare_homotopy(L)
-    except HomotopyPole:
-        return UNDET
-    return CONSERVED if ext_d(h) == L else LOCALLY
+    exact = _exact_if_closed(L)
+    if exact is None:
+        return UNDET if w.chart.star_shaped else LOCALLY
+    return CONSERVED if exact else LOCALLY
 
 
 # ---------------------------------------------------------------------------

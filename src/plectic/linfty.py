@@ -118,13 +118,8 @@ def linfty_relation_residual(w: DiffForm, k: int,
 
 def jacobiator_identity_residual(w: DiffForm, a: Observable, b: Observable,
                                  c: Observable) -> DiffForm:
-    """Deviation of l_2 from Jacobi against the exact trilinear correction."""
+    """Deviation of l_2 from Jacobi against d l_3: the relation for k = 2."""
     for arg in (a, b, c):
         if not arg.is_top:
             raise DegreeError("Jacobiator needs Hamiltonian top-degree forms")
-    bc = make_observable(w, l2(w, b, c))
-    ab = make_observable(w, l2(w, a, b))
-    ac = make_observable(w, l2(w, a, c))
-    lhs = l2(w, a, bc) - l2(w, ab, c) - l2(w, b, ac)
-    tri = interior(c.ham_field, interior(b.ham_field, interior(a.ham_field, w)))
-    return lhs + ext_d(tri)
+    return linfty_relation_residual(w, 2, [a, b, c])

@@ -164,6 +164,8 @@ class ShearStep(Record):
             raise ShapeError(f"unknown shear kind {kind!r}")
         if sign not in (-1, 1):
             raise ShapeError("shear sign must be +1 or -1")
+        if dim < 2:
+            raise ShapeError(f"a shear needs dimension >= 2, not {dim}")
         expected = dim - 1 if kind == "rest_by_first" else 1
         if len(polys) != expected:
             raise ShapeError(

@@ -44,7 +44,6 @@ from .errors import (
     ShapeError,
 )
 
-Q = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -653,11 +652,7 @@ def _format_exponent(e: Fraction) -> str:
 
 
 def _format_coeff(c: Coeff) -> str:
-    if isinstance(c, GaussianRational):
-        if c.is_real:
-            return str(c.re)
-        return f"({c})"
-    return str(c)
+    return f"({c})" if isinstance(c, GaussianRational) else str(c)
 
 
 def format_scalar(expr: ScalarExpr) -> str:
@@ -666,21 +661,14 @@ def format_scalar(expr: ScalarExpr) -> str:
         return "0"
     parts = []
     for exps, c in expr.sorted_terms():
+        if isinstance(c, GaussianRational) and c.is_real:
+            c = c.re
         factors = [
             f"x{i}{_format_exponent(e)}" for i, e in enumerate(exps, start=1) if e
         ]
-        if not factors:
-            body = _format_coeff(c)
-            negative = not isinstance(c, GaussianRational) and c < 0
-            if negative:
-                body = _format_coeff(-c)
-        else:
-            negative = not isinstance(c, GaussianRational) and c < 0
-            mag = -c if negative else c
-            if mag == 1 and not isinstance(mag, GaussianRational):
-                body = "*".join(factors)
-            else:
-                body = "*".join([_format_coeff(mag)] + factors)
+        negative = not isinstance(c, GaussianRational) and c < 0
+        mag = -c if negative else c
+        body = "*".join(factors if factors and mag == 1 else [_format_coeff(mag)] + factors)
         if not parts:
             parts.append(("-" if negative else "") + body)
         else:
@@ -705,11 +693,7 @@ class RationalExpr:
         else:
             lc = den.leading_coeff()
             if lc != 1:
-                inv = (
-                    GaussianRational(1) / lc
-                    if isinstance(lc, GaussianRational)
-                    else ONE / lc
-                )
+                inv = ONE / lc
                 num = num.scale(inv)
                 den = den.scale(inv)
         _SET_NUM(self, num)
@@ -919,7 +903,7 @@ class RationalExpr:
         if not self.den.is_monomial():
             raise IrrationalValue("denominator is not a monomial")
         (dexps, dc), = self.den.terms.items()
-        inv = ONE / dc if not isinstance(dc, GaussianRational) else GaussianRational(1) / dc
+        inv = ONE / dc
         return ScalarExpr(
             self.dim,
             {

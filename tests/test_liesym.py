@@ -215,6 +215,18 @@ def test_obstruction_abelian_translations():
     assert rep3.vanishes is True and rep3.cochain == {}
 
 
+def test_obstruction_exactness_is_open_off_a_star_shaped_chart_and_at_a_pole():
+    off_star = chart(3, star_shaped=False)
+    act = translation_action(abelian(1), off_star, [1])
+    rep = obstruction_cochain(act, form(off_star, 3, {(1, 2, 3): 1}), 1)
+    assert rep.de_rham_exact == {(1,): None} and rep.vanishes is None
+    # i_e2 of x1^(-2) dx123 is closed with homotopy weight 1/(2-2)
+    ch = chart(3, positive={1})
+    act = translation_action(abelian(1), ch, [2])
+    rep = obstruction_cochain(act, form(ch, 3, {(1, 2, 3): parse_expression("x1^(-2)", 3)}), 1)
+    assert rep.de_rham_exact == {(1,): None} and rep.vanishes is None
+
+
 def test_obstruction_requires_symmetry():
     act = translation_action(abelian(1), C3, [2])
     w_bad = form(C3, 3, {(1, 2, 3): "x2"})
@@ -361,6 +373,14 @@ def test_conserved_homotopy_pole_is_undetermined():
     alpha = form(ch, 1, {(1,): parse_expression("x1^(-1)*x2", 3)})
     # L alpha = -x1^(-1) dx1 is closed but has homotopy weight 1/(1-1)
     assert conserved_classify(w, H, alpha) == UNDET
+
+
+def test_conserved_off_a_star_shaped_chart_is_local():
+    # X_H = -e2 and L alpha = -dx1: exact on R^3, only closed off a star-shaped chart
+    for ch, verdict in ((chart(3, star_shaped=False), LOCALLY), (C3, CONSERVED)):
+        w = form(ch, 3, {(1, 2, 3): 1})
+        H = make_observable(w, form(ch, 1, {(1,): "x3"}))
+        assert conserved_classify(w, H, form(ch, 1, {(1,): "x2"})) == verdict
 
 
 def test_locally_conserved_bracket_strict():

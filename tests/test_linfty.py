@@ -204,6 +204,7 @@ def test_relation_symplectic_jacobi():
     sampler = HamiltonianSampler(W2)
     args = [make_observable(W2, sampler.sample(rng)) for _ in range(3)]
     assert linfty_relation_residual(W2, 2, args).is_zero
+    assert jacobiator_identity_residual(W2, *args).is_zero
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -227,6 +227,12 @@ def test_shear_jacobian_one():
     assert jacobian_determinant(auto) == 1
 
 
+def test_a_shear_needs_dimension_two():
+    # in dimension 1, x -> x - x^2 sends 1 to 0 and is no automorphism
+    with pytest.raises(ShapeError):
+        ShearStep("first_by_last", 1, (Poly((0, 0, 1)),))
+
+
 def test_linear_step_det_constraint():
     ok = LinearStep(((GR(2), GR(0)), (GR(0), GR(Q(1, 2)))))
     assert jacobian_determinant(PolyAuto(2, (ok,))) == 1

@@ -268,6 +268,17 @@ def test_canonical_printing_grlex():
     assert format_rational(q) == "(x1)/(x2 + 1)"
 
 
+def test_a_real_gaussian_coefficient_prints_as_its_rational():
+    GR = GaussianRational
+    gauss = ScalarExpr(1, {(2,): GR(4), (1,): GR(-4), (0,): GR(1)})
+    plain = ScalarExpr(1, {(2,): Q(4), (1,): Q(-4), (0,): Q(1)})
+    assert str(gauss) == str(plain) == "4*x1^2 - 4*x1 + 1"
+    # a Gaussian-monic denominator prints as a Fraction-monic one
+    monic = RationalExpr(ScalarExpr(1, {(0,): GR(1)}), ScalarExpr(1, {(1,): GR(2)}))
+    assert format_rational(monic) == "(1/2)/(x1)"
+    assert str(ScalarExpr(1, {(1,): GR(1, 2)})) == "(1+2i)*x1"
+
+
 def test_print_parse_roundtrip():
     cases = ["x1^2 + x2 + 3", "1/2*x2^(-1/2)", "(x1)/(x2 + 1)", "0", "-x1 - 2"]
     for text in cases:
