@@ -101,6 +101,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FAILED_CHECK = 2
 
+# Re(dz1^..^dzn) has 2^(n-1) terms, each pulled back through C(2n, n) minors:
+# a move of two points took 0.04 s at n = 6, 0.34 s at n = 7 and 2.8 s at 8.
+_MOVE_N_MAX = 8
+
 
 class Request(NamedTuple):
     """A validated request: its command, parsed payload and options."""
@@ -220,7 +224,7 @@ def _parse_comoment(p):
 
 
 def _parse_move(p):
-    n = read_int(_get(p, "n", "$"), "$.n", 2)
+    n = read_int(_get(p, "n", "$"), "$.n", 2, _MOVE_N_MAX)
     lists = {key: _get(p, key, "$") for key in ("src", "dst")}
     for key, val in lists.items():  # both are lists before either is read
         read_list(val, f"$.{key}", "must be a list of points")

@@ -531,14 +531,16 @@ def _times(a, b, sign: int):
 
 
 def _wedge_one_form(block: dict, one_form: dict) -> dict:
-    """block ^ one_form ({s: coefficient of dx_s}): dx_s moves past the indices above s."""
+    """block ^ one_form ({s: coefficient of dx_s}) over keys (indices, sign):
+    dx_s moving past an odd number of indices flips the sign of the key, so
+    no coefficient is negated here."""
     out: dict = {}
-    for idx, ca in block.items():
+    for (idx, sign), ca in block.items():
         for s, cb in one_form.items():
             if s not in idx:
                 pos = bisect(idx, s)
-                _accumulate(out, idx[:pos] + (s,) + idx[pos:],
-                            _times(ca, cb, -1 if (len(idx) - pos) % 2 else 1))
+                key = idx[:pos] + (s,) + idx[pos:], -sign if (len(idx) - pos) % 2 else sign
+                _accumulate(out, key, _times(ca, cb, 1))
     return out
 
 
@@ -567,12 +569,12 @@ def pullback(f: SmoothMap, a: DiffForm) -> DiffForm:
         if not pulled:
             continue
         value = _constant_coeff(pulled)
-        block = {(): 1}
+        block = {((), 1): 1}
         for j in idx:
             block = _wedge_one_form(block, dcomp[j - 1])
         factor = 1 if value == 1 else -1 if value == -1 else pulled
-        for k, v in block.items():
-            v = _times(v, factor, 1)
+        for (k, sign), v in block.items():
+            v = _times(v, factor, sign)
             _accumulate(out, k, RationalExpr.const(src.dim, v) if type(v) is int else v)
     return DiffForm._raw(src, min(a.degree, src.dim), out)
 

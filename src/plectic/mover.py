@@ -4,9 +4,11 @@ Moves any k distinct points to any k distinct targets by the classical
 three-step construction: a det-1 linear map separating first coordinates,
 an interpolation shear flattening the middle block and staircasing the last
 coordinate onto the markers (0,..,0,j), and a final shear clearing the first
-coordinate.  Every step has unit Jacobian determinant, so the composition
-does too (chain rule), and the realified maps preserve Re(dz^1 ^ .. ^ dz^n)
-exactly.
+coordinate.  A move runs the sources' construction, then the inverse of the
+targets'; ``PolyAuto.compose`` fuses adjacent steps of one kind, so its two
+middle shears are one and it has five steps (L, S_rest, S_first, S_rest, L).
+Every step has unit Jacobian determinant, so the composition does too (chain
+rule), and the realified maps preserve Re(dz^1 ^ .. ^ dz^n) exactly.
 """
 from __future__ import annotations
 
@@ -222,10 +224,39 @@ class PolyAuto(Record):
         return PolyAuto(self.dim, tuple(s.inverse() for s in reversed(self.steps)))
 
     def compose(self, first: "PolyAuto") -> "PolyAuto":
-        """self o first (apply ``first``, then self)."""
+        """self o first (apply ``first``, then self).  The joined steps fold
+        left to right, each fusing with the one before it when both are linear
+        (M2 M1) or shears of one kind (each fixes the variable its polynomials
+        read: sign +1, polynomials s1 P1 + s2 P2).  A fused identity is
+        dropped, so the step before it may fuse with the next; when nothing is
+        left the result is the identity linear step.  A move has five steps."""
         if first.dim != self.dim:
             raise ShapeError("composition dimension mismatch")
-        return PolyAuto(self.dim, first.steps + self.steps)
+        stack: list = []
+        for step in first.steps + self.steps:
+            fused = _fuse(stack[-1], step) if stack else None
+            if fused is None:
+                stack.append(step)
+            else:
+                stack[-1:] = fused
+        return PolyAuto(self.dim, tuple(stack) or (_identity(self.dim),))
+
+
+def _identity(n: int) -> LinearStep:
+    return LinearStep([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def _fuse(a, b):
+    """[``a`` then ``b`` as one step], [] for the identity, None for two kinds."""
+    if isinstance(a, LinearStep) and isinstance(b, LinearStep):
+        m = LinearStep(tuple(zip(*(b.apply(col) for col in zip(*a.matrix)))))
+        return [] if m == _identity(a.dim) else [m]
+    if isinstance(a, ShearStep) and isinstance(b, ShearStep) and a.kind == b.kind:
+        polys = tuple(Poly([a.sign * u + b.sign * v for u, v in
+                            itertools.zip_longest(p.coeffs, q.coeffs, fillvalue=GR(0))])
+                      for p, q in zip(a.polys, b.polys))
+        return [ShearStep(a.kind, a.dim, polys, 1)] if any(polys) else []
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +285,7 @@ def separating_linear_map(points: Sequence[Point], n: int) -> LinearStep:
         for b in range(a + 1, len(pts)):
             diffs.append(tuple(x - y for x, y in zip(pts[a], pts[b])))
     if not diffs:
-        return LinearStep([[int(i == j) for j in range(n)] for i in range(n)])
+        return _identity(n)
     phi = None
     for cand in _spiral_covectors(n):
         vec = [GR(c) for c in cand]
@@ -316,8 +347,6 @@ def move_points(src: Sequence[Sequence], dst: Sequence[Sequence],
         for p in pts:
             if len(p) != n:
                 raise ShapeError("point dimension mismatch")
-    if not src_pts:  # the separating map of no points is the identity
-        return PolyAuto(n, (separating_linear_map(src_pts, n),))
     fwd = _normalizing_auto(src_pts, n)
     back = _normalizing_auto(dst_pts, n).inverse()
     result = back.compose(fwd)

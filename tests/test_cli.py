@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,25 @@ def test_move_fixed_points():
     assert code == EXIT_OK
     assert all(r["match"] for r in rep["eval"])
     assert rep["jacobian"] == "1"
+
+
+def test_move_dimension_is_bounded(tmp_path):
+    """Re(dz1^..^dzn) has 2^(n-1) terms, each pulled back through C(2n, n)
+    minors, so the schema refuses an n above its bound before any work."""
+    n_max = cli._MOVE_N_MAX
+    start = time.perf_counter()
+    with pytest.raises(SchemaError) as err:
+        go("move", {"n": n_max + 1, "src": [], "dst": []})
+    assert time.perf_counter() - start < 0.1
+    assert err.value.violations == [f"$.n: must be an integer in 2..{n_max}"]
+    got, out, err = run_cli(tmp_path, "move", {"n": n_max + 1, "src": [], "dst": []})
+    assert got == EXIT_ERROR and "Traceback" not in err
+    assert json.loads(out)["error"]["detail"][0].startswith("$.n: ")
+    zero, e1 = [0] * n_max, [1] + [0] * (n_max - 1)
+    rep, code = go("move", {"n": n_max, "src": [zero, e1],
+                            "dst": [zero[1:] + [1], zero[1:] + [2]]})
+    assert code == EXIT_OK and rep["realified_preserves_volume"] is True
+    assert all(r["match"] for r in rep["eval"])
 
 
 def test_verify_checks():

@@ -5,7 +5,11 @@ stdout is compared by sha256 with the digest recorded before the command
 table was rewritten; a change here means the default output changed.  The
 two ``flat`` digests were re-pinned when the product split moved to J's
 derivation action: the witness prints with less swell, and
-``test_flat_witness_keeps_its_value`` shows that it is the same value.
+``test_flat_witness_keeps_its_value`` shows that it is the same value.  The
+``move`` digest was re-pinned when ``PolyAuto.compose`` began to fuse the
+two middle shears of a move: the report prints five steps instead of six,
+and ``test_move_report_keeps_its_values`` shows that the points, the
+Jacobian and the volume check read as before.
 """
 import hashlib
 import json
@@ -91,7 +95,7 @@ CASES = [
      0, "fa36fa78a4ac3c5dd3512e171b350ec964019bdfdf1f181c6732735e399931f3"),
     ([], "move", {"n": 3, "src": [["0", "0", "0"], ["1", "i", "2"]],
                   "dst": [["1", "1", "1"], ["1/2-3/4 i", "0", "0"]]}, 0,
-     "2c51d241d7b93391696202321a334f05be7b9f52fa6bbbc4fa05ec6bf7a7735f"),
+     "b9276d7eabdb98210ef83726f23d4f1cee626588a79d1ed44922f1b8c1a296ef"),
     ([], "verify", {"check": "linfty-relation", "omega": W4, "k": 2, "args": [
         {"degree": 2, "terms": [{"idx": [1, 2], "coeff": "x3"}]},
         {"degree": 2, "terms": [{"idx": [3, 4], "coeff": "x1*x2"}]},
@@ -132,3 +136,24 @@ def test_flat_witness_keeps_its_value(tmp_path, capsys):
     for t in terms:
         old = PROJECTOR_SPLIT_WITNESS[tuple(t["idx"])]
         assert parse_expression(t["coeff"], 6) == parse_expression(old, 6)
+
+
+# The move report's values while a move printed six steps.
+SIX_STEP_MOVE = {
+    "eval": [{"dst": ["1", "1", "1"], "match": True, "out": ["1", "1", "1"],
+              "src": ["0", "0", "0"]},
+             {"dst": ["1/2-3/4 i", "0", "0"], "match": True, "out": ["1/2-3/4 i", "0", "0"],
+              "src": ["1", "i", "2"]}],
+    "jacobian": "1",
+    "realified_preserves_volume": True,
+}
+
+
+def test_move_report_keeps_its_values(tmp_path, capsys):
+    (payload,) = [p for _f, cmd, p, *_rest in CASES if cmd == "move"]
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    assert main(["move", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert {k: rep[k] for k in SIX_STEP_MOVE} == SIX_STEP_MOVE
+    assert len(rep["auto"]["steps"]) == 5

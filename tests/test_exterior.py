@@ -514,6 +514,33 @@ def test_property_pullback_along_coordinate_components(monkeypatch):
         assert got == want and not calls
 
 
+def test_pullback_carries_wedge_signs_instead_of_negating(monkeypatch):
+    """Re(dz1^dz2^dz3) pulled back along each realified shear of a seeded
+    n = 3 move is itself, with fewer coefficient negations than the 10
+    (rest_by_first) and 13 (first_by_last) made when every odd move of dx_s
+    negated its block coefficient."""
+    from plectic import mover
+    from plectic.catalog import complex_volume_re
+    rng = random.Random(4401)
+    src = []
+    while len(src) < 3:
+        p = tuple(GaussianRational(Q(rng.randint(-3, 3), rng.choice([1, 2])),
+                                   Q(rng.randint(-3, 3), rng.choice([1, 2]))) for _ in range(3))
+        if p not in src:
+            src.append(p)
+    vol = complex_volume_re(3)
+    negations = []
+    neg = RationalExpr.__neg__
+    monkeypatch.setattr(RationalExpr, "__neg__", lambda x: negations.append(1) or neg(x))
+    counts = {}
+    for step in mover._normalizing_auto(src, 3).steps[1:]:
+        negations.clear()
+        got = pullback(mover.realify_step(step, 3), vol)
+        counts[step.kind] = len(negations)
+        assert got == vol
+    assert counts["rest_by_first"] <= 4 and counts["first_by_last"] <= 1
+
+
 def test_constant_linear_pullback_matches_map_pullback():
     c6 = chart(6)
     w = f(c6, 3, {(1, 2, 3): 1, (4, 5, 6): 1})

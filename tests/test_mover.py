@@ -218,6 +218,88 @@ def test_inverse_round_trip(seed):
         assert inv.apply(auto.apply(p)) == as_point(p)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_moves_have_at_most_five_steps(seed):
+    rng = random.Random(4100 + seed)
+    for _ in range(4):
+        n, k = rng.choice([2, 3]), rng.randint(1, 5)
+        src, dst = rand_points(rng, k, n), rand_points(rng, k, n)
+        auto = move_points(src, dst, n)
+        assert len(auto.steps) <= 5
+        for s, d in zip(src, dst):
+            assert auto.apply(s) == as_point(d)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_move_of_points_onto_themselves_is_the_identity(k):
+    rng = random.Random(4200 + k)
+    for n in (2, 3):
+        pts = rand_points(rng, k, n)
+        assert move_points(pts, pts, n) == move_points([], [], n)
+
+
+def test_property_fused_composition_is_the_unfused_map():
+    """b.compose(a) fuses adjacent steps of one kind; it is the same map as
+    the unfused PolyAuto(dim, a.steps + b.steps) at random Gaussian points,
+    with determinant 1 and a preserved realified volume, and no two of its
+    adjacent steps are of one kind."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    gaussians = st.builds(GaussianRational, rationals, rationals)
+    polys = st.lists(st.one_of(st.just(GR(0)), gaussians), max_size=3).map(Poly)
+
+    def linear(dim):
+        def det_one(rows):
+            d = det(rows)
+            return LinearStep([[v / d for v in rows[0]]] + rows[1:]) if d else None
+        matrices = st.lists(st.lists(gaussians, min_size=dim, max_size=dim),
+                            min_size=dim, max_size=dim)
+        return matrices.map(det_one).filter(bool)
+
+    def shear(dim, kind):
+        count = dim - 1 if kind == "rest_by_first" else 1
+        return st.builds(ShearStep, st.just(kind), st.just(dim),
+                         st.tuples(*[polys] * count), st.sampled_from([-1, 1]))
+
+    @st.composite
+    def autos(draw, dim):
+        kinds = [linear(dim), shear(dim, "rest_by_first"), shear(dim, "first_by_last")]
+        steps = []
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, 2))
+            steps.append(draw(kinds[i]))
+            if draw(st.booleans()):  # a step that can fuse with it, often its inverse
+                steps.append(steps[-1].inverse() if draw(st.booleans()) else draw(kinds[i]))
+        return PolyAuto(dim, tuple(steps))
+
+    @st.composite
+    def cases(draw):
+        dim = draw(st.sampled_from([2, 3]))
+        a = draw(autos(dim))
+        b = a.inverse() if draw(st.integers(0, 4)) == 0 else draw(autos(dim))
+        pts = draw(st.lists(st.tuples(*[gaussians] * dim), min_size=1, max_size=3))
+        return a, b, pts
+
+    def kind(step):
+        return getattr(step, "kind", "linear")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        a, b, pts = case
+        fused, unfused = b.compose(a), PolyAuto(a.dim, a.steps + b.steps)
+        for p in pts:
+            assert fused.apply(p) == unfused.apply(p)
+        assert jacobian_determinant(fused) == 1
+        assert realify_and_check(fused)[1]
+        assert all(kind(x) != kind(y) for x, y in zip(fused.steps, fused.steps[1:]))
+        if b == a.inverse():
+            assert fused == move_points([], [], a.dim)
+
+    check()
+
+
 # -- Jacobians -------------------------------------------------------------------------
 
 
