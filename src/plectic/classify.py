@@ -423,9 +423,11 @@ def _derivation_action(J: EndField, w: DiffForm) -> DiffForm:
     return u
 
 
-def _split(w: DiffForm, J: EndField, s: RationalExpr) -> Tuple[DiffForm, DiffForm]:
-    """The summands (w +- J.w/(3s))/2 of w, which sum to w by construction,
-    checked to be decomposable and ordered."""
+def _split(w: DiffForm, J: EndField, t: RationalExpr) -> Tuple[DiffForm, DiffForm]:
+    """The summands (w +- J.w/(3s))/2 of w, s = sqrt(t/6) for t = trace(J^2),
+    which sum to w by construction, checked to be decomposable and ordered.
+    Raises IrrationalScale when s leaves the ring."""
+    s = _sqrt_rational_expr(t / RationalExpr.const(6, 6))
     v = _derivation_action(J, w).scale(RationalExpr.const(6, 1) / (s * 3))
     p1, p2 = (w + v).scale(Q(1, 2)), (w - v).scale(Q(1, 2))
     if not (_is_decomposable(p1) and _is_decomposable(p2)):
@@ -455,9 +457,7 @@ def _tie_break(a: DiffForm, b: DiffForm) -> Tuple[DiffForm, DiffForm]:
         cb = b.coeffs.get(key, zero)
         diff = ca - cb
         if diff:
-            lead = diff.num.leading_coeff()
-            positive = lead > 0 if not hasattr(lead, "re") else lead.re > 0
-            return (a, b) if positive else (b, a)
+            return (a, b) if _as_fraction(diff.num.leading_coeff()) > 0 else (b, a)
     return a, b
 
 
@@ -472,11 +472,11 @@ def split_product(w: DiffForm, point: Optional[Sequence] = None):
     if point is not None:
         w = w.eval_at(point)
     J = hitchin_endomorphism(w, standard_volume(w.chart))
-    lam = _trace_sq(J.matrix, RationalExpr.const(6, 0)) / RationalExpr.const(6, 6)
-    sign = sign_on_chart(lam, w.chart)
+    t = _trace_sq(J.matrix, RationalExpr.const(6, 0))
+    sign = sign_on_chart(t, w.chart)
     if sign.sign != "+":
         raise WrongType(f"trace sign is {sign.sign}, not positive")
-    return _split(w, J, _sqrt_rational_expr(lam))
+    return _split(w, J, t)
 
 
 def verify_product_decomposition(w: DiffForm, parts: Sequence[DiffForm]) -> bool:
@@ -616,16 +616,20 @@ class InvolutivityReport(NamedTuple):
         return self.involutive
 
 
-def involutive(frame: Sequence[MultiVec]) -> InvolutivityReport:
-    """Frobenius test: do all pairwise brackets stay in the frame's span?"""
+def _frame_chart(frame: Sequence[MultiVec]) -> Chart:
+    """The one chart of a nonempty frame of vector fields."""
     if not frame:
         raise DependentFrame("empty frame")
     chart = frame[0].chart
-    d = chart.dim
+    if any(X.degree != 1 or X.chart != chart for X in frame):
+        raise ShapeError("frame must consist of vector fields on one chart")
+    return chart
+
+
+def involutive(frame: Sequence[MultiVec]) -> InvolutivityReport:
+    """Frobenius test: do all pairwise brackets stay in the frame's span?"""
+    d = _frame_chart(frame).dim
     zero = RationalExpr.const(d, 0)
-    for X in frame:
-        if X.degree != 1 or X.chart != chart:
-            raise ShapeError("frame must consist of vector fields on one chart")
     cols = linalg.Factored([[X.coeffs.get((k,), zero) for X in frame]
                             for k in range(1, d + 1)])
     if len(cols.pivots) != len(frame):
@@ -669,7 +673,7 @@ def flatness_report(w: DiffForm) -> TypeReport:
 
     if sig.sign == "+":
         try:
-            w1, w2 = _split(w, J, _sqrt_rational_expr(t / RationalExpr.const(6, 6)))
+            w1, w2 = _split(w, J, t)
         except IrrationalScale as exc:
             return TypeReport(PRODUCT, "+", UNDETERMINED,
                               notes=notes + [f"exact split unavailable: {exc}"])
@@ -734,11 +738,9 @@ def verify_standard_subspace(w: DiffForm, frame: Sequence[MultiVec]) -> Standard
     Requires i_{u^v} w = 0 for all frame pairs and that w -> w(w_vec, .)
     induces an isomorphism onto Lambda^n of the quotient's dual.
     """
-    if not frame:
-        raise DependentFrame("empty frame")
+    chart = _frame_chart(frame)
     if w.degree < 1:
         raise DegreeError("a standard subspace needs a form of degree >= 1")
-    chart = frame[0].chart
     d = chart.dim
     n = w.degree - 1
     zero = RationalExpr.const(d, 0)
@@ -767,6 +769,6 @@ def verify_standard_subspace(w: DiffForm, frame: Sequence[MultiVec]) -> Standard
             val = full_contract(w, [X] + [complement[c] for c in combo])
             row.append(val)
         matrix.append(row)
-    rk = linalg.rank(matrix) if matrix else 0
+    rk = linalg.rank(matrix)
     ok = rk == r and len(power) == r
     return StandardSubspaceReport(ok, True, rk, r, len(power))

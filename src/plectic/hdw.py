@@ -143,6 +143,13 @@ class MultiphaseModel(NamedTuple):
     def p_total_index(self) -> int:
         return self.chart.dim
 
+    def section(self, q: Sequence, p: Sequence[Sequence]) -> SmoothMap:
+        """The section x -> (x, q(x), p(x)) of the base into the restricted
+        chart: q[a-1] is q^a and p[a-1][mu-1] is p^mu_a, in x1..xn."""
+        base = [RationalExpr.variable(self.n, mu) for mu in range(1, self.n + 1)]
+        comps = base + list(q) + [e for row in p for e in row]
+        return SmoothMap(chart(self.n), self.restricted_chart, tuple(comps))
+
 
 def multiphase_forms(n: int, fiber: int) -> MultiphaseModel:
     """Canonical theta and omega on the multiphase chart for (n, N)."""
@@ -223,32 +230,28 @@ def free_field_section(model: MultiphaseModel,
         for mu in range(1, n + 1):
             p = RationalExpr.variable(pdim, model.p_index(mu, a))
             ham = ham + p * p * RationalExpr.const(pdim, Q(1, 2))
-    comps: List[RationalExpr] = [
-        RationalExpr.variable(n, mu) for mu in range(1, n + 1)
-    ]
-    for a in range(1, N + 1):
-        acc = RationalExpr.const(n, 0)
-        for mu in range(1, n + 1):
-            acc = acc + RationalExpr.variable(n, mu) * RationalExpr.const(
-                n, slopes[a - 1][mu - 1]
-            )
-        comps.append(acc)
-    for a in range(1, N + 1):
-        for mu in range(1, n + 1):
-            comps.append(RationalExpr.const(n, -Fraction(slopes[a - 1][mu - 1])))
-    section = SmoothMap(chart(n), model.restricted_chart, tuple(comps))
-    return ham, section
+    x = [RationalExpr.variable(n, mu) for mu in range(1, n + 1)]
+    q = [sum((x[mu] * RationalExpr.const(n, slopes[a][mu]) for mu in range(n)),
+             RationalExpr.const(n, 0)) for a in range(N)]
+    p = [[RationalExpr.const(n, -Fraction(slopes[a][mu])) for mu in range(n)]
+         for a in range(N)]
+    return ham, model.section(q, p)
 
 
-def ham_curve_check(psi: SmoothMap, gamma: MultiVec, X: MultiVec,
-                    points: Sequence[Sequence]) -> List[bool]:
-    """Pointwise Hamiltonian-curve test: (psi_*)(gamma) = X o psi at samples."""
+def _curve_operands(psi: SmoothMap, gamma: MultiVec, X: MultiVec) -> None:
+    """The operand rules of both curve checks."""
     if gamma.chart != psi.source:
         raise ChartMismatch("gamma must live on the map's source chart")
     if X.chart != psi.target:
         raise ChartMismatch("X must live on the map's target chart")
     if gamma.degree != X.degree:
         raise DegreeError("gamma and X must have equal degrees")
+
+
+def ham_curve_check(psi: SmoothMap, gamma: MultiVec, X: MultiVec,
+                    points: Sequence[Sequence]) -> List[bool]:
+    """Pointwise Hamiltonian-curve test: (psi_*)(gamma) = X o psi at samples."""
+    _curve_operands(psi, gamma, X)
     out = []
     for p in points:
         pushed = pushforward_at(psi, gamma, p)
@@ -260,8 +263,7 @@ def ham_curve_check(psi: SmoothMap, gamma: MultiVec, X: MultiVec,
 def ham_curve_check_symbolic(psi: SmoothMap, gamma: MultiVec,
                              X: MultiVec) -> Optional[bool]:
     """Best-effort symbolic curve check; None when composition leaves the ring."""
-    if gamma.degree != X.degree:
-        raise DegreeError("gamma and X must have equal degrees")
+    _curve_operands(psi, gamma, X)
     zero = RationalExpr.const(psi.source.dim, 0)
     try:
         jac_t = list(zip(*psi.jacobian()))

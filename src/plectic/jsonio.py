@@ -23,7 +23,7 @@ from .classify import TypeReport
 from .errors import SchemaError
 from .exterior import Chart, DiffForm, MultiVec, SmoothMap, chart
 from .liesym import LieAction, LieAlgebraData
-from .mover import LinearStep, Poly, PolyAuto, ShearStep
+from .mover import LinearStep, Poly, PolyAuto
 from .scalar import (
     GaussianRational,
     RationalExpr,
@@ -73,11 +73,12 @@ def read_positive(v, path: str) -> int:
 
 
 def read_list(obj, path: str, msg: str, item=None, *context,
-              size: Optional[int] = None, least: int = 0) -> list:
-    """A list of ``size`` (or at least ``least``) items, else ``msg``; with
-    ``item``, the list of ``item(value, f"{path}[i]", *context)``."""
+              size: Optional[int] = None, least: int = 0, most: Optional[int] = None) -> list:
+    """A list of ``size`` (or at least ``least``) items, else ``msg``, and of
+    at most ``most`` items; with ``item``, the list of ``item(value, f"{path}[i]", *context)``."""
     _expect(isinstance(obj, list) and len(obj) >= least and size in (None, len(obj)),
             path, msg)
+    _expect(most is None or len(obj) <= most, path, f"must have at most {most} entries")
     if item is None:
         return obj
     return [item(v, f"{path}[{i}]", *context) for i, v in enumerate(obj)]
@@ -275,20 +276,19 @@ def _poly_to_json(p: Poly) -> List[str]:
 
 
 def step_to_json(step) -> dict:
+    """A step of a PolyAuto, whose constructor admits only linear steps and shears."""
     if isinstance(step, LinearStep):
         return {
             "kind": "linear",
             "matrix": [[format_gaussian_point(v) for v in row]
                        for row in step.matrix],
         }
-    if isinstance(step, ShearStep):
-        return {
-            "kind": "shear",
-            "axis": step.kind,
-            "sign": step.sign,
-            "polys": [_poly_to_json(p) for p in step.polys],
-        }
-    raise SchemaError([f"unknown step type {type(step).__name__}"])
+    return {
+        "kind": "shear",
+        "axis": step.kind,
+        "sign": step.sign,
+        "polys": [_poly_to_json(p) for p in step.polys],
+    }
 
 
 def auto_to_json(auto: PolyAuto) -> dict:

@@ -7,10 +7,11 @@ delta(x ^ y) = [x, y]:
 
     delta(x_1 ^ .. ^ x_k) = sum_{i<j} (-1)^(i+j+1) [x_i,x_j] ^ .. ,
 
-and it is the one signed bracket sum here.  The Chevalley-Eilenberg cochain
-differential is d_CE phi = -phi o delta, so (d phi)(x, y) = -phi([x, y]) on
-1-cochains.  On Lambda^3 g, delta o delta is minus the Jacobiator, so the
-Jacobi check is delta^2 = 0; the comoment relations subtract f_i o delta.
+and it is the one signed bracket sum here: ``LieAlgebraData.bracket`` is
+[u, v] = delta(u ^ v).  The Chevalley-Eilenberg cochain differential is
+d_CE phi = -phi o delta, so (d phi)(x, y) = -phi([x, y]) on 1-cochains.  On
+Lambda^3 g, delta o delta is minus the Jacobiator, so the Jacobi check is
+delta^2 = 0; the comoment relations subtract f_i o delta.
 
 Group actions enter at the algebra level: a :class:`LieAction` is a list of
 generator vector fields realizing the structure constants; the left-invariant
@@ -88,20 +89,13 @@ class LieAlgebraData(Record):
                 raise JacobiViolation(f"Jacobi identity fails on (e{i}, e{j}, e{k})")
 
     def bracket(self, u: Sequence, v: Sequence) -> List[Fraction]:
-        d = self.dim
+        """[u, v] = delta(u ^ v) for coefficient vectors u and v."""
         u = [_as_fraction(x) for x in u]
         v = [_as_fraction(x) for x in v]
-        out = [Q(0)] * d
-        for i in range(d):
-            if not u[i]:
-                continue
-            for j in range(d):
-                if not v[j]:
-                    continue
-                for k in range(d):
-                    if self.c[i][j][k]:
-                        out[k] += u[i] * v[j] * self.c[i][j][k]
-        return out
+        wedge = {(i + 1, j + 1): u[i] * v[j] - u[j] * v[i]
+                 for i, j in combinations(range(self.dim), 2)}
+        out = CEOperators(self).boundary(wedge, 2)
+        return [out.get((k,), Q(0)) for k in range(1, self.dim + 1)]
 
     def basis_bracket(self, i: int, j: int) -> Tuple[Fraction, ...]:
         """[e_i, e_j] for 1-based basis indices."""
@@ -469,8 +463,9 @@ def comoment_verify(act: LieAction, w: DiffForm, cm: ComomentData) -> ComomentRe
     Locally constant shifts of any f_{i+1} are invisible to l_1 f_{i+1}; the
     kernel note records this freedom.
     """
-    plectic_order(w, "a comoment")
-    n = cm.n
+    n = plectic_order(w, "a comoment")
+    if cm.n != n:
+        raise DegreeError(f"comoment has {cm.n} components; the form needs {n}")
     d = act.algebra.dim
     lifting = {}
     for i in range(1, d + 1):

@@ -165,11 +165,6 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Tuple[Optional[list], li
     return sol, list(f.free)
 
 
-def _first_one(matrix: Sequence[Sequence]):
-    """x / x for the first nonzero entry x, or None for a zero matrix."""
-    return next((_field(v) / v for row in matrix for v in row if v), None)
-
-
 def nullspace(matrix: Sequence, ncols: Optional[int] = None) -> List[list]:
     """Basis of the kernel of A (columns are the unknowns).
 
@@ -179,13 +174,11 @@ def nullspace(matrix: Sequence, ncols: Optional[int] = None) -> List[list]:
     if ncols is None:
         if not matrix or not matrix[0]:
             return []
-        ncols, zero, one = len(matrix[0]), _zero_like(matrix[0][0]), _first_one(matrix)
+        ncols, zero = len(matrix[0]), _zero_like(matrix[0][0])
     else:
-        one = _first_one([row[j] for j in sorted(row)] for row in matrix)
         zero = _zero_like(next((v for row in matrix for v in row.values()), 0))
     a, _, pivots = eliminate(matrix, ncols=ncols)
-    if one is None:
-        one = zero + 1  # all-zero matrix over a numeric field
+    one = zero + 1
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         vec = [zero] * ncols
@@ -227,9 +220,7 @@ def mat_inverse(matrix: Sequence[Sequence]) -> Optional[List[list]]:
     """Exact inverse, or None when singular."""
     n = len(matrix)
     zero = _zero_like(matrix[0][0])
-    one = _first_one(matrix)
-    if one is None:
-        return None
+    one = zero + 1
     ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
     _, b, pivots = eliminate(matrix, ident)
     if len(pivots) != n:

@@ -202,13 +202,16 @@ class ShearStep(Record):
 
 
 class PolyAuto(Record):
-    """Composition of elementary determinant-one steps (first step first)."""
+    """Composition of elementary determinant-one steps (first step first),
+    each a LinearStep or a ShearStep of the automorphism's dimension."""
 
     __slots__ = ("dim", "steps")
 
     def __init__(self, dim: int, steps: tuple):
         for s in steps:
-            if getattr(s, "dim", None) != dim:
+            if not isinstance(s, (LinearStep, ShearStep)):
+                raise ShapeError(f"unknown step {s!r}")
+            if s.dim != dim:
                 raise ShapeError("step dimension mismatch")
         super().__init__(dim, steps)
 
@@ -367,8 +370,6 @@ def _step_jacobian_det(step) -> ScalarExpr:
     partials of its polynomial components."""
     if isinstance(step, LinearStep):
         return ScalarExpr.const(step.dim, linalg.det([list(r) for r in step.matrix]))
-    if not isinstance(step, ShearStep):
-        raise ShapeError(f"unknown step {step!r}")
     comps = step.components()
     one = ScalarExpr.const(step.dim, 1)
     jac = [[RationalExpr._raw(c.partial(j), one) for j in range(1, step.dim + 1)] for c in comps]

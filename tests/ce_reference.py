@@ -1,9 +1,10 @@
 """The Chevalley-Eilenberg loops that plectic.liesym replaced by the boundary.
 
 Kept as the reference for the differential tests: the Jacobi check sums the
-three cyclic double brackets of each basis triple, and the cochain
-differential writes out (d phi)(T) = sum_{a<b} (-1)^(a+b) phi([t_a, t_b], ..)
-with its own signs, independently of ``CEOperators.boundary``.
+three cyclic double brackets of each basis triple, the cochain differential
+writes out (d phi)(T) = sum_{a<b} (-1)^(a+b) phi([t_a, t_b], ..) with its
+own signs, and the bracket of two vectors is the dense triple sum over the
+structure constants, each independently of ``CEOperators.boundary``.
 """
 from fractions import Fraction as Q
 from itertools import combinations
@@ -51,4 +52,20 @@ def reference_co_differential(g, cochain, k):
                         acc += sign * br[m - 1] * s * cochain[merged]
         if acc:
             out[T] = acc
+    return out
+
+
+def reference_bracket(g, u, v):
+    """[u, v] = sum_{i,j} u_i v_j c[i][j] as a dense triple loop."""
+    d = g.dim
+    out = [Q(0)] * d
+    for i in range(d):
+        if not u[i]:
+            continue
+        for j in range(d):
+            if not v[j]:
+                continue
+            for k in range(d):
+                if g.c[i][j][k]:
+                    out[k] += u[i] * v[j] * g.c[i][j][k]
     return out

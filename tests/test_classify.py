@@ -745,6 +745,25 @@ def test_involutive_dependent_frame():
         involutive([X, X.scale(2)])
 
 
+def test_both_frame_checks_reject_the_same_frames():
+    """A bivector or a frame on two charts is a ShapeError in the
+    standard-subspace check too, not DependentFrame; an empty frame is
+    DependentFrame in both."""
+    c3 = chart(3)
+    w = form(c3, 2, {(1, 2): 1})
+    bivector = multivec(c3, 2, {(1, 2): 1})
+    mixed = [coordinate_vector(c3, 1), coordinate_vector(chart(4), 2)]
+    for frame in ([bivector], [coordinate_vector(c3, 3), bivector], mixed):
+        with pytest.raises(ShapeError, match="vector fields on one chart"):
+            involutive(frame)
+        with pytest.raises(ShapeError, match="vector fields on one chart"):
+            verify_standard_subspace(w, frame)
+    with pytest.raises(DependentFrame):
+        involutive([])
+    with pytest.raises(DependentFrame):
+        verify_standard_subspace(w, [])
+
+
 def test_tangent_type_kernel_frame_involutive():
     w = catalog.tangent6()
     J = hitchin_endomorphism(w, standard_volume(C6))

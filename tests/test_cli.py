@@ -261,6 +261,48 @@ def test_move_dimension_is_bounded(tmp_path):
     assert all(r["match"] for r in rep["eval"])
 
 
+def test_move_point_count_is_bounded(tmp_path):
+    """The interpolation shears have degree k - 1 in the point count k, so the
+    schema refuses more than ``_MOVE_POINTS_MAX`` points before any work, in
+    ``src`` before ``dst`` is read; that many points still move."""
+    k_max = cli._MOVE_POINTS_MAX
+    many = [[j, 0] for j in range(k_max + 1)]
+    payload = {"n": 2, "src": many, "dst": [[0, j] for j in range(k_max + 1)]}
+    start = time.perf_counter()
+    with pytest.raises(SchemaError) as err:
+        go("move", payload)
+    assert time.perf_counter() - start < 0.1
+    assert err.value.violations == [f"$.src: must have at most {k_max} entries"]
+    got, out, err = run_cli(tmp_path, "move", payload)
+    assert got == EXIT_ERROR and "Traceback" not in err
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+    assert json.loads(out)["error"]["detail"][0].startswith("$.src: ")
+    with pytest.raises(SchemaError, match=r"\$\.dst: must have at most"):
+        go("move", dict(payload, src=many[:k_max]))
+    rep, code = go("move", {"n": 2, "src": many[:k_max], "dst": payload["dst"][1:]})
+    assert code == EXIT_OK and rep["realified_preserves_volume"] is True
+    assert all(r["match"] for r in rep["eval"])
+
+
+def test_exterior_check_catches_a_sign_flipped_interior(monkeypatch):
+    """The "cartan" law is [L_X, i_Y] = i_[X,Y]: with lie_derivative defined
+    as i_X d + d i_X, a sign-flipped interior product leaves the left side
+    unchanged and negates the right, so the check fails."""
+    from plectic import exterior
+
+    rep, code = go("verify", {"check": "exterior"}, seed=3)
+    assert code == EXIT_OK and rep == {"ok": True, "samples": 10}
+    interior = exterior.interior
+
+    def flipped(X, a):
+        return -interior(X, a)
+
+    monkeypatch.setattr(exterior, "interior", flipped)
+    monkeypatch.setattr(cli, "interior", flipped)
+    rep, code = go("verify", {"check": "exterior"}, seed=3)
+    assert code == EXIT_FAILED_CHECK and rep == {"ok": False, "law": "cartan"}
+
+
 def test_verify_checks():
     rep, code = go("verify", {"check": "ring-laws", "dim": 3, "samples": 10}, seed=5)
     assert code == EXIT_OK and rep["ok"]

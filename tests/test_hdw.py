@@ -6,7 +6,13 @@ import pytest
 from plectic import hdw
 from plectic.catalog import omega_f
 from plectic.classify import nondegenerate
-from plectic.errors import DegenerateForm, DegreeError, NotHamiltonian, ShapeError
+from plectic.errors import (
+    ChartMismatch,
+    DegenerateForm,
+    DegreeError,
+    NotHamiltonian,
+    ShapeError,
+)
 from plectic.exterior import (
     SmoothMap,
     _minor_sums,
@@ -261,6 +267,22 @@ def test_free_field_sections(n, fiber):
     assert all(r.is_zero for r in res)
 
 
+def test_model_section_is_the_hand_built_map():
+    """``section(q, p)`` lays out (x^mu, q^a, p^mu_a a-major) as the map built
+    by hand, and ``free_field_section`` returns that map."""
+    model = multiphase_forms(2, 3)
+    q = [parse_expression(f"x1 + {a}*x2", 2) for a in range(1, 4)]
+    p = [[parse_expression(f"{a}*x{mu}^2", 2) for mu in (1, 2)] for a in range(1, 4)]
+    comps = [parse_expression("x1", 2), parse_expression("x2", 2)] + q + p[0] + p[1] + p[2]
+    assert model.section(q, p) == SmoothMap(chart(2), model.restricted_chart, tuple(comps))
+    slopes = [[Q(1), Q(-2)], [Q(0), Q(3)], [Q(1, 2), Q(5)]]
+    _ham, sec = free_field_section(model, slopes)
+    by_hand = [parse_expression("x1", 2), parse_expression("x2", 2)]
+    by_hand += [parse_expression(f"{a}*x1 + {b}*x2", 2) for a, b in slopes]
+    by_hand += [RationalExpr.const(2, -c) for row in slopes for c in row]
+    assert sec == SmoothMap(chart(2), model.restricted_chart, tuple(by_hand))
+
+
 def test_volterra_reduces_to_classical_hamilton():
     """For n = 1 the residuals coincide with the classical Hamilton residuals."""
     fiber = 2
@@ -339,6 +361,20 @@ def test_symbolic_curve_check_pushes_through_the_det_minors():
     line = SmoothMap(c1, half_plane, (parse_expression("x1 + 1", 1), parse_expression("5", 1)))
     root = multivec(half_plane, 1, {(1,): "x1^(1/2)"})
     assert ham_curve_check_symbolic(line, coordinate_vector(c1, 1), root) is None
+
+
+def test_both_curve_checks_reject_the_same_operands():
+    """A field on the wrong chart is a ChartMismatch and unequal degrees a
+    DegreeError in the symbolic check too, not None ("leaves the ring")."""
+    psi, gamma, X = _curve_fixtures()[0]
+    cases = [(ChartMismatch, psi, gamma, coordinate_vector(C3, 1)),
+             (ChartMismatch, psi, coordinate_vector(C2, 1), X),
+             (DegreeError, psi, gamma, multivec(C2, 2, {(1, 2): 1}))]
+    for kind, *operands in cases:
+        with pytest.raises(kind):
+            ham_curve_check(*operands, [[Q(0)]])
+        with pytest.raises(kind):
+            ham_curve_check_symbolic(*operands)
 
 
 def test_symbolic_curve_check_agrees_with_the_pointwise_one():

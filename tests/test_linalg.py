@@ -499,3 +499,19 @@ def test_solve_reuses_the_callers_zero():
     assert sol[1] is zero and sol[2] is zero
     sol, _free = linalg.solve(A, [x1, x1])  # no zero to reuse
     assert str(sol) == str([x1, x1, x1 - x1])
+
+
+def test_kernel_unit_is_the_rings_one():
+    """A free entry of a symbolic basis vector is the ring's 1, not x/x of a
+    first nonzero entry; a singular inverse is still None."""
+    x1 = parse_expression("x1", DIM)
+    one = RationalExpr.const(DIM, 1)
+    for rows, ncols in (([[x1, x1 * x1]], None), ([{1: x1 * x1, 0: x1}], 2)):
+        (vec,) = linalg.nullspace(rows, ncols)
+        assert str(vec[1]) == "1" and vec[1] == one and type(vec[1]) is RationalExpr
+        assert vec[0] == -x1
+    G = GaussianRational(1, 2)
+    assert linalg.nullspace([[G, G]]) == [[-GaussianRational(1), GaussianRational(1)]]
+    assert linalg.mat_inverse([[x1, x1], [x1, x1]]) is None
+    assert linalg.mat_inverse([[0, 0], [0, 0]]) is None
+    assert str(linalg.mat_inverse([[x1]])) == str([[one / x1]])

@@ -480,3 +480,20 @@ def test_move_realified_invariance(seed):
     for z in complex_image:
         expect.extend([z.re, z.im])
     assert image == expect
+
+
+def test_poly_auto_admits_only_linear_steps_and_shears():
+    """A step of another type is a ShapeError when the automorphism is built,
+    even when it carries the right ``dim``; Jacobians and JSON then see only
+    the two step types."""
+    class ForeignStep:
+        dim = 2
+
+    with pytest.raises(ShapeError, match="unknown step"):
+        PolyAuto(2, (ForeignStep(),))
+    with pytest.raises(ShapeError, match="unknown step"):
+        PolyAuto(2, (LinearStep([[1, 0], [0, 1]]), ForeignStep()))
+    with pytest.raises(ShapeError, match="dimension mismatch"):
+        PolyAuto(3, (LinearStep([[1, 0], [0, 1]]),))
+    with pytest.raises(ShapeError, match="unknown step"):
+        realify_step(ForeignStep(), 2)
