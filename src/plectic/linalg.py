@@ -2,28 +2,31 @@
 
 Entries may be ints, Fractions, GaussianRationals or RationalExprs.  A plain
 int is lifted to Fraction on the way in, so no division leaves the exact
-rings.  A triangular matrix's ``det`` is the product of its diagonal.  A
-matrix of constant RationalExprs is lowered to their values, eliminated over
-sparse rows {col: value} and lifted back.  Pivots are chosen as in dense
-textbook elimination, so the row operations, and the printed form of
-symbolic results, are the same.
+rings.  A triangular matrix's ``det`` is the product of its diagonal.  Each
+constant RationalExpr entry is lowered to its value, eliminated over sparse
+rows {col: value} beside the symbolic entries and lifted back.  A column
+index finds each pivot's rows.  Pivots are chosen as in dense textbook
+elimination, so the row operations, and the printed form of symbolic
+results, are the same.
 
 ``Factored(matrix)`` reduces a matrix once and records its row operations;
 ``_replay`` applies them to a right-hand side, in the order they were made,
-so ``solve(factored, b)`` for many b eliminates the matrix only once.  A
-symbolic right-hand side of a lowered matrix gets the lowered factors.
+so ``solve(factored, b)`` for many b eliminates the matrix only once.
 
 Rows may also come sparse, as dicts {col: entry} with the column count
-``ncols``, which a dict row cannot supply; a column no row names is free.
+``ncols``, which a dict row cannot supply; a column no row names is free,
+and a row that does not fit the column count is a ValueError.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .scalar import RationalExpr
+from .scalar import RationalExpr, _constant_coeff
 
 
 def _field(x):
@@ -41,15 +44,18 @@ def _sparse(matrix: Sequence) -> List[dict]:
 
 
 def _lower(matrix: Sequence[Sequence]):
-    """Sparse rows of ``matrix`` and the lift back to its ring: lowered values
-    when every nonzero entry is a constant RationalExpr, else entries and None."""
-    rows = _sparse(matrix)
-    entries = [v for row in rows for v in row.values()]
-    if not entries or not all(type(v) is RationalExpr and v.is_constant for v in entries):
-        return rows, None
-    dim = entries[0].dim
-    return ([{j: v.constant_value() for j, v in row.items()} for row in rows],
-            lambda v: RationalExpr.const(dim, v))
+    """Sparse rows of ``matrix`` with each constant RationalExpr entry lowered
+    to its value, and the lift back to its ring, which re-wraps only lowered
+    values (None when no entry is a RationalExpr)."""
+    rows, dim = _sparse(matrix), None
+    for row in rows:
+        for j, v in row.items():
+            if type(v) is RationalExpr:
+                dim, c = v.dim, _constant_coeff(v)
+                if c is not None:
+                    row[j] = c
+    return rows, None if dim is None else (
+        lambda v: v if type(v) is RationalExpr else RationalExpr.const(dim, v))
 
 
 def _subtract(row: dict, f, pivot_items) -> None:
@@ -65,29 +71,42 @@ def _subtract(row: dict, f, pivot_items) -> None:
 def _reduce(rows: List[dict], ncols: int, below_only: bool = False):
     """Gauss-Jordan elimination of sparse rows in place: the one elimination loop.
 
+    ``index`` maps each column to the rows that name it: the first at or
+    below row r is the pivot row, the others are cleared in increasing order.
     Pivot entries leave their rows, which are scaled by their inverses.
     Returns the pivot columns and the row operations, for the r-th pivot
     (row swapped with row r, pivot entry, its inverse, [(row, factor), ...]).
     """
+    index = defaultdict(set)
+    for i, row in enumerate(rows):
+        for j in row:
+            index[j].add(i)
+    if index and not 0 <= min(index) <= max(index) < ncols:
+        raise ValueError(f"a column outside 0..{ncols - 1}")
     nrows = len(rows)
     pivots: List[int] = []
     ops = []
     for c in range(ncols):
         r = len(pivots)
-        p = next((i for i in range(r, nrows) if c in rows[i]), None)
-        if p is None:
+        order = sorted(index.pop(c, ()))
+        k = bisect_left(order, r)
+        if k == len(order):
             continue
+        p = order.pop(k)
+        pv = rows[p].pop(c)
+        for j in rows[p].keys() ^ rows[r].keys():  # rows p and r swap
+            index[j] ^= {p, r}
         rows[r], rows[p] = rows[p], rows[r]
-        pv = rows[r].pop(c)
         inv = 1 / pv
         rows[r] = {j: v * inv for j, v in rows[r].items()}
         prow = list(rows[r].items())
         factors = []
-        for i in range(r + 1 if below_only else 0, nrows):
-            if i != r and c in rows[i]:
-                f = rows[i].pop(c)
-                _subtract(rows[i], f, prow)
-                factors.append((i, f))
+        for i in order[k:] if below_only else order:
+            f = rows[i].pop(c)
+            _subtract(rows[i], f, prow)
+            for j, _w in prow:  # fill-in and cancellations
+                (index[j].add if j in rows[i] else index[j].discard)(i)
+            factors.append((i, f))
         pivots.append(c)
         ops.append((p, pv, inv, factors))
         if r + 1 == nrows:
@@ -98,15 +117,17 @@ def _reduce(rows: List[dict], ncols: int, below_only: bool = False):
 class Factored(tuple):
     """A matrix (the tuple of its rows) with one reduction of it kept.
 
-    ``reduced`` holds its reduced rows as ``eliminate`` returns them, but in
-    the lowered ring; ``lift`` maps back to the matrix's ring (None when
-    nothing was lowered).  ``pivots`` and ``free`` are the pivot and free
-    columns and ``ops`` the row operations of ``_reduce``.
+    ``reduced`` holds its reduced rows as ``eliminate`` returns them, but
+    with constant entries lowered; ``lift`` maps back to the matrix's ring
+    (None when no entry is a RationalExpr).  ``pivots`` and ``free`` are the
+    pivot and free columns and ``ops`` the row operations of ``_reduce``.
     """
 
     def __new__(cls, matrix: Sequence, ncols: Optional[int] = None):
         self = super().__new__(cls, matrix)
         self.ncols = (len(matrix[0]) if matrix else 0) if ncols is None else ncols
+        if any(ncols is None if type(row) is dict else len(row) != self.ncols for row in matrix):
+            raise ValueError(f"rows must have {self.ncols} entries, or be dicts with ncols")
         self.reduced, self.lift = _lower(matrix)
         self.pivots, self.ops = _reduce(self.reduced, self.ncols)
         self.free = [c for c in range(self.ncols) if c not in self.pivots]
@@ -114,14 +135,14 @@ class Factored(tuple):
 
     def _replay(self, rhs: Sequence[Sequence]) -> List[dict]:
         """Sparse rows of ``rhs`` after this reduction's row operations."""
-        b, lift = _lower(rhs) if self.lift else (_sparse(rhs), None)
+        b = _sparse(rhs)
         for r, (p, _pv, inv, factors) in enumerate(self.ops):
             b[r], b[p] = b[p], b[r]
             b[r] = {j: v * inv for j, v in b[r].items()}
             prow = list(b[r].items())
             for i, f in factors:
                 _subtract(b[i], f, prow)
-        return [{j: lift(v) for j, v in row.items()} for row in b] if lift else b
+        return b
 
 
 def eliminate(matrix: Sequence, rhs: Optional[Sequence] = None, ncols: Optional[int] = None):
@@ -138,10 +159,9 @@ def eliminate(matrix: Sequence, rhs: Optional[Sequence] = None, ncols: Optional[
     return a, None if rhs is None else f._replay(rhs), f.pivots
 
 
-def rank(matrix: Sequence[Sequence]) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    return len(eliminate(matrix)[2])
+def rank(matrix: Sequence, ncols: Optional[int] = None) -> int:
+    """Rank of A; dict rows need ``ncols``, as for ``nullspace``."""
+    return len(eliminate(matrix, ncols=ncols)[2])
 
 
 def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Tuple[Optional[list], list]:
@@ -155,6 +175,8 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Tuple[Optional[list], li
     if not matrix:
         raise ValueError("solve needs at least one equation row")
     f = matrix if isinstance(matrix, Factored) else Factored(matrix)
+    if len(rhs) != len(f):
+        raise ValueError(f"{len(rhs)} right-hand sides for {len(f)} equation rows")
     b = f._replay([[v] for v in rhs])
     if any(b[len(f.pivots):]):  # a zero row with a nonzero rhs
         return None, []
@@ -171,13 +193,11 @@ def nullspace(matrix: Sequence, ncols: Optional[int] = None) -> List[list]:
     Rows are sequences, or dicts {col: entry} over ``ncols`` columns (their
     zero entries are dropped); a column that no row names is free.
     """
-    if ncols is None:
-        if not matrix or not matrix[0]:
-            return []
-        ncols, zero = len(matrix[0]), _zero_like(matrix[0][0])
-    else:
-        zero = _zero_like(next((v for row in matrix for v in row.values()), 0))
     a, _, pivots = eliminate(matrix, ncols=ncols)
+    if ncols is None:  # dense rows, as eliminate checked
+        ncols = len(matrix[0]) if matrix else 0
+    zero = _zero_like(next((v for row in matrix
+                            for v in (row.values() if type(row) is dict else row)), 0))
     one = zero + 1
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
@@ -219,6 +239,8 @@ def det(matrix: Sequence[Sequence]):
 def mat_inverse(matrix: Sequence[Sequence]) -> Optional[List[list]]:
     """Exact inverse, or None when singular."""
     n = len(matrix)
+    if n == 0:
+        raise ValueError("empty matrix")
     zero = _zero_like(matrix[0][0])
     one = zero + 1
     ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
