@@ -214,8 +214,8 @@ def det(matrix: Sequence[Sequence]):
     """Determinant: the product of the diagonal of a triangular matrix (every
     shear Jacobian of the mover), else closed forms for n <= 3 or elimination."""
     n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
+    if n == 0 or any(len(row) != n for row in matrix):
+        raise ValueError("a non-empty square matrix is needed")
     if not any(matrix[i][j] for i in range(n) for j in range(i)) or \
             not any(matrix[i][j] for j in range(n) for i in range(j)):
         return reduce(mul, (matrix[i][i] for i in range(n)))
@@ -239,8 +239,8 @@ def det(matrix: Sequence[Sequence]):
 def mat_inverse(matrix: Sequence[Sequence]) -> Optional[List[list]]:
     """Exact inverse, or None when singular."""
     n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
+    if n == 0 or any(len(row) != n for row in matrix):
+        raise ValueError("a non-empty square matrix is needed")
     zero = _zero_like(matrix[0][0])
     one = zero + 1
     ident = [[one if i == j else zero for j in range(n)] for i in range(n)]

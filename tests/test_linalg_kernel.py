@@ -115,8 +115,8 @@ def test_extract_acs_systems_reduce_as_by_scanning(monkeypatch):
 
 
 def mixed_matrix(rng, nrows, ncols, rank):
-    """A seeded matrix of the given rank: constant RationalExprs, with one
-    symbolic entry (a polynomial times a constant row) in some rows."""
+    """A seeded matrix of the given rank: constant RationalExprs, but for a
+    first row that a polynomial scales."""
     left = [[rand_fraction(rng) for _ in range(rank)] for _ in range(nrows)]
     right = [[rand_fraction(rng) for _ in range(ncols)] for _ in range(rank)]
     matrix = [[RationalExpr.const(DIM, sum((a * b for a, b in zip(row, col)), Q(0)))
@@ -162,10 +162,13 @@ def test_rank_takes_the_column_count_of_dict_rows():
     lambda: linalg.solve([[1, 0], [0, 1]], [1, 2, 3]),  # rhs of another length
     lambda: linalg.solve([[1, 0], [0, 1]], [1]),
     lambda: linalg.solve(linalg.Factored([[1, 0], [0, 1]]), [1]),
-    lambda: linalg.mat_inverse([]),
+    lambda: linalg.mat_inverse([]),  # not a non-empty square matrix
+    lambda: linalg.mat_inverse([[1, 2, 3], [4, 5, 6]]),
+    lambda: linalg.det([[1, 2, 3, 4, 5]]),
+    lambda: linalg.det([[1, 2, 0, 0], [3, 4, 5], [0, 1, 2, 3], [1, 0, 0, 1]]),
 ], ids=["dict-no-ncols", "dict-no-ncols-nullspace", "column-past-ncols", "negative-column",
         "ragged", "ragged-rank", "short-row", "long-rhs", "short-rhs", "short-rhs-factored",
-        "empty-inverse"])
+        "empty-inverse", "wide-inverse", "wide-det", "ragged-det"])
 def test_a_bad_shape_is_a_value_error(call):
     with pytest.raises(ValueError):
         call()
