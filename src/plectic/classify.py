@@ -82,7 +82,7 @@ _SIGN_SAMPLES = 48  # points drawn when no certificate decides the sign
 
 
 class SignReport(NamedTuple):
-    sign: str               # '+', '-', '0', 'mixed', '?'
+    sign: str               # '+', '-', '0', 'mixed'
     certified: bool
     witnesses: tuple = ()   # up to two (point, value) pairs
 
@@ -114,7 +114,6 @@ def sign_on_chart(expr: RationalExpr, chart: Chart) -> SignReport:
     rng = random.Random(0x5E_ED)
     pos_w = None
     neg_w = None
-    seen_nonzero = False
     for _ in range(_SIGN_SAMPLES):
         point = [
             rng.choice(_SAMPLE_POOL_POS if i in chart.positive else _SAMPLE_POOL_ANY)
@@ -129,17 +128,13 @@ def sign_on_chart(expr: RationalExpr, chart: Chart) -> SignReport:
             pos_w = (tuple(point), v)
         elif v < 0 and neg_w is None:
             neg_w = (tuple(point), v)
-        if v:
-            seen_nonzero = True
         if pos_w and neg_w:
             return SignReport("mixed", True, (pos_w, neg_w))
-    if pos_w and not neg_w:
+    if pos_w:
         return SignReport("+", False, (pos_w,))
-    if neg_w and not pos_w:
+    if neg_w:
         return SignReport("-", False, (neg_w,))
-    if not seen_nonzero:
-        return SignReport("0", False)
-    return SignReport("?", False)
+    return SignReport("0", False)
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +662,6 @@ def flatness_report(w: DiffForm) -> TypeReport:
         pts = [list(map(str, wpt)) for wpt, _v in sig.witnesses]
         return TypeReport(NONCONSTANT, "mixed", UNDETERMINED,
                           points=pts, notes=notes)
-    if sig.sign == "?":
-        return TypeReport(NONCONSTANT, "?", UNDETERMINED,
-                          notes=notes + ["sign sampling inconclusive"])
 
     if sig.sign == "+":
         try:
@@ -704,7 +696,7 @@ def flatness_report(w: DiffForm) -> TypeReport:
     if not nd:
         return TypeReport(DEGENERATE, "0", UNDETERMINED,
                           notes=notes + ["form is degenerate"])
-    frame = _vector_fields(chart, linalg.nullspace([list(row) for row in J.matrix]))
+    frame = _vector_fields(chart, linalg.nullspace(J.matrix))
     if not frame:
         return TypeReport(TANGENT, "0", UNDETERMINED,
                           notes=notes + ["kernel of J is trivial"])

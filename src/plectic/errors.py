@@ -106,7 +106,5 @@ class SchemaError(PlecticError):
     """Invalid request payload; carries the offending JSON paths."""
 
     def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))

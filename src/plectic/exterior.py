@@ -216,15 +216,7 @@ class _Alternating:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        if self.chart != other.chart:
-            return False
-        if self.is_zero and other.is_zero:
-            return True
-        if self.degree != other.degree:
-            return False
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(self.coeffs[i] == other.coeffs[i] for i in self.coeffs)
+        return self.chart == other.chart and self.coeffs == other.coeffs
 
     def __hash__(self):
         # computed once (hashing each coefficient by value is slow); zero

@@ -68,8 +68,9 @@ def read_int(v, path: str, lo: Optional[int] = 1, hi: Optional[int] = None,
     return v
 
 
-def read_positive(v, path: str) -> int:
-    return read_int(v, path, msg="must be a positive integer")
+def read_positive(v, path: str, hi: Optional[int] = None) -> int:
+    read_int(v, path, msg="must be a positive integer")
+    return read_int(v, path, 1, hi)
 
 
 def read_list(obj, path: str, msg: str, item=None, *context,

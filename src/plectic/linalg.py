@@ -170,7 +170,8 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Tuple[Optional[list], li
     Returns (solution, free_columns); solution is None when inconsistent.
     Free columns are set to zero in the particular solution.  Its zero is
     the first zero entry of ``rhs`` (a caller solving many times passes one
-    zero it built once), else ``rhs[0] - rhs[0]``.
+    zero it built once), else ``rhs[0] - rhs[0]``.  When A has a
+    RationalExpr entry, every solution entry is a RationalExpr.
     """
     if not matrix:
         raise ValueError("solve needs at least one equation row")
@@ -184,6 +185,8 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Tuple[Optional[list], li
     sol = [_zero_like(rhs[0]) if zero is None else zero] * f.ncols
     for r, c in enumerate(f.pivots):
         sol[c] = b[r].get(0, sol[c])
+    if f.lift:
+        sol = [f.lift(v) for v in sol]
     return sol, list(f.free)
 
 
@@ -196,6 +199,8 @@ def nullspace(matrix: Sequence, ncols: Optional[int] = None) -> List[list]:
     a, _, pivots = eliminate(matrix, ncols=ncols)
     if ncols is None:  # dense rows, as eliminate checked
         ncols = len(matrix[0]) if matrix else 0
+    if len(pivots) == ncols:  # no free column
+        return []
     zero = _zero_like(next((v for row in matrix
                             for v in (row.values() if type(row) is dict else row)), 0))
     one = zero + 1

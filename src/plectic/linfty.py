@@ -36,10 +36,6 @@ class Observable(Record):
         super().__init__(form, ham_field)
 
     @property
-    def degree(self) -> int:
-        return self.form.degree
-
-    @property
     def is_top(self) -> bool:
         return self.ham_field is not None
 

@@ -121,7 +121,7 @@ class LinearStep(Record):
         n = len(m)
         if any(len(row) != n for row in m):
             raise ShapeError("linear step matrix must be square")
-        if linalg.det([list(r) for r in m]) != GR(1):
+        if linalg.det(m) != GR(1):
             raise ShapeError("linear step must have determinant one")
         super().__init__(m)
 
@@ -133,7 +133,7 @@ class LinearStep(Record):
         return tuple(sum(map(operator.mul, row[1:], p[1:]), row[0] * p[0]) for row in self.matrix)
 
     def inverse(self) -> "LinearStep":
-        inv = linalg.mat_inverse([list(r) for r in self.matrix])
+        inv = linalg.mat_inverse(self.matrix)
         return LinearStep(inv)
 
     def components(self) -> List[ScalarExpr]:
@@ -307,7 +307,7 @@ def separating_linear_map(points: Sequence[Point], n: int) -> LinearStep:
     last = max(i for i, v in enumerate(phi) if v)
     rows = [phi] + [[GR(1) if j == i else GR(0) for j in range(n)]
                     for i in range(n) if i != last]
-    d = linalg.det([list(r) for r in rows])
+    d = linalg.det(rows)
     inv = GR(1) / d
     rows[-1] = [v * inv for v in rows[-1]]
     return LinearStep(rows)
@@ -369,7 +369,7 @@ def _step_jacobian_det(step) -> ScalarExpr:
     step the determinant of its own matrix, for a shear that of the
     partials of its polynomial components."""
     if isinstance(step, LinearStep):
-        return ScalarExpr.const(step.dim, linalg.det([list(r) for r in step.matrix]))
+        return ScalarExpr.const(step.dim, linalg.det(step.matrix))
     comps = step.components()
     one = ScalarExpr.const(step.dim, 1)
     jac = [[RationalExpr._raw(c.partial(j), one) for j in range(1, step.dim + 1)] for c in comps]
@@ -488,10 +488,6 @@ class RealifiedAuto(Record):
     """Realified steps of a PolyAuto, applied first step first."""
 
     __slots__ = ("n", "steps")  # steps are SmoothMaps on R^{2n}
-
-    @property
-    def chart(self) -> Chart:
-        return self.steps[0].source
 
     def apply(self, point: Sequence) -> List[Fraction]:
         pt = list(point)

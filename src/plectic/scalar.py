@@ -439,11 +439,6 @@ class ScalarExpr:
         terms = self.terms
         return not terms or (len(terms) == 1 and not any(next(iter(terms))))
 
-    def constant_value(self) -> Coeff:
-        if not self.is_constant:
-            raise ShapeError("expression is not constant")
-        return next(iter(self.terms.values()), ZERO)
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
@@ -807,9 +802,7 @@ class RationalExpr:
             if c is None:
                 c = _constant_coeff(self)
                 if c is None:
-                    num = self.num * other.num
-                    return RationalExpr._raw(num, self.den * other.den if num.terms
-                                             else _one(num.dim))
+                    return RationalExpr._raw(self.num * other.num, self.den * other.den)
                 self = other  # the constant is self: scale other
         elif type(other) in _SCALARS:
             c = other

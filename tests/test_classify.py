@@ -886,6 +886,14 @@ def test_sign_on_chart_monomial_rule():
     assert s.sign == "+" and s.certified
     s2 = sign_on_chart(t, chart(6))
     assert s2.sign == "mixed" and len(s2.witnesses) == 2
+    # without a certificate: one witness of a sign that never changed, none
+    # when every sample is a root
+    s3 = sign_on_chart(-parse_expression("x1^2 + 1", 6), chart(6))
+    assert s3.sign == "-" and not s3.certified and len(s3.witnesses) == 1
+    assert s3.witnesses[0][1] < 0
+    x2 = parse_expression("x2", 6)
+    roots = prod((x2 - v for v in classify._SAMPLE_POOL_POS), start=RationalExpr.const(6, 1))
+    assert sign_on_chart(roots, HALF) == ("0", False, ())
 
 
 def test_sign_on_chart_lets_faults_through(monkeypatch):

@@ -284,6 +284,32 @@ def test_move_point_count_is_bounded(tmp_path):
     assert all(r["match"] for r in rep["eval"])
 
 
+@pytest.mark.parametrize("check,key,bound", [
+    ("exterior", "dim", cli._VERIFY_DIM_MAX),
+    ("ring-laws", "dim", cli._VERIFY_DIM_MAX),
+    ("exterior", "samples", cli._VERIFY_SAMPLES_MAX),
+    ("ring-laws", "samples", cli._VERIFY_SAMPLES_MAX),
+])
+def test_verify_dim_and_samples_are_bounded(tmp_path, check, key, bound):
+    """The exterior check lists every index tuple of a random degree, so the
+    schema refuses a dim or a sample count above its bound before any work;
+    the bound itself is still answered."""
+    payload = {"check": check, key: bound + 1}
+    start = time.perf_counter()
+    with pytest.raises(SchemaError) as err:
+        go("verify", payload)
+    assert time.perf_counter() - start < 0.1
+    assert err.value.violations == [f"$.{key}: must be an integer in 1..{bound}"]
+    got, out, err = run_cli(tmp_path, "verify", payload)
+    assert got == EXIT_ERROR and "Traceback" not in err
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+    rep = json.loads(out)["error"]
+    assert rep["kind"] == "SchemaError" and rep["detail"][0].startswith(f"$.{key}: ")
+    small = {"dim": 2, "samples": 1}
+    rep, code = go("verify", dict(small, check=check, **{key: bound}))
+    assert code == EXIT_OK and rep["ok"] is True
+
+
 def test_exterior_check_catches_a_sign_flipped_interior(monkeypatch):
     """The "cartan" law is [L_X, i_Y] = i_[X,Y]: with lie_derivative defined
     as i_X d + d i_X, a sign-flipped interior product leaves the left side

@@ -849,3 +849,4 @@ def test_zero_forms_of_any_degree_hash_equal():
     a = form(C3, 1, {(1,): parse_expression("x1^2/x1", 3)})
     b = form(C3, 1, {(1,): parse_expression("x1", 3)})
     assert a == b and hash(a) == hash(b)
+    assert form(C3, 1, {(1,): 1}) != form(C3, 2, {(1, 2): 1})

@@ -490,6 +490,30 @@ def test_int_matrix_agrees_with_fraction_matrix(name, matrix):
         assert not any(isinstance(v, float) for v in leaves(got))
 
 
+def test_nullspace_builds_no_unit_without_a_free_column(monkeypatch):
+    """The zero and one of a basis vector are built only when a column is free."""
+    x1 = parse_expression("x1", DIM)
+    one = RationalExpr.const(DIM, 1)
+
+    def refuse(x):
+        raise AssertionError("zero built")
+
+    monkeypatch.setattr(linalg, "_zero_like", refuse)
+    assert linalg.nullspace([[x1, one], [one, x1 * x1]]) == []
+    with pytest.raises(AssertionError, match="zero built"):
+        linalg.nullspace([[x1, one]])
+
+
+def test_solve_on_a_symbolic_matrix_lifts_every_entry():
+    """A solution over a matrix with a RationalExpr entry is all RationalExpr,
+    however the pivots fall and whatever the ring of the right-hand side."""
+    x1 = parse_expression("x1", DIM)
+    c = lambda v: RationalExpr.const(DIM, v)
+    sol, free = linalg.solve([[c(2), x1], [c(0), c(3)]], [Q(1), Q(3)])
+    assert free == [] and sol == [(1 - x1) / 2, c(1)]
+    assert [type(v) for v in sol] == [RationalExpr, RationalExpr]
+
+
 def test_solve_reuses_the_callers_zero():
     x1 = parse_expression("x1", DIM)
     zero = RationalExpr.const(DIM, 0)
