@@ -794,8 +794,8 @@ class RationalExpr:
         or a constant RationalExpr) scales the other side's numerator term by
         term and keeps its denominator, with no exponent arithmetic and no
         product of denominators; a zero factor gives the canonical zero.
-        Otherwise numerators and denominators multiply (a product of monic
-        denominators is monic: leading terms multiply)."""
+        Otherwise numerators and denominators multiply; leading terms multiply,
+        so the denominator stays monic and the numerator nonzero."""
         if type(other) is RationalExpr:
             self._check(other)
             c = _constant_coeff(other)
