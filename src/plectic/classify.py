@@ -357,10 +357,20 @@ def _rank_at_least_two(rows: Sequence[Sequence[int]]) -> bool:
     return False
 
 
-def _classify_at(w: DiffForm, point: Sequence) -> Tuple[TypeReport, Fraction]:
-    """``classify6``'s report together with the exact trace(J(p)^2) for the
-    standard volume.  Each constant coefficient is read once, and only the
-    others are checked for closedness (d of a constant is zero) and evaluated."""
+def classify6(w: DiffForm, point: Sequence) -> TypeReport:
+    """Linear type of a closed 3-form on a 6-chart at a point.
+
+    Each constant coefficient is read once, and only the others are checked
+    for closedness (d of a constant is zero) and evaluated.  The values are
+    cleared of denominators by their lcm D, so J (for the standard volume) is
+    built in Python int, scaled by D^2, and trace(J^2) comes out scaled by
+    D^4 > 0.  The sign of trace(J^2) separates product (+) and complex (-)
+    type.  At trace zero, w is tangent exactly when J has rank >= 2: if w is
+    degenerate, some v != 0 has i_v w = 0, so w is pulled back from the
+    5-dimensional V/<v>, every (i_u w) ^ w lies in the line of 5-forms of
+    that quotient, and J has rank <= 1; a non-degenerate w with trace zero is
+    GL(6)-conjugate to ``catalog.tangent6``, whose J has rank 3.
+    """
     constants = {idx: v for idx, c in w.coeffs.items()
                  if (v := _constant_coeff(c)) is not None}
     varying = {idx: c for idx, c in w.coeffs.items() if idx not in constants}
@@ -368,7 +378,7 @@ def _classify_at(w: DiffForm, point: Sequence) -> Tuple[TypeReport, Fraction]:
     pt = w.chart.check_point(point)
     values = {idx: _as_fraction(v) for idx, v in constants.items()}
     values.update((idx, _as_fraction(c.eval(pt))) for idx, c in varying.items())
-    D, values = _cleared(values)
+    _, values = _cleared(values)
     gj = _volume_times_j(values, 0)
     tv = _trace_sq(gj, 0)  # trace(J^2) times D^4 > 0: the sign is exact
     if tv > 0:
@@ -377,23 +387,7 @@ def _classify_at(w: DiffForm, point: Sequence) -> Tuple[TypeReport, Fraction]:
         linear_type, sign = COMPLEX, "-"
     else:
         linear_type, sign = (TANGENT if _rank_at_least_two(gj) else DEGENERATE), "0"
-    return TypeReport(linear_type, sign, points=[list(point)]), Fraction(tv, D ** 4)
-
-
-def classify6(w: DiffForm, point: Sequence) -> TypeReport:
-    """Linear type of a closed 3-form on a 6-chart at a point.
-
-    The coefficients are read once and cleared of denominators by their lcm
-    D, so J (for the standard volume) is built in Python int, scaled by D^2,
-    and trace(J^2) comes out scaled by D^4 > 0.  The sign of trace(J^2)
-    separates product (+) and complex (-) type.  At trace zero, w is tangent
-    exactly when J has rank >= 2: if w is degenerate, some v != 0 has
-    i_v w = 0, so w is pulled back from the 5-dimensional V/<v>, every
-    (i_u w) ^ w lies in the line of 5-forms of that quotient, and J has
-    rank <= 1; a non-degenerate w with trace zero is GL(6)-conjugate to
-    ``catalog.tangent6``, whose J has rank 3.
-    """
-    return _classify_at(w, point)[0]
+    return TypeReport(linear_type, sign, points=[list(point)])
 
 
 def _sqrt_rational_expr(expr: RationalExpr) -> RationalExpr:

@@ -1,11 +1,13 @@
 """Command-line front-end: one binary, one subcommand per capability.
 
-Input is JSON (file argument or stdin); output is a deterministic JSON
-report on stdout.  Exit codes: 0 when the command produced its answer (a
-mathematically negative answer such as NotHamiltonian from ``hamvf`` is
-still an answer), 2 when a verification-style command found its property
-violated (hdw-residual, volterra, curve-check, lie-validate, comoment
-verify, verify), and 1 for malformed input or internal faults.
+Input is JSON (file argument or stdin); output is one sorted-key JSON report
+on stdout, indented for an answer and on one line for a fault found before
+dispatch.  The global flags are ``--sign`` and ``--seed``.  Exit codes: 0
+when the command produced its answer (a mathematically negative answer such
+as NotHamiltonian from ``hamvf`` is still an answer), 2 when a
+verification-style command found its property violated (hdw-residual,
+volterra, curve-check, lie-validate, comoment verify, verify), and 1 for
+malformed input or internal faults.
 
 Every payload is parsed and schema-checked before dispatch; violations are
 reported with their JSON paths.  The payload format lives in ``COMMANDS``:
@@ -27,22 +29,14 @@ from itertools import combinations
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .classify import (
-    _classify_at,
+    classify6,
     flatness_report,
     involutive,
     nondegenerate,
     verify_standard_subspace,
 )
 from .errors import NotHamiltonian, PlecticError, SchemaError
-from .exterior import (
-    DiffForm,
-    MultiVec,
-    chart,
-    ext_d,
-    interior,
-    lie_derivative,
-    vf_bracket,
-)
+from .exterior import ext_d, lie_derivative
 from .hdw import (
     SIGN_FIN1,
     SIGN_HDW,
@@ -54,6 +48,7 @@ from .hdw import (
     plectic_order,
 )
 from .jsonio import (
+    DIM_MAX,
     _expect,
     _get,
     action_from_json,
@@ -93,8 +88,7 @@ from .scalar import RationalExpr, ScalarExpr, format_rational
 Q = Fraction
 
 VERIFY_CHECKS = (
-    "ring-laws", "exterior", "linfty-relation", "jacobiator",
-    "involutive", "standard-subspace",
+    "ring-laws", "linfty-relation", "jacobiator", "involutive", "standard-subspace",
 )
 
 EXIT_OK = 0
@@ -107,9 +101,8 @@ _MOVE_N_MAX = 8
 # Shears of degree k - 1 for k points: a move of 16 points took 0.33 s at n = 6
 # and 2.7 s at n = 8, of 24 points 1.7 s and 5.5 s, of 32 at n = 6 6.9 s.
 _MOVE_POINTS_MAX = 16
-# verify's exterior check lists all C(dim, deg) index tuples: 10 samples took
-# 0.035 s at dim 16 and 0.19 s (64 MiB) at dim 20, 400 at dim 16 took 1.5 s.
-_VERIFY_DIM_MAX = 16
+# verify's ring-laws check draws three random scalars per sample: 500 samples
+# took 0.17 s at dim 16 and at dim 3, 250 took 0.10 s (best of three, in-process).
 _VERIFY_SAMPLES_MAX = 500
 
 
@@ -118,7 +111,6 @@ class Request(NamedTuple):
 
     command: str
     parsed: dict
-    mode: str
     sign_convention: str
     seed: int
 
@@ -127,8 +119,7 @@ def parse_request(raw: bytes, command: str,
                   options: Optional[dict] = None) -> Request:
     """Parse and schema-validate the JSON payload ``raw`` of ``command``.
 
-    ``options`` may set ``mode`` ("exact", or "float" for classify only),
-    ``sign_convention`` and an integer ``seed``.  Every violation raises
+    ``options`` may set ``sign_convention`` and an integer ``seed``.  Every violation raises
     :class:`SchemaError` with its JSON path (``$.options.seed`` and so on).
     """
     try:
@@ -139,18 +130,13 @@ def parse_request(raw: bytes, command: str,
     _expect(command in COMMANDS, "$.command",
             f"must be one of {', '.join(COMMANDS)}")
     _expect(isinstance(payload, dict), "$.payload", "must be an object")
-    mode = opts.get("mode", "exact")
-    _expect(mode in ("exact", "float"), "$.options.mode",
-            "must be 'exact' or 'float'")
-    _expect(mode == "exact" or command == "classify", "$.options.mode",
-            "'float' is only supported by classify")
     sign = opts.get("sign_convention", SIGN_HDW)
     _expect(sign in (SIGN_HDW, SIGN_FIN1), "$.options.sign_convention",
             f"must be '{SIGN_HDW}' or '{SIGN_FIN1}'")
     seed = read_int(opts.get("seed", 0), "$.options.seed", None, msg="must be an integer")
     fields = COMMANDS[command][0]
     parsed = fields(payload) if callable(fields) else _fields(payload, fields)
-    return Request(command, parsed, mode, sign, seed)
+    return Request(command, parsed, sign, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +229,9 @@ def _parse_verify(p):
     _expect(check in VERIFY_CHECKS, "$.check",
             f"must be one of {', '.join(VERIFY_CHECKS)}")
     out: Dict[str, Any] = {"check": check}
-    if check in ("ring-laws", "exterior"):
-        ring = check == "ring-laws"
-        out["dim"] = dim = read_positive(p.get("dim", 3 if ring else 4), "$.dim",
-                                            _VERIFY_DIM_MAX)
-        _expect(ring or dim >= 2, "$.dim", "must be at least 2 for the exterior check")
-        out["samples"] = read_positive(p.get("samples", 25 if ring else 10), "$.samples",
-                                       _VERIFY_SAMPLES_MAX)
+    if check == "ring-laws":
+        out["dim"] = read_positive(p.get("dim", 3), "$.dim", DIM_MAX)
+        out["samples"] = read_positive(p.get("samples", 25), "$.samples", _VERIFY_SAMPLES_MAX)
     elif check in ("linfty-relation", "jacobiator"):
         w = out["omega"] = form_from_json(_get(p, "omega", "$"), "$.omega")
         args = _get(p, "args", "$")
@@ -300,18 +282,9 @@ def _comoment_from_json(obj, algebra, n, chart_hint) -> ComomentData:
 # ---------------------------------------------------------------------------
 
 
-def _float_str(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _cmd_classify(req: Request):
-    a = req.parsed
-    rep, t = _classify_at(a["omega"], a["point"])
-    out = type_report_to_json(rep)
-    if req.mode == "float":  # the exact trace at the point, rounded once
-        out["mode"] = "float"
-        out["trace_of_J_squared"] = _float_str(t)
-    return out, EXIT_OK
+    rep = classify6(req.parsed["omega"], req.parsed["point"])
+    return type_report_to_json(rep), EXIT_OK
 
 
 def _cmd_flat(req: Request):
@@ -505,33 +478,11 @@ def _verify_ring_laws(a, seed: int):
     return {"ok": True, "samples": samples}
 
 
-def _verify_exterior(a, seed: int):
-    rng = random.Random(seed or 1)
-    dim, samples = a["dim"], a["samples"]
-    ch = chart(dim)
-    for _ in range(samples):
-        deg = rng.randint(1, dim - 1)
-        tuples = list(combinations(range(1, dim + 1), deg))
-        coeffs = {rng.choice(tuples): _random_scalar(rng, dim) for _ in range(2)}
-        x = DiffForm(ch, deg, coeffs)
-        if not ext_d(ext_d(x)).is_zero:
-            return {"ok": False, "law": "dd"}
-        X, Y = (MultiVec(ch, 1, {(rng.randint(1, dim),): _random_scalar(rng, dim)})
-                for _ in range(2))
-        # [L_X, i_Y] = i_[X,Y], with lie_derivative = i_X d + d i_X
-        commutator = lie_derivative(X, interior(Y, x)) - interior(Y, lie_derivative(X, x))
-        if not (commutator == interior(vf_bracket(X, Y), x)):
-            return {"ok": False, "law": "cartan"}
-    return {"ok": True, "samples": samples}
-
-
 def _cmd_verify(req: Request):
     a = req.parsed
     check = a["check"]
     if check == "ring-laws":
         out = _verify_ring_laws(a, req.seed)
-    elif check == "exterior":
-        out = _verify_exterior(a, req.seed)
     elif check in ("linfty-relation", "jacobiator"):
         w = a["omega"]
         obs = [make_observable(w, f) for f in a["args"]]
@@ -610,38 +561,13 @@ def run(req: Request) -> Tuple[dict, int]:
         return _error_report(exc), EXIT_ERROR
 
 
-def _render_text(obj, indent: int = 0) -> List[str]:
-    pad = "  " * indent
-    lines: List[str] = []
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            v = obj[k]
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}:")
-                lines.extend(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {v}")
-    elif isinstance(obj, list):
-        for v in obj:
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {v}")
-    else:
-        lines.append(f"{pad}{obj}")
-    return lines
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="plectic",
         description="exact multisymplectic geometry workbench",
     )
-    parser.add_argument("--mode", choices=("exact", "float"), default="exact")
     parser.add_argument("--sign", choices=(SIGN_HDW, SIGN_FIN1),
                         default=SIGN_HDW, dest="sign_convention")
-    parser.add_argument("--out", choices=("json", "text"), default="json")
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:
@@ -651,7 +577,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     options = {
-        "mode": args.mode,
         "sign_convention": args.sign_convention,
         "seed": args.seed,
     }
@@ -667,10 +592,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         report, code = run(req)
         indent = 2
-    if args.out == "json":
-        print(json.dumps(report, sort_keys=True, indent=indent))
-    else:
-        print("\n".join(_render_text(report)))
+    print(json.dumps(report, sort_keys=True, indent=indent))
     return code
 
 

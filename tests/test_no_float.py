@@ -1,10 +1,9 @@
 """Every answer is exact: the package makes no float call and holds no float
-literal, except where ``classify --mode float`` prints its trace."""
+literal."""
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "plectic"
-ALLOWED = {("cli.py", "_float_str")}  # the one float the CLI prints
 
 
 def _floats(tree):
@@ -23,11 +22,10 @@ def _floats(tree):
     yield from visit(tree, None)
 
 
-def test_no_float_outside_the_float_trace_presentation():
+def test_no_float_anywhere_in_the_package():
     found = sorted(f"{path.name}:{line} in {func}"
                    for path in PACKAGE.glob("*.py")
-                   for func, line in _floats(ast.parse(path.read_text("utf-8")))
-                   if (path.name, func) not in ALLOWED)
+                   for func, line in _floats(ast.parse(path.read_text("utf-8"))))
     assert not found, "float on an exact path:\n" + "\n".join(found)
 
 
