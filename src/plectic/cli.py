@@ -119,8 +119,9 @@ def parse_request(raw: bytes, command: str,
                   options: Optional[dict] = None) -> Request:
     """Parse and schema-validate the JSON payload ``raw`` of ``command``.
 
-    ``options`` may set ``sign_convention`` and an integer ``seed``.  Every violation raises
-    :class:`SchemaError` with its JSON path (``$.options.seed`` and so on).
+    ``options`` may set ``sign_convention`` and an integer ``seed``.  Every
+    violation raises :class:`SchemaError` with its JSON path
+    (``$.options.seed`` and so on).
     """
     try:
         payload = json.loads(raw.decode("utf-8"))

@@ -590,7 +590,8 @@ def test_a_chart_dimension_over_the_bound_is_refused_at_once(tmp_path):
     schema refuses it before any term is read, and the bound is accepted."""
     omega = {"chart": {"dim": 100_000}, "degree": 2,
              "terms": [{"idx": [1, 2], "coeff": "1"}, {"idx": [3, 4], "coeff": "1"}]}
-    payload = {"omega": omega, "hamiltonian": {"degree": 0, "terms": [{"idx": [], "coeff": "x1"}]}}
+    hamiltonian = {"degree": 0, "terms": [{"idx": [], "coeff": "x1"}]}
+    payload = {"omega": omega, "hamiltonian": hamiltonian}
     start = time.perf_counter()
     with pytest.raises(SchemaError) as err:
         go("hamvf", payload)
