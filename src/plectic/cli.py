@@ -7,7 +7,7 @@ when the command produced its answer (a mathematically negative answer such
 as NotHamiltonian from ``hamvf`` is still an answer), 2 when a
 verification-style command found its property violated (hdw-residual,
 volterra, curve-check, lie-validate, comoment verify, verify), and 1 for
-malformed input or internal faults.
+malformed input (argv errors included) or internal faults.
 
 Every payload is parsed and schema-checked before dispatch; violations are
 reported with their JSON paths.  The payload format lives in ``COMMANDS``:
@@ -167,8 +167,14 @@ def _list_of(item, msg: str, least: int):
     return lambda v, path, *context: read_list(v, path, msg, item, *context, least=least)
 
 
-def _parse_volterra(p):
+def _parse_multiphase(p):  # the model's chart has dim n + N + nN + 1
     n, N = (read_int(_get(p, key, "$"), f"$.{key}") for key in ("n", "N"))
+    _expect(n + N + n * N + 1 <= DIM_MAX, "$", f"n + N + nN + 1 must be at most {DIM_MAX}")
+    return {"n": n, "N": N}
+
+
+def _parse_volterra(p):
+    n, N = _parse_multiphase(p).values()
     model = multiphase_forms(n, N)
     ham = expr_from_json(_get(p, "hamiltonian", "$"), "$.hamiltonian",
                          model.restricted_chart.dim)
@@ -520,7 +526,7 @@ COMMANDS: Dict[str, Tuple[Any, Callable[[Request], Tuple[dict, int]]]] = {
     "hamvf": ((OMEGA, ("hamiltonian", form_from_json, "omega")), _cmd_hamvf),
     "hdw-residual": ((OMEGA, ("field", vector_from_json, "omega"),
                       ("hamiltonian", form_from_json, "omega")), _cmd_hdw_residual),
-    "multiphase": ((("n", read_int), ("N", read_int)), _cmd_multiphase),
+    "multiphase": (_parse_multiphase, _cmd_multiphase),
     "volterra": (_parse_volterra, _cmd_volterra),
     "curve-check": ((("map", smooth_map_from_json),
                      ("gamma", vector_from_json, "map.source"),
@@ -562,11 +568,17 @@ def run(req: Request) -> Tuple[dict, int]:
         return _error_report(exc), EXIT_ERROR
 
 
+def _argv_error(message):
+    """An argv error is malformed input too: exit 1 with a report, not argparse's 2."""
+    raise SchemaError([f"argv: {message}"])
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="plectic",
         description="exact multisymplectic geometry workbench",
     )
+    parser.error = _argv_error
     parser.add_argument("--sign", choices=(SIGN_HDW, SIGN_FIN1),
                         default=SIGN_HDW, dest="sign_convention")
     parser.add_argument("--seed", type=int, default=0)
@@ -575,19 +587,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         sp = sub.add_parser(cmd)
         sp.add_argument("input", nargs="?", default="-",
                         help="payload JSON file, or - for stdin")
-    args = parser.parse_args(argv)
-
-    options = {
-        "sign_convention": args.sign_convention,
-        "seed": args.seed,
-    }
     try:
+        args = parser.parse_args(argv)
         if args.input == "-":
             raw = sys.stdin.buffer.read()
         else:
             with open(args.input, "rb") as fh:
                 raw = fh.read()
-        req = parse_request(raw, command=args.command, options=options)
+        req = parse_request(raw, args.command, {"sign_convention": args.sign_convention,
+                                                "seed": args.seed})
     except Exception as exc:
         report, code, indent = _error_report(exc), EXIT_ERROR, None  # one JSON line
     else:

@@ -36,6 +36,7 @@ from .scalar import (
     ScalarExpr,
     _as_fraction,
     _constant_coeff,
+    _one,
     parse_expression,
 )
 
@@ -319,8 +320,9 @@ def coordinate_vector(chart: Chart, index: int) -> MultiVec:
 
 
 def _vector_fields(chart: Chart, vectors) -> tuple:
-    """Each coefficient vector as the vector field on the chart."""
-    return tuple(MultiVec(chart, 1, {(k + 1,): v[k] for k in range(chart.dim) if v[k]})
+    """Each vector of RationalExprs on the chart (from ``linalg.solve``, ``nullspace``
+    or an ``EndField``) as the vector field, unchecked; zero entries are dropped."""
+    return tuple(MultiVec._raw(chart, 1, {(k + 1,): v[k] for k in range(chart.dim) if v[k]})
                  for v in vectors)
 
 
@@ -335,21 +337,48 @@ def wedge(a, b):
 def ext_d(a: DiffForm) -> DiffForm:
     """Exterior derivative.
 
-    A coefficient is differentiated only in the variables of its numerator
-    and its denominator that are not already in its index, in increasing
-    order: a partial in any other variable is zero.  A constant coefficient
-    takes none.  The sign of dx_i ^ dx^idx goes into the partial."""
+    Each term of a polynomial coefficient takes the power rule in each of its
+    variables outside the index, the sign of dx_i ^ dx^idx folded in, and goes
+    into one term dict per output index, wrapped once at the end.  A quotient
+    takes ``RationalExpr.partial`` in the variables of its numerator and
+    denominator outside its index: a partial in any other variable is zero."""
     chart_ = a.chart
     deg = a.degree + 1
     if deg > chart_.dim:
         return DiffForm._raw(chart_, chart_.dim, {})
+    sums: Dict[IndexTuple, dict] = {}
     out: Dict[IndexTuple, RationalExpr] = {}
     for idx, c in a.coeffs.items():
-        for i in sorted(c.used_vars().difference(idx)):
-            key, sign = sort_index_tuple((i,) + idx)
-            dc = c.partial(i, sign)
-            if dc:
-                _accumulate(out, key, dc)
+        if not c.den_is_one:
+            for i in sorted(c.used_vars().difference(idx)):
+                key, sign = sort_index_tuple((i,) + idx)
+                dc = c.partial(i, sign)
+                if dc:
+                    _accumulate(out, key, dc)
+            continue
+        slots: dict = {}  # variable position -> (term dict of d, sign)
+        for exps, coeff in c.num.terms.items():
+            for i, e in enumerate(exps):
+                if not e or i + 1 in idx:
+                    continue
+                slot = slots.get(i)
+                if slot is None:
+                    key, sign = sort_index_tuple((i + 1,) + idx)
+                    slot = slots[i] = (sums.setdefault(key, {}), sign)
+                terms, sign = slot
+                f = e if sign > 0 else -e
+                t = coeff if f == 1 else -coeff if f == -1 else coeff * f
+                k = exps[:i] + (e - 1,) + exps[i + 1:]
+                if k in terms:
+                    t = terms[k] + t
+                    if not t:
+                        del terms[k]
+                        continue
+                terms[k] = t
+    one = _one(chart_.dim)
+    for key, terms in sums.items():
+        if terms:
+            _accumulate(out, key, RationalExpr._raw(ScalarExpr._raw(chart_.dim, terms), one))
     return DiffForm._raw(chart_, deg, out)
 
 

@@ -494,16 +494,38 @@ def test_parse_request_checks_the_command_and_seed():
         assert err.value.violations == ["$.options.seed: must be an integer"]
 
 
-def run_cli(tmp_path, cmd, payload):
+def run_cli(tmp_path, cmd, payload, flags=()):
     """The CLI in a fresh interpreter: (exit code, stdout, stderr)."""
     path = tmp_path / "payload.json"
     path.write_text(json.dumps(payload))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "plectic.cli", cmd, str(path)],
+    proc = subprocess.run([sys.executable, "-m", "plectic.cli", *flags, cmd, str(path)],
                           capture_output=True, text=True, env=env, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("flags,cmd,detail", [
+    (["--mode", "float"], "classify", "argv: argument command: invalid choice: 'float'"),
+    ([], "no-such-command", "argv: argument command: invalid choice: 'no-such-command'"),
+    (["--seed", "x"], "verify", "argv: argument --seed: invalid int value: 'x'"),
+], ids=["unknown-flag", "unknown-subcommand", "bad-flag-value"])
+def test_an_argv_error_is_a_one_line_json_report(tmp_path, flags, cmd, detail):
+    """A mistyped flag or subcommand is malformed input: exit 1 with a
+    one-line sorted-key SchemaError report on stdout, not argparse's exit 2
+    (the code of a violated property) with usage text on stderr."""
+    got, out, err = run_cli(tmp_path, cmd, {"omega": W6_product(), "point": [0] * 6}, flags)
+    assert got == EXIT_ERROR and "Traceback" not in err
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+    rep = json.loads(out)["error"]
+    assert rep["kind"] == "SchemaError" and rep["detail"][0].startswith(detail)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == EXIT_OK and "usage: plectic" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("x2,code,kind", [
@@ -604,3 +626,28 @@ def test_a_chart_dimension_over_the_bound_is_refused_at_once(tmp_path):
     omega["chart"]["dim"] = DIM_MAX
     req = parse_request(json.dumps(payload).encode(), "hamvf")
     assert req.parsed["omega"].chart.dim == DIM_MAX
+
+
+@pytest.mark.parametrize("n,N", [(40, 40), (3, 4), (4, 3), (1, 8), (8, 1)])
+def test_a_multiphase_model_over_the_chart_bound_is_refused_at_once(tmp_path, n, N):
+    """multiphase and volterra build a model chart of dim n + N + nN + 1; the
+    17-byte payload {"n": 40, "N": 40} took 47.6 s and 1,050 MiB before that
+    chart got the payload bound, which refuses it before any work."""
+    msg = f"$: n + N + nN + 1 must be at most {DIM_MAX}"
+    for cmd in ("multiphase", "volterra"):
+        start = time.perf_counter()
+        with pytest.raises(SchemaError) as err:
+            go(cmd, {"n": n, "N": N})
+        assert time.perf_counter() - start < 0.1
+        assert err.value.violations == [msg]
+    got, out, err = run_cli(tmp_path, "multiphase", {"n": n, "N": N})
+    assert got == EXIT_ERROR and "Traceback" not in err
+    assert json.loads(out) == {"error": {"kind": "SchemaError", "detail": [msg]}}
+
+
+@pytest.mark.parametrize("n,N", [(3, 3), (1, 7), (7, 1)])
+def test_the_largest_multiphase_models_are_answered(n, N):
+    """The models of dim exactly DIM_MAX are admitted and answered."""
+    rep, code = go("multiphase", {"n": n, "N": N})
+    assert code == EXIT_OK and rep["chart"]["dim"] == n + N + n * N + 1 == DIM_MAX
+    assert rep["closed"] is True and rep["nondegenerate"] is True

@@ -15,6 +15,10 @@ points, Jacobian and volume check.  The ``verify`` digest was re-pinned when
 the ``exterior`` check was deleted: the 42 mutations of its base payload are
 gone, and the 65 reports of a bad ``$.check`` no longer list ``exterior``
 among the checks it must be one of; every other report reads as before.
+The ``multiphase`` and ``volterra`` digests were re-pinned when the model
+chart (dim n + N + nN + 1) got the payload bound ``jsonio.DIM_MAX``: the
+three mutations that name a dim-24 model, ``multiphase`` ``$.N=7`` and
+``$.n=7`` and ``volterra`` ``$.N=7``, now report that bound at ``$``.
 
 JSON booleans are kept out of the digests: a boolean is not an integer, so
 outside the two boolean fields it must get the same ``SchemaError`` that the
@@ -123,10 +127,10 @@ DIGESTS = {
     "hdw-residual": "4a18f6bef3f2ce9526681c0f1681804b9fa76b258d96c3f0a7b207d3b2ee7f4c",
     "lie-validate": "f655b3fe6c5545ded29213451423302fdd0de00b0736bcaf0629fd7ce66ae062",
     "move": "4d52f6701c09d082972161c389b486629776c5e8489c73a5fb89863696c8f4b9",
-    "multiphase": "a502253da60cd95807581a8495997c16c2ff7ea6fd500640942d5ea4a365f16e",
+    "multiphase": "26e01c832008ff6cac6cc114ad8a70d38ca9cb096c59896b03238c996ab8874a",
     "obstruction": "0e256a5146871edcac62ab261d28248f6b71eca19897140fe574a42d486b5b0a",
     "verify": "77e9aff2ffc847d65d9a8c7b8001e673d3449cd0c71fa08d81df4e548921089a",
-    "volterra": "584c961c76ebe27776251900f4771b1459b8d0002144551418a31e6a8bc7126a",
+    "volterra": "4428d0009ec176226e7beae76d5005c20f4b1e08d7cfe7d1ca90aa2add1dd5e1",
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from plectic import exterior
 from plectic.catalog import omega_f, product6, symplectic_power
+from plectic.classify import nondegenerate
 from plectic.errors import (
     ChartMismatch,
     DegreeError,
@@ -33,9 +34,11 @@ from plectic.exterior import (
     projection,
     pullback,
     pushforward_at,
+    sort_index_tuple,
     vf_bracket,
     wedge,
 )
+from plectic.hdw import ham_vector_field
 from plectic.scalar import GaussianRational, RationalExpr, ScalarExpr, parse_expression
 from util import (
     det_minor_sums,
@@ -176,10 +179,11 @@ def _rand_quotient(rng, dim):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_ext_d_matches_the_all_variables_reference_on_quotients(seed, monkeypatch):
-    """ext_d differentiates a coefficient only in the variables of its
-    numerator and denominator outside its index, and agrees with the
-    reference that differentiates in every variable; x2 in 1/x2 and x3 in
-    (x1 + 1)/(x3 - 2) occur only in a denominator."""
+    """ext_d differentiates a quotient coefficient by ``RationalExpr.partial``
+    only in the variables of its numerator and denominator outside its
+    index, a polynomial coefficient (denominator 1) by no ``partial`` call,
+    and agrees with the reference that differentiates in every variable; x2
+    in 1/x2 and x3 in (x1 + 1)/(x3 - 2) occur only in a denominator."""
     rng = random.Random(1800 + seed)
     c4 = chart(4)
     fixed = [f(c4, 1, {(1,): "1/x2", (3,): "x1/(x2*x4 + 1)"}),
@@ -197,16 +201,67 @@ def test_ext_d_matches_the_all_variables_reference_on_quotients(seed, monkeypatc
         got = ext_d(a)
         monkeypatch.undo()
         assert got == ext_d_all_variables(a)
-        used = [(id(c), i) for idx, c in a.coeffs.items() for i in range(1, 5)
+        used = [(id(c), i) for idx, c in a.coeffs.items() if not c.den_is_one
+                for i in range(1, 5)
                 if i not in idx and any(k[i - 1] for k in [*c.num.terms, *c.den.terms])]
         assert taken == used
 
 
+def test_ext_d_matches_sympy_partials():
+    """The partials oracle: each coefficient of d(a) is the signed sum of
+    sympy's derivatives of a's coefficients, on forms on R^4 with polynomial
+    and quotient coefficients and fractional powers of the positive x1."""
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ch = chart(4, positive={1})
+    xs = (sympy.Symbol("x1", positive=True), *sympy.symbols("x2:5"))
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    exponents = st.tuples(st.sampled_from([0, 1, 2, Q(1, 2), Q(-1, 2), Q(3, 2)]),
+                          *[st.integers(0, 2)] * 3)
+    zero = RationalExpr.const(4, 0)
+    polys = st.lists(st.tuples(fractions, exponents), min_size=1, max_size=3).map(
+        lambda terms: sum((RationalExpr(ScalarExpr.monomial(4, c, e)) for c, e in terms), zero))
+    coefficients = st.one_of(polys, st.tuples(polys, polys.filter(bool)).map(
+        lambda nd: nd[0] / nd[1]))
+
+    def to_sympy(r):
+        def scalar(e):
+            return sum((sympy.Rational(c.numerator, c.denominator)
+                        * sympy.Mul(*(x ** sympy.Rational(k.numerator, k.denominator)
+                                      for x, k in zip(xs, exps)))
+                        for exps, c in e.terms.items()), sympy.Integer(0))
+        return scalar(r.num) / scalar(r.den)
+
+    @st.composite
+    def forms(draw):
+        """Every index tuple of the degree may hold a coefficient, so each
+        sign of dx_i ^ dx^idx is met."""
+        p = draw(st.integers(0, 3))
+        return f(ch, p, {k: draw(st.one_of(st.just(zero), coefficients))
+                         for k in combinations(range(1, 5), p)})
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(forms())
+    def check(a):
+        got, want = ext_d(a).coeffs, {}
+        for idx, c in a.coeffs.items():
+            for i in set(range(1, 5)).difference(idx):
+                key, sign = sort_index_tuple((i,) + idx)
+                want[key] = want.get(key, 0) + sign * sympy.diff(to_sympy(c), xs[i - 1])
+        for key in set(want) | set(got):
+            gap = want.get(key, 0) - (to_sympy(got[key]) if key in got else 0)
+            assert sympy.expand(sympy.numer(sympy.together(gap))) == 0, (key, a)
+
+    check()
+
+
 def test_property_trusted_paths_return_clean_forms():
-    """wedge, +, -, interior, d and pullback build their results unchecked;
-    each result must be what the validating constructor makes of its
-    coefficients, with no zero coefficient.  x1 is positive, so x1^(1/2)
-    appears in coefficients and map components alike."""
+    """wedge, +, -, interior, d, pullback and ``_vector_fields`` build their
+    results unchecked; each result must be what the validating constructor
+    makes of its coefficients, with no zero coefficient.  x1 is positive, so
+    x1^(1/2) appears in coefficients and map components alike, and in the
+    fields that ``ham_vector_field`` solves and ``nondegenerate`` finds."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     ch = chart(4, positive={1})
@@ -242,15 +297,24 @@ def test_property_trusted_paths_return_clean_forms():
     def assert_clean(r):
         assert r.coeffs == type(r)(r.chart, r.degree, dict(r.coeffs)).coeffs
         assert all(r.coeffs.values())
+        assert all(ScalarExpr(4, s.terms).terms == s.terms  # no zero term either
+                   for c in r.coeffs.values() for s in (c.num, c.den))
 
     @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
-    @hypothesis.given(tensors(form, 0), tensors(form, 1), tensors(multivec, 1), maps)
-    def check(ab, cd, XY, phi):
+    @hypothesis.given(tensors(form, 0), tensors(form, 1), tensors(multivec, 1), maps,
+                      st.lists(coefficients, min_size=5, max_size=5),
+                      st.lists(coefficients.filter(bool), min_size=2, max_size=2))
+    def check(ab, cd, XY, phi, vector, pq):
         (a, b), (c, _), (X, Y) = ab, cd, XY
         results = [a.wedge(b), a.wedge(c), c.wedge(c), a + b, a + (-a), a - b, b - b, -a,
                    ext_d(a), X + Y, X - X, X.wedge(Y), pullback(phi, a)]
         if X.degree <= a.degree:
             results.append(interior(X, a))
+        w = f(ch, 2, {(1, 2): pq[0], (3, 4): pq[1]})  # nondegenerate: pq[0], pq[1] != 0
+        results += [*exterior._vector_fields(ch, [vector[:4], [zero] * 4]),
+                    ham_vector_field(w, f(ch, 0, {(): vector[4]}))]
+        if c.degree >= 2:
+            results += nondegenerate(c).kernel
         for r in results:
             assert_clean(r)
 
