@@ -172,27 +172,22 @@ def nondegenerate(w: DiffForm, point: Optional[Sequence] = None) -> Nondegenerac
 
 
 class EndField(Record):
-    """An endomorphism field: a dim x dim matrix of expressions."""
+    """An endomorphism field: a dim x dim matrix of expressions, each entry
+    coerced to a RationalExpr on the chart."""
 
     __slots__ = ("chart", "matrix")
 
-    def __init__(self, chart: Chart, matrix: tuple):
+    def __init__(self, chart: Chart, rows):
         d = chart.dim
-        if len(matrix) != d or any(len(r) != d for r in matrix):
+        if len(rows) != d or any(len(r) != d for r in rows):
             raise ShapeError("endomorphism matrix must be square of chart dimension")
-        super().__init__(chart, matrix)
-
-    @classmethod
-    def from_rows(cls, chart: Chart, rows) -> "EndField":
-        return cls(chart, tuple(tuple(RationalExpr._coerce(v, chart.dim) for v in row)
-                                for row in rows))
+        super().__init__(chart, tuple(tuple(RationalExpr._coerce(v, d) for v in row)
+                                      for row in rows))
 
     @classmethod
     def identity(cls, chart: Chart) -> "EndField":
         d = chart.dim
-        return cls.from_rows(
-            chart, [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        )
+        return cls(chart, [[1 if i == j else 0 for j in range(d)] for i in range(d)])
 
     def column_field(self, col: int) -> MultiVec:
         return _vector_fields(self.chart, [[row[col - 1] for row in self.matrix]])[0]

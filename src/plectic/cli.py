@@ -44,6 +44,7 @@ from .hdw import (
     ham_vector_field,
     hamilton_volterra_residual,
     hdw_residual,
+    multiphase_dim,
     multiphase_forms,
     plectic_order,
 )
@@ -95,11 +96,11 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FAILED_CHECK = 2
 
-# Re(dz1^..^dzn) has 2^(n-1) terms, each pulled back through C(2n, n) minors:
-# a move of two points took 0.04 s at n = 6, 0.34 s at n = 7 and 2.8 s at 8.
+# n <= 8 keeps the realified chart of dim 2n within jsonio.DIM_MAX.  A move of
+# two random Gaussian points took 0.009 s at n = 6, 0.018 s at 7 and 0.036 s at 8.
 _MOVE_N_MAX = 8
-# Shears of degree k - 1 for k points: a move of 16 points took 0.33 s at n = 6
-# and 2.7 s at n = 8, of 24 points 1.7 s and 5.5 s, of 32 at n = 6 6.9 s.
+# Shears of degree k - 1 for k points: a move of 16 points took 0.12 s at n = 6
+# and 0.45 s at n = 8, of 24 points 0.31 s and 1.1 s, of 32 at n = 8 2.0 s.
 _MOVE_POINTS_MAX = 16
 # verify's ring-laws check draws three random scalars per sample: 500 samples
 # took 0.17 s at dim 16 and at dim 3, 250 took 0.10 s (best of three, in-process).
@@ -167,9 +168,9 @@ def _list_of(item, msg: str, least: int):
     return lambda v, path, *context: read_list(v, path, msg, item, *context, least=least)
 
 
-def _parse_multiphase(p):  # the model's chart has dim n + N + nN + 1
+def _parse_multiphase(p):
     n, N = (read_int(_get(p, key, "$"), f"$.{key}") for key in ("n", "N"))
-    _expect(n + N + n * N + 1 <= DIM_MAX, "$", f"n + N + nN + 1 must be at most {DIM_MAX}")
+    _expect(multiphase_dim(n, N) <= DIM_MAX, "$", f"n + N + nN + 1 must be at most {DIM_MAX}")
     return {"n": n, "N": N}
 
 

@@ -151,11 +151,16 @@ class MultiphaseModel(NamedTuple):
         return SmoothMap(chart(self.n), self.restricted_chart, tuple(comps))
 
 
+def multiphase_dim(n: int, fiber: int) -> int:
+    """Dimension of the multiphase chart (x^mu, q^a, p^mu_a, p) for (n, N)."""
+    return n + fiber + n * fiber + 1
+
+
 def multiphase_forms(n: int, fiber: int) -> MultiphaseModel:
     """Canonical theta and omega on the multiphase chart for (n, N)."""
     if n < 1 or fiber < 1:
         raise ShapeError("need n >= 1 and N >= 1")
-    dim = n + fiber + n * fiber + 1
+    dim = multiphase_dim(n, fiber)
     labels = (
         [f"x{mu}" for mu in range(1, n + 1)]
         + [f"q{a}" for a in range(1, fiber + 1)]
@@ -163,20 +168,16 @@ def multiphase_forms(n: int, fiber: int) -> MultiphaseModel:
         + ["p"]
     )
     ch = chart(dim)
-    pch = chart(dim - 1)
+    model = MultiphaseModel(n, fiber, ch, chart(dim - 1), tuple(labels), None, None)
     vol_x = DiffForm(ch, n, {tuple(range(1, n + 1)): 1})
-    p_total = RationalExpr.variable(dim, dim)
-    theta = vol_x.scale(p_total)
+    theta = vol_x.scale(RationalExpr.variable(dim, model.p_total_index))
     for a in range(1, fiber + 1):
-        q_idx = n + a
+        dq = DiffForm(ch, 1, {(model.q_index(a),): 1})
         for mu in range(1, n + 1):
-            p_idx = n + fiber + (a - 1) * n + mu
             hat = interior(coordinate_vector(ch, mu), vol_x)
-            dq = DiffForm(ch, 1, {(q_idx,): 1})
-            term = dq.wedge(hat).scale(RationalExpr.variable(dim, p_idx))
-            theta = theta + term
-    omega = -ext_d(theta)
-    return MultiphaseModel(n, fiber, ch, pch, tuple(labels), theta, omega)
+            p_mu_a = RationalExpr.variable(dim, model.p_index(mu, a))
+            theta = theta + dq.wedge(hat).scale(p_mu_a)
+    return model._replace(theta=theta, omega=-ext_d(theta))
 
 
 def hamilton_volterra_residual(model: MultiphaseModel, hamiltonian: RationalExpr,

@@ -25,7 +25,7 @@ from .errors import (
     NonPolynomial,
     ShapeError,
 )
-from .exterior import Chart, DiffForm, SmoothMap, chart, constant_linear_pullback, pullback
+from .exterior import Chart, DiffForm, SmoothMap, chart, pullback
 from .record import Record
 from .scalar import GaussianRational, RationalExpr, ScalarExpr, _gaussian, _gaussian_parts
 
@@ -136,18 +136,17 @@ class LinearStep(Record):
         inv = linalg.mat_inverse(self.matrix)
         return LinearStep(inv)
 
-    def components(self) -> List[ScalarExpr]:
-        n = self.dim
-        out = []
-        for i in range(n):
-            terms = {}
-            for j in range(n):
-                if self.matrix[i][j]:
-                    exps = [0] * n
-                    exps[j] = 1
-                    terms[tuple(exps)] = self.matrix[i][j]
-            out.append(ScalarExpr._raw(n, terms))
-        return out
+    def pieces(self) -> List[list]:
+        """Per component i, its pieces M[i][j] z_j as (j, (0, M[i][j]), 1)."""
+        return [[(j, (0, m), 1) for j, m in enumerate(row) if m] for row in self.matrix]
+
+
+# The component each polynomial of a shear moves and the variable it reads
+# (both 0-based), by kind, in dimension n.
+_SHEAR_SHAPES = {
+    "rest_by_first": lambda n: [(i, 0) for i in range(1, n)],
+    "first_by_last": lambda n: [(0, n - 1)],
+}
 
 
 class ShearStep(Record):
@@ -162,43 +161,40 @@ class ShearStep(Record):
     __slots__ = ("kind", "dim", "polys", "sign")
 
     def __init__(self, kind: str, dim: int, polys: tuple, sign: int = -1):
-        if kind not in ("rest_by_first", "first_by_last"):
+        if kind not in _SHEAR_SHAPES:
             raise ShapeError(f"unknown shear kind {kind!r}")
         if sign not in (-1, 1):
             raise ShapeError("shear sign must be +1 or -1")
         if dim < 2:
             raise ShapeError(f"a shear needs dimension >= 2, not {dim}")
-        expected = dim - 1 if kind == "rest_by_first" else 1
+        expected = len(_SHEAR_SHAPES[kind](dim))
         if len(polys) != expected:
             raise ShapeError(
                 f"{kind} shear in dimension {dim} needs {expected} polynomials"
             )
         super().__init__(kind, dim, polys, sign)
 
+    def _offsets(self):
+        """((component, variable), polynomial) for each polynomial."""
+        return zip(_SHEAR_SHAPES[self.kind](self.dim), self.polys)
+
     def apply(self, p: Point) -> Point:
         move = operator.add if self.sign > 0 else operator.sub
-        if self.kind == "rest_by_first":
-            x = p[0]
-            return (x,) + tuple(move(p[i + 1], poly(x)) for i, poly in enumerate(self.polys))
-        return (move(p[0], self.polys[0](p[-1])),) + p[1:]
+        out = list(p)
+        for (i, var), poly in self._offsets():
+            out[i] = move(p[i], poly(p[var]))
+        return tuple(out)
 
     def inverse(self) -> "ShearStep":
         return ShearStep(self.kind, self.dim, self.polys, -self.sign)
 
-    def components(self) -> List[ScalarExpr]:
-        n = self.dim
-        comps = []
-        sign = Q(self.sign)
-        for i in range(n):
-            base = ScalarExpr.variable(n, i + 1)
-            if self.kind == "rest_by_first" and i >= 1:
-                offs = self.polys[i - 1].as_expr(n, 1).scale(sign)
-                base = base + offs
-            elif self.kind == "first_by_last" and i == 0:
-                offs = self.polys[0].as_expr(n, n).scale(sign)
-                base = base + offs
-            comps.append(base)
-        return comps
+    def pieces(self) -> List[list]:
+        """Per component i, its pieces: z_i as (i, (0, 1), 1), and s P(z_var)
+        as (var, P's coefficients, s) where a polynomial moves it."""
+        out = [[(i, (0, 1), 1)] for i in range(self.dim)]
+        for (i, var), poly in self._offsets():
+            out[i].append((var, poly.coeffs, self.sign))
+        return out
 
 
 class PolyAuto(Record):
@@ -364,34 +360,39 @@ def move_points(src: Sequence[Sequence], dst: Sequence[Sequence],
 # ---------------------------------------------------------------------------
 
 
-def _step_jacobian_det(step) -> ScalarExpr:
-    """Symbolic Jacobian determinant of one elementary step: for a linear
-    step the determinant of its own matrix, for a shear that of the
-    partials of its polynomial components."""
-    if isinstance(step, LinearStep):
-        return ScalarExpr.const(step.dim, linalg.det(step.matrix))
-    comps = step.components()
-    one = ScalarExpr.const(step.dim, 1)
-    jac = [[RationalExpr._raw(c.partial(j), one) for j in range(1, step.dim + 1)] for c in comps]
-    det = linalg.det(jac)
+def _step_jacobian_det(step) -> RationalExpr:
+    """Jacobian determinant of one elementary step, from its pieces: entry
+    (i, var) is s P'(z_var) for the piece (var, P, s) of component i, since
+    the pieces of one component read different variables.  A constant entry
+    stays a number, so a linear step's determinant is that of its matrix, and
+    a shear's triangular one is the product of its diagonal."""
+    n = step.dim
+    one = ScalarExpr.const(n, 1)
+    jac = [[0] * n for _ in range(n)]
+    for i, comp in enumerate(step.pieces()):
+        for var, coeffs, sign in comp:
+            slope = [sign * p * c for p, c in enumerate(coeffs) if p]
+            jac[i][var] = (RationalExpr._raw(Poly(slope).as_expr(n, var + 1), one)
+                           if len(slope) > 1 else sum(slope))
+    det = RationalExpr._coerce(linalg.det(jac), n)
     if not det.den_is_one:
         raise ShapeError("step Jacobian determinant must be polynomial")
-    return det.num
+    return det
 
 
 def jacobian_determinant(f) -> RationalExpr:
     """Symbolic Jacobian determinant.
 
-    For a PolyAuto this is the product of the per-step symbolic determinants
-    (the chain rule makes the composition's determinant the product of the
+    For a PolyAuto this is the product of the per-step determinants (the
+    chain rule makes the composition's determinant the product of the
     steps', each one constant); for a polynomial SmoothMap the determinant of
     its Jacobian matrix.
     """
     if isinstance(f, PolyAuto):
-        acc = ScalarExpr.const(f.dim, 1)
+        acc = RationalExpr.const(f.dim, 1)
         for s in f.steps:
             acc = acc * _step_jacobian_det(s)
-        return RationalExpr(acc)
+        return acc
     if isinstance(f, SmoothMap):
         if f.source.dim != f.target.dim:
             raise ShapeError("Jacobian determinant needs a square map")
@@ -439,49 +440,21 @@ def _realify_into(re_terms: dict, im_terms: dict, coeffs: Sequence, var: int,
 
 
 def realify_step(step, n: int) -> SmoothMap:
-    """One elementary step as a real polynomial map on R^{2n}, built from the
-    step's own matrix or polynomials.  The pieces of one complex component
-    are in different variables, and at most one has a constant term, so no
-    two of them write the same key."""
-    if not isinstance(step, (LinearStep, ShearStep)):
-        raise ShapeError(f"unknown step {step!r}")
+    """One elementary step as a real polynomial map on R^{2n}: the Re and Im
+    parts of each component, summed over the step's own pieces.  The pieces
+    of one component read different variables, and at most one has a
+    constant term, so no two of them write the same key."""
     dim2 = 2 * n
     one = ScalarExpr.const(dim2, 1)
     out: List[RationalExpr] = []
-    for i in range(n):
+    for comp in step.pieces():
         re, im = {}, {}
-        if isinstance(step, LinearStep):
-            for j, m in enumerate(step.matrix[i]):
-                _realify_into(re, im, (0, m), j, 1, dim2)
-        else:
-            _realify_into(re, im, (0, 1), i, 1, dim2)
-            if step.kind == "rest_by_first" and i >= 1:
-                _realify_into(re, im, step.polys[i - 1].coeffs, 0, step.sign, dim2)
-            elif step.kind == "first_by_last" and i == 0:
-                _realify_into(re, im, step.polys[0].coeffs, n - 1, step.sign, dim2)
+        for var, coeffs, sign in comp:
+            _realify_into(re, im, coeffs, var, sign, dim2)
         out.append(RationalExpr._raw(ScalarExpr._raw(dim2, re), one))
         out.append(RationalExpr._raw(ScalarExpr._raw(dim2, im), one))
     ch = interleaved_chart(n)
     return SmoothMap(ch, ch, tuple(out))
-
-
-def _linear_matrix(f: SmoothMap):
-    """M with f(x) = M x, when f maps a chart to itself and every component
-    is a linear form with Fraction coefficients; otherwise None."""
-    if f.source != f.target:
-        return None
-    dim = f.source.dim
-    rows = []
-    for c in f.components:
-        if not c.den_is_one:
-            return None
-        row = [Q(0)] * dim
-        for exps, v in c.num.terms.items():
-            if type(v) is not Q or exps.count(1) != 1 or exps.count(0) != dim - 1:
-                return None
-            row[exps.index(1)] = v
-        rows.append(row)
-    return rows
 
 
 class RealifiedAuto(Record):
@@ -496,18 +469,10 @@ class RealifiedAuto(Record):
         return pt
 
     def pullback(self, a: DiffForm) -> DiffForm:
-        """Pullback through the composition, telescoped step by step.  A
-        linear step pulls a constant-coefficient form back through the
-        integer minors of its matrix (``constant_linear_pullback``); every
-        other case goes through the general ``pullback``."""
-        out = a
+        """Pullback through the composition, telescoped step by step."""
         for s in reversed(self.steps):
-            matrix = _linear_matrix(s)
-            if matrix is not None and all(c.is_constant for c in out.coeffs.values()):
-                out = constant_linear_pullback(out, matrix)
-            else:
-                out = pullback(s, out)
-        return out
+            a = pullback(s, a)
+        return a
 
 
 def realify_and_check(auto: PolyAuto) -> Tuple[RealifiedAuto, bool]:

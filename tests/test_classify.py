@@ -624,7 +624,7 @@ def test_nijenhuis_nonintegrable_example():
         [0, 0, 0, -1],
         [0, 0, 1, 0],
     ]
-    J = EndField.from_rows(c4, rows)
+    J = EndField(c4, rows)
     rep = nijenhuis(J)
     assert not rep.integrable
     assert rep.values[(3, 4)] == multivec(c4, 1, {(1,): "x2"})
@@ -717,11 +717,21 @@ def test_endfield_equality_is_by_value():
     unit = parse_expression("(x1 + 1)/(x1 + 1)", 3)
     for _ in range(20):
         rows = [[_rand_quotient(rng, 3) for _ in range(3)] for _ in range(3)]
-        J = EndField.from_rows(c3, rows)
-        K = EndField.from_rows(c3, [[v * unit for v in row] for row in rows])
+        J = EndField(c3, rows)
+        K = EndField(c3, [[v * unit for v in row] for row in rows])
         assert str(J.matrix) != str(K.matrix) and J == K and hash(J) == hash(K)
         rows[rng.randrange(3)][rng.randrange(3)] += 1
-        assert J != EndField.from_rows(c3, rows)
+        assert J != EndField(c3, rows)
+
+
+def test_endfield_coerces_its_entries():
+    """The one constructor makes every entry a RationalExpr on the chart, so
+    a column field and the trace of a matrix of ints are RationalExprs too."""
+    J = EndField(chart(2), ((1, 0), (0, 1)))
+    assert all(type(v) is RationalExpr for row in J.matrix for v in row)
+    assert J == EndField.identity(chart(2))
+    assert all(type(c) is RationalExpr for c in J.column_field(1).coeffs.values())
+    assert type(J.trace()) is RationalExpr and J.trace() == 2
 
 
 # -- involutivity ------------------------------------------------------------------

@@ -357,6 +357,16 @@ def test_interior_degree_error():
         interior(multivec(C3, 2, {(1, 2): 1}), basis_one_form(C3, 1))
 
 
+def test_sum_across_degrees():
+    """A zero form of another degree adds as the identity, on either side;
+    two nonzero forms of different degrees are a DegreeError."""
+    one, two = basis_one_form(C3, 1), form(C3, 2, {(1, 2): "x3"})
+    zero_two = form(C3, 2, {})
+    assert one + zero_two == one and zero_two + one == one
+    with pytest.raises(DegreeError):
+        one + two
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_interior_decomposable_and_nilpotent(seed):
     rng = random.Random(70 + seed)

@@ -47,8 +47,8 @@ def _auto():
 VALUES = {
     Chart: lambda: Chart(6, [2]),
     SmoothMap: lambda: SmoothMap.identity(chart(2, [1])),
-    EndField: lambda: EndField.from_rows(C3, [[0, parse_expression("x1^2", 3), 0], [1, 0, 0],
-                                              [0, 0, Q(-1, 2)]]),
+    EndField: lambda: EndField(C3, [[0, parse_expression("x1^2", 3), 0], [1, 0, 0],
+                                    [0, 0, Q(-1, 2)]]),
     LieAlgebraData: so3,
     LieAction: lambda: left_invariant_surrogate(so3()),
     ComomentData: lambda: ComomentData(so3(), 2, (

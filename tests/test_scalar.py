@@ -129,6 +129,14 @@ def test_evaluate_negative_fractional_power():
         expr("x2^(1/2)").eval([0, -1, 0])
 
 
+def test_negative_power_of_a_non_monomial():
+    """An integer exponent below zero inverts a sum: its quotient, or
+    DivisionByZero when the sum is zero."""
+    assert parse_expression("(x1+1)^(-1)", 2) == 1 / parse_expression("x1+1", 2)
+    with pytest.raises(DivisionByZero):
+        parse_expression("(x1-x1)^(-1)", 2)
+
+
 def test_parse_rejects_unknown_function():
     with pytest.raises(ParseError):
         expr("sin(x2)")

@@ -21,8 +21,8 @@ import workloads  # noqa: E402
 
 SPANS = {
     "structures": ("mover.move_points", "mover.jacobian_determinant",
-                   "mover.realify_and_check", "exterior.constant_linear_pullback",
-                   "exterior.pullback", "classify.extract_acs", "linalg.nullspace"),
+                   "mover.realify_and_check", "exterior.pullback",
+                   "classify.extract_acs", "linalg.nullspace"),
     "conjugates": ("exterior.constant_linear_pullback", "classify.classify6"),
     "observables": ("hdw.ham_vector_field", "linalg.solve"),
 }
