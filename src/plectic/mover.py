@@ -1,12 +1,14 @@
 """Determinant-one polynomial automorphisms of C^n over Gaussian rationals.
 
 Moves any k distinct points to any k distinct targets by the classical
-three-step construction: a det-1 linear map separating first coordinates,
-an interpolation shear flattening the middle block and staircasing the last
-coordinate onto the markers (0,..,0,j), and a final shear clearing the first
-coordinate.  A move runs the sources' construction, then the inverse of the
-targets'; ``PolyAuto.compose`` fuses adjacent steps of one kind, so its two
-middle shears are one and it has five steps (L, S_rest, S_first, S_rest, L).
+three-step construction: a det-1 linear map separating first coordinates
+(only when two of them coincide), an interpolation shear flattening the
+middle block and staircasing the last coordinate onto the markers
+(0,..,0,j), and a final shear clearing the first coordinate.  A move runs
+the sources' construction, then the inverse of the targets';
+``PolyAuto.compose`` fuses adjacent steps of one kind, so its two middle
+shears are one and it has three steps (S_rest, S_first, S_rest), plus a
+linear step L at each end whose points repeat a first coordinate.
 Every step has unit Jacobian determinant, so the composition does too (chain
 rule), and the realified maps preserve Re(dz^1 ^ .. ^ dz^n) exactly.
 """
@@ -228,7 +230,8 @@ class PolyAuto(Record):
         (M2 M1) or shears of one kind (each fixes the variable its polynomials
         read: sign +1, polynomials s1 P1 + s2 P2).  A fused identity is
         dropped, so the step before it may fuse with the next; when nothing is
-        left the result is the identity linear step.  A move has five steps."""
+        left the result is the identity linear step.  A move has at most five
+        steps, three when no first coordinate repeats."""
         if first.dim != self.dim:
             raise ShapeError("composition dimension mismatch")
         stack: list = []
@@ -310,11 +313,16 @@ def separating_linear_map(points: Sequence[Point], n: int) -> LinearStep:
 
 
 def _normalizing_auto(points: Sequence[Point], n: int) -> PolyAuto:
-    """Auto of determinant one sending the points to the markers (0,..,0,j)."""
+    """Auto of determinant one sending the points to the markers (0,..,0,j).
+    The interpolation needs pairwise distinct first coordinates, so a
+    separating linear step comes first only when two of them coincide."""
     pts = [as_point(p) for p in points]
     k = len(pts)
-    T = separating_linear_map(pts, n)
-    pts = [T.apply(p) for p in pts]
+    steps: tuple = ()
+    if len({p[0] for p in pts}) != k:
+        T = separating_linear_map(pts, n)
+        pts = [T.apply(p) for p in pts]
+        steps = (T,)
     xs = [p[0] for p in pts]
     markers = [GR(j) for j in range(1, k + 1)]
     polys = []
@@ -328,7 +336,7 @@ def _normalizing_auto(points: Sequence[Point], n: int) -> PolyAuto:
     expected = [tuple([GR(0)] * (n - 1) + [m]) for m in markers]
     if pts != expected:
         raise ShapeError("normalization failed to reach the markers")  # pragma: no cover
-    return PolyAuto(n, (T, shear2, shear3))
+    return PolyAuto(n, steps + (shear2, shear3))
 
 
 def move_points(src: Sequence[Sequence], dst: Sequence[Sequence],

@@ -11,10 +11,14 @@ differently.  The ``move`` digest was re-pinned for two reasons: ``$.n`` got
 an upper bound, so its 11 reports read "must be an integer in 2..8" instead
 of ">= 2", and ``PolyAuto.compose`` fuses the two middle shears of a move, so
 the 48 answered mutations print five steps instead of six, with the same
-points, Jacobian and volume check.  The ``verify`` digest was re-pinned when
-the ``exterior`` check was deleted: the 42 mutations of its base payload are
-gone, and the 65 reports of a bad ``$.check`` no longer list ``exterior``
-among the checks it must be one of; every other report reads as before.
+points, Jacobian and volume check.  It was re-pinned again when the
+separating linear step became conditional: the same 48 mutations print
+three steps, or four for ``$.src[1][0]=0``, whose sources share a first
+coordinate, again with the same points, Jacobian and volume check.  The
+``verify`` digest was re-pinned when the ``exterior`` check was deleted: the
+42 mutations of its base payload are gone, and the 65 reports of a bad
+``$.check`` no longer list ``exterior`` among the checks it must be one of;
+every other report reads as before.
 The ``multiphase`` and ``volterra`` digests were re-pinned when the model
 chart (dim n + N + nN + 1) got the payload bound ``jsonio.DIM_MAX``: the
 three mutations that name a dim-24 model, ``multiphase`` ``$.N=7`` and
@@ -126,7 +130,7 @@ DIGESTS = {
     "hamvf": "5f45766cd75c5a5fb5a8df98cd0a0b6fd0eec545e0fd60d37cec29a678cdff37",
     "hdw-residual": "4a18f6bef3f2ce9526681c0f1681804b9fa76b258d96c3f0a7b207d3b2ee7f4c",
     "lie-validate": "f655b3fe6c5545ded29213451423302fdd0de00b0736bcaf0629fd7ce66ae062",
-    "move": "4d52f6701c09d082972161c389b486629776c5e8489c73a5fb89863696c8f4b9",
+    "move": "585c34655466061ce8c06b5ce43335951a4eb8282c4f2e205ba5fd3c45e25a97",
     "multiphase": "26e01c832008ff6cac6cc114ad8a70d38ca9cb096c59896b03238c996ab8874a",
     "obstruction": "0e256a5146871edcac62ab261d28248f6b71eca19897140fe574a42d486b5b0a",
     "verify": "77e9aff2ffc847d65d9a8c7b8001e673d3449cd0c71fa08d81df4e548921089a",

@@ -9,7 +9,10 @@ same value.  The
 ``move`` digest was re-pinned when ``PolyAuto.compose`` began to fuse the
 two middle shears of a move: the report prints five steps instead of six,
 and ``test_move_report_keeps_its_values`` shows that the points, the
-Jacobian and the volume check read as before.
+Jacobian and the volume check read as before.  It was re-pinned again when
+the separating linear step became conditional: neither side of this move
+repeats a first coordinate, so it prints three shears instead of five
+steps, with the same points, Jacobian and volume check.
 """
 import hashlib
 import json
@@ -95,7 +98,7 @@ CASES = [
      0, "fa36fa78a4ac3c5dd3512e171b350ec964019bdfdf1f181c6732735e399931f3"),
     ([], "move", {"n": 3, "src": [["0", "0", "0"], ["1", "i", "2"]],
                   "dst": [["1", "1", "1"], ["1/2-3/4 i", "0", "0"]]}, 0,
-     "b9276d7eabdb98210ef83726f23d4f1cee626588a79d1ed44922f1b8c1a296ef"),
+     "c935e0c68dc8bde06b4f09d0b2d32917647ef28ed5f0c3065bd25b2c55ff1f34"),
     ([], "verify", {"check": "linfty-relation", "omega": W4, "k": 2, "args": [
         {"degree": 2, "terms": [{"idx": [1, 2], "coeff": "x3"}]},
         {"degree": 2, "terms": [{"idx": [3, 4], "coeff": "x1*x2"}]},
@@ -154,4 +157,4 @@ def test_move_report_keeps_its_values(tmp_path, capsys):
     assert main(["move", str(path)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert {k: rep[k] for k in SIX_STEP_MOVE} == SIX_STEP_MOVE
-    assert len(rep["auto"]["steps"]) == 5
+    assert len(rep["auto"]["steps"]) == 3

@@ -229,6 +229,78 @@ def test_moves_have_at_most_five_steps(seed):
             assert auto.apply(s) == as_point(d)
 
 
+def _kinds(auto):
+    return [getattr(step, "kind", "linear") for step in auto.steps]
+
+
+def _repeats_a_first_coordinate(pts):
+    firsts = [as_point(p)[0] for p in pts]
+    return len(set(firsts)) != len(firsts)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_move_with_distinct_first_coordinates_is_three_shears(seed):
+    rng = random.Random(4300 + seed)
+    for n in (2, 3):
+        while True:
+            k = rng.randint(1, 5)
+            src, dst = rand_points(rng, k, n), rand_points(rng, k, n)
+            if not (_repeats_a_first_coordinate(src) or _repeats_a_first_coordinate(dst)
+                    or [p[0] for p in src] == [p[0] for p in dst]):
+                break
+        auto = move_points(src, dst, n)
+        assert _kinds(auto) == ["rest_by_first", "first_by_last", "rest_by_first"]
+        for s, d in zip(src, dst):
+            assert auto.apply(s) == as_point(d)
+
+
+@pytest.mark.parametrize("src,dst", [
+    ([[1, 0], [1, 1]], [[0, 2], [3, 1]]),
+    ([[0, 2], [3, 1]], [[1, 0], [1, 1]]),
+    ([[1, 0], [1, 1]], [[GR(0, 1), 0], [GR(0, 1), 2]]),
+    ([[1, 0, 0], [1, 1, 0], [2, 0, 1]], [[0, 0, 0], [0, 0, 1], [0, 1, 0]]),
+])
+def test_a_side_that_repeats_a_first_coordinate_keeps_its_linear_step(src, dst):
+    n = len(src[0])
+    auto = move_points(src, dst, n)
+    assert isinstance(auto.steps[0], LinearStep) is _repeats_a_first_coordinate(src)
+    assert isinstance(auto.steps[-1], LinearStep) is _repeats_a_first_coordinate(dst)
+    assert all(isinstance(step, ShearStep) for step in auto.steps[1:-1])
+    for s, d in zip(src, dst):
+        assert auto.apply(s) == as_point(d)
+    assert jacobian_determinant(auto) == 1
+    assert realify_and_check(auto)[1]
+
+
+def test_property_a_move_is_linear_only_where_a_first_coordinate_repeats():
+    """A move between distinct point sets holds a LinearStep exactly when its
+    sources or its targets repeat a first coordinate; a move of points onto
+    themselves is the identity linear step."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small = st.builds(GaussianRational, st.integers(-1, 1), st.integers(-1, 1))
+
+    @st.composite
+    def cases(draw):
+        n, k = draw(st.sampled_from([2, 3])), draw(st.integers(0, 4))
+        sides = st.lists(st.tuples(*[small] * n), min_size=k, max_size=k, unique=True)
+        return n, draw(sides), draw(sides)
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        n, src, dst = case
+        auto = move_points(src, dst, n)
+        if src == dst:
+            assert auto == move_points([], [], n)
+            return
+        repeats = _repeats_a_first_coordinate(src) or _repeats_a_first_coordinate(dst)
+        assert ("linear" in _kinds(auto)) is repeats
+        assert jacobian_determinant(auto) == 1
+
+    check()
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_a_move_of_points_onto_themselves_is_the_identity(k):
     rng = random.Random(4200 + k)
