@@ -218,11 +218,8 @@ class EndField(Record):
         return EndField(self.chart, tuple(rows))
 
     def trace(self) -> RationalExpr:
-        d = self.chart.dim
-        acc = RationalExpr.const(d, 0)
-        for i in range(d):
-            acc = acc + self.matrix[i][i]
-        return acc
+        zero = RationalExpr.const(self.chart.dim, 0)
+        return sum((row[i] for i, row in enumerate(self.matrix)), zero)
 
     def scale(self, c) -> "EndField":
         rows = tuple(tuple(v * c for v in row) for row in self.matrix)
@@ -256,32 +253,46 @@ def standard_volume(chart: Chart) -> DiffForm:
     return DiffForm(chart, chart.dim, {tuple(range(1, chart.dim + 1)): 1})
 
 
-# (a, b) -> [(ijk, m - 1, sign)] over the triples disjoint from (a, b):
-# dx^ab ^ dx^ijk is sign * (-1)^(m-1) times the 5-form missing index m, the
-# sign row m of J carries (i_{e_m} Vol is (-1)^(m-1) times that 5-form)
-_WEDGE_COLUMNS = {
-    pair: [(idx, m - 1, sign if m % 2 else -sign)
-           for idx in combinations(range(1, 7), 3)
-           for merged, sign in [sort_index_tuple(pair + idx)] if merged
-           for m in [21 - sum(merged)]]
-    for pair in combinations(range(1, 7), 2)
-}
+def _j_plan():
+    """``_J_PLAN``: for a pair P, R its sorted complement and s the sign sorting
+    P + R, i_{e_v} dx^(P+v) = (-1)^p dx^P (v at place p) and dx^P ^ dx^(R - R[j])
+    = (-1)^j s i_{e_R[j]} Vol: c_(P+v) c_(R-R[j]) goes to (R[j] - 1, v - 1)."""
+    plan = {}
+    for pair in combinations(range(1, 7), 2):
+        rest = tuple(k for k in range(1, 7) if k not in pair)
+        s = sort_index_tuple(pair + rest)[1]
+        wedges = list(zip(combinations(rest, 3), reversed(rest), (-s, s, -s, s)))
+        for v in rest:
+            p = (v > pair[0]) + (v > pair[1])
+            a = pair[:p] + (v,) + pair[p:]
+            for b, m, sign in wedges:
+                if m == v or a < b:
+                    plan.setdefault((a, b) if a < b else (b, a), []).append(
+                        (m - 1, v - 1, -sign if p % 2 else sign))
+    partners = {}
+    for (a, b), cells in plan.items():
+        partners.setdefault(a, []).append((b, cells, len(cells) == 1))
+    return [(a, sorted(partners[a])) for a in sorted(partners)]
+
+
+_J_PLAN = _j_plan()
 
 
 def _volume_times_j(coeffs: Dict[Tuple[int, int, int], object], zero) -> List[list]:
     """Rows of g*J for the 3-form on R^6 with coefficients ``coeffs``, in the
-    ring they live in (``zero`` is its zero), g the volume coefficient:
-    column i is (i_{e_i} w) ^ w read through ``_WEDGE_COLUMNS``."""
+    ring they live in (``zero`` is its zero), g the volume coefficient.  ``_J_PLAN``
+    lists, sorted, each a < b whose c_a * c_b enters g*J with its cells (row, column,
+    sign): three diagonal ones from each order if a, b are disjoint, else one that
+    both orders fill alike (``twice``).  Each product is formed once, in an order
+    the form's term order does not change."""
     gj = [[zero] * 6 for _ in range(6)]
-    for i, two in enumerate(_contraction_columns(coeffs, 6)):
-        for pair, ca in two.items():
-            for idx, row, sign in _WEDGE_COLUMNS[pair]:
-                cb = coeffs.get(idx)
-                if cb:
-                    if sign > 0:
-                        gj[row][i] += ca * cb
-                    else:
-                        gj[row][i] -= ca * cb
+    for a, partners in _J_PLAN:
+        if ca := coeffs.get(a):
+            for b, cells, twice in partners:
+                if cb := coeffs.get(b):
+                    p = ca * cb * 2 if twice else ca * cb
+                    for row, col, sign in cells:
+                        gj[row][col] = gj[row][col] + p if sign > 0 else gj[row][col] - p
     return gj
 
 
@@ -310,9 +321,7 @@ def hitchin_endomorphism(w: DiffForm, vol: DiffForm) -> EndField:
         raise ChartMismatch("volume form lives on a different chart")
     if vol.degree != 6 or len(vol.coeffs) != 1:
         raise SingularVolume("volume must be a nonzero top-degree form")
-    g = vol.coeffs.get(tuple(range(1, 7)))
-    if g is None or not g:
-        raise SingularVolume("volume coefficient vanishes identically")
+    (g,) = vol.coeffs.values()  # at (1, ..., 6), and nonzero: a form drops zeros
     gj = _volume_times_j(w.coeffs, RationalExpr.const(6, 0))
     return EndField(chart, tuple(tuple(v / g if v else v for v in row) for row in gj))
 
@@ -469,12 +478,7 @@ def verify_product_decomposition(w: DiffForm, parts: Sequence[DiffForm]) -> bool
     The k > 2 search is out of scope; this checks the candidate: the parts
     sum to w, and each is decomposable of w's degree (``_is_decomposable``).
     """
-    if not parts:
-        return False
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    if total != w:
+    if not parts or reduce(add, parts) != w:
         return False
     return all(p.degree == w.degree and _is_decomposable(p) for p in parts)
 
@@ -638,7 +642,8 @@ def flatness_report(w: DiffForm) -> TypeReport:
 
     Every verdict comes from the exact split or normalization; when the
     needed square root leaves the ring, the report is ``Undetermined`` and a
-    note names the irrational scale.
+    note names the irrational scale.  ``Flat`` needs a certified trace sign,
+    as samples can miss a zero of the trace; else the report is ``Undetermined``.
     """
     _require_closed_3form_dim6(w)
     chart = w.chart
@@ -646,6 +651,8 @@ def flatness_report(w: DiffForm) -> TypeReport:
     t = _trace_sq(J.matrix, RationalExpr.const(6, 0))
     sig = sign_on_chart(t, chart)
     notes = [] if sig.certified else ["trace sign decided by rational sampling"]
+    flat, flat_notes = ((FLAT, notes) if sig.certified else
+                        (UNDETERMINED, notes + ["Flat needs a certified trace sign"]))
 
     if sig.sign == "mixed":
         pts = [list(map(str, wpt)) for wpt, _v in sig.witnesses]
@@ -660,7 +667,7 @@ def flatness_report(w: DiffForm) -> TypeReport:
                               notes=notes + [f"exact split unavailable: {exc}"])
         d1, d2 = ext_d(w1), ext_d(w2)
         if d1.is_zero and d2.is_zero:
-            return TypeReport(PRODUCT, "+", FLAT, notes=notes)
+            return TypeReport(PRODUCT, "+", flat, notes=flat_notes)
         witness = d1 if not d1.is_zero else d2
         return TypeReport(PRODUCT, "+", NONFLAT, witness=witness,
                           witness_kind="exterior-derivative", notes=notes)
@@ -675,7 +682,7 @@ def flatness_report(w: DiffForm) -> TypeReport:
         Jt = J.scale(sigma)
         rep = nijenhuis(Jt)
         if rep.integrable:
-            return TypeReport(COMPLEX, "-", FLAT, notes=notes)
+            return TypeReport(COMPLEX, "-", flat, notes=flat_notes)
         (pair, val) = sorted(rep.values.items())[0]
         return TypeReport(COMPLEX, "-", NONFLAT, witness=val,
                           witness_kind=f"nijenhuis{pair}", notes=notes)
@@ -691,7 +698,7 @@ def flatness_report(w: DiffForm) -> TypeReport:
                           notes=notes + ["kernel of J is trivial"])
     rep = involutive(frame)
     if rep:
-        return TypeReport(TANGENT, "0", FLAT, notes=notes)
+        return TypeReport(TANGENT, "0", flat, notes=flat_notes)
     return TypeReport(TANGENT, "0", NONFLAT, witness=rep.witness_bracket,
                       witness_kind=f"bracket{rep.witness_pair}", notes=notes)
 

@@ -7,7 +7,9 @@ import pytest
 
 from plectic import catalog, classify, linalg
 from plectic.classify import (
+    _J_PLAN,
     _trace_sq,
+    _volume_times_j,
     COMPLEX,
     DEGENERATE,
     FLAT,
@@ -15,7 +17,9 @@ from plectic.classify import (
     NONFLAT,
     PRODUCT,
     TANGENT,
+    UNDETERMINED,
     EndField,
+    SignReport,
     classify6,
     extract_acs,
     flatness_report,
@@ -53,7 +57,8 @@ from plectic.exterior import (
 )
 from plectic.hdw import multiphase_forms
 from plectic.linalg import det
-from plectic.scalar import GaussianRational, RationalExpr, parse_expression
+from plectic.scalar import GaussianRational, RationalExpr, ScalarExpr, parse_expression
+from hitchin_reference import reference_volume_times_j
 from util import rand_form, rand_poly, rand_rational_gl
 
 C6 = chart(6)
@@ -130,6 +135,77 @@ def test_hitchin_defining_identity_under_a_nonconstant_volume(seed):
     for i in range(1, 7):
         lhs = wedge(interior(coordinate_vector(C6, i), w), w)
         assert lhs == interior(J.column_field(i), vol), i
+
+
+TRIPLES6 = list(combinations(range(1, 7), 3))
+
+
+def test_property_volume_times_j_is_the_reference_loop():
+    """The pair plan gives g*J entry by entry equal to the column-by-column
+    loop of ``hitchin_reference``, over int, Fraction and RationalExpr
+    coefficients (quotients and powers of the positive x1 among them), with
+    zero values present as classify6's cleared values can have them."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    zero = RationalExpr.const(6, 0)
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    exponents = st.tuples(st.sampled_from([0, 1, 2, Q(1, 2), Q(-1, 2), Q(3, 2)]),
+                          st.integers(0, 2), st.just(0), st.integers(0, 1), *[st.just(0)] * 2)
+    polys = st.lists(st.tuples(fractions, exponents), min_size=1, max_size=2).map(
+        lambda terms: sum((RationalExpr(ScalarExpr.monomial(6, c, e)) for c, e in terms), zero))
+    quotients = st.tuples(polys, polys.filter(bool)).map(lambda nd: nd[0] / nd[1])
+    rings = [(st.integers(-3, 3), 0), (fractions, Q(0)), (st.one_of(polys, quotients), zero)]
+
+    @st.composite
+    def cases(draw):
+        values, ring_zero = draw(st.sampled_from(rings))
+        triples = draw(st.lists(st.sampled_from(TRIPLES6), unique=True,
+                                max_size=8 if ring_zero is zero else 20))
+        return {t: draw(values) for t in triples}, ring_zero
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        coeffs, ring_zero = case
+        got = _volume_times_j(coeffs, ring_zero)
+        want = reference_volume_times_j(coeffs, ring_zero)
+        for i in range(6):
+            for j in range(6):
+                assert got[i][j] == want[i][j], (i, j, coeffs)
+
+    check()
+
+
+def test_volume_times_j_forms_each_product_once():
+    """A full 3-form meets 100 unordered pairs of index triples in g*J: the
+    plan forms 100 products where the column loop forms 240."""
+    class Counted(int):
+        products = 0
+
+        def __mul__(self, other):
+            Counted.products += 1
+            return int(self) * int(other)
+        __rmul__ = __mul__
+
+        def __neg__(self):
+            return Counted(-int(self))
+
+    coeffs = {t: Counted(n + 1) for n, t in enumerate(TRIPLES6)}
+    got = _volume_times_j(coeffs, 0)
+    assert Counted.products == 100 == sum(len(partners) for _a, partners in _J_PLAN)
+    Counted.products = 0
+    assert got == reference_volume_times_j(coeffs, 0) and Counted.products == 240
+
+
+def test_hitchin_endomorphism_prints_the_same_in_any_term_order():
+    """J sums each cell in the plan's order, not the form's: the column loop
+    printed two entries of this J differently for its two term orders."""
+    terms = [((2, 5, 6), "1/(x3^2+1)"), ((3, 4, 6), "1/(x1+1)"), ((3, 5, 6), -2),
+             ((2, 4, 6), "1/(x3^2+1)")]
+    vol = standard_volume(C6)
+    printed = [[[str(v) for v in row] for row in hitchin_endomorphism(w, vol).matrix]
+               for w in (form(C6, 3, dict(terms)), form(C6, 3, dict(terms[::-1])))]
+    assert printed[0] == printed[1]
 
 
 def _dense_square(J: EndField):
@@ -819,6 +895,31 @@ def test_flatness_normal_forms_flat():
     for w in (catalog.product6(), catalog.complex6(), catalog.tangent6()):
         rep = flatness_report(w)
         assert rep.flat == FLAT, rep
+
+
+@pytest.mark.parametrize("g", ["x1", "x1^3", "x1*x2"])
+def test_no_flat_from_a_sampled_trace_sign(g):
+    """g dx123 + dx456 splits into closed parts, but its trace 6 g^2 vanishes
+    where g does, which the sign samples never meet, and classify6 finds
+    the form degenerate there: the report is Undetermined, not Flat."""
+    w = form(C6, 3, {(1, 2, 3): g, (4, 5, 6): 1})
+    rep = flatness_report(w)
+    assert (rep.linear_type, rep.trace_sign, rep.flat) == (PRODUCT, "+", UNDETERMINED)
+    assert rep.notes == ["trace sign decided by rational sampling",
+                         "Flat needs a certified trace sign"]
+    assert classify6(w, ORIGIN6).linear_type == DEGENERATE
+
+
+@pytest.mark.parametrize("name,linear_type", [
+    ("product6", PRODUCT), ("complex6", COMPLEX), ("tangent6", TANGENT)])
+def test_every_flat_verdict_needs_a_certified_sign(monkeypatch, name, linear_type):
+    """Each type's Flat becomes Undetermined when the same sign is sampled."""
+    certified = sign_on_chart
+    monkeypatch.setattr(classify, "sign_on_chart",
+                        lambda expr, ch: SignReport(certified(expr, ch).sign, False))
+    rep = flatness_report(getattr(catalog, name)())
+    assert (rep.linear_type, rep.flat) == (linear_type, UNDETERMINED)
+    assert rep.notes[-1] == "Flat needs a certified trace sign"
 
 
 def test_flatness_perturbed_product_flips():

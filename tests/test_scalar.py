@@ -629,3 +629,72 @@ def test_substitute_fractional_power_of_monomial():
     assert composed == parse_expression("2*x1", 1)
     with pytest.raises(IrrationalValue):
         e.substitute([parse_expression("x1 + 1", 1)])
+
+
+def test_scalar_ring_matches_sympy():
+    """The scalar-ring oracle: ``*``, ``+``, ``partial`` (either sign) and
+    ``substitute`` of ScalarExpr and RationalExpr agree with sympy's field
+    of rational functions, on polynomials and quotients in three variables
+    with powers x1^(+-1/2) and x1^(3/2) of the positive x1.  sympy reads x1
+    as t^2, so every power is whole in t and d/dx1 is d/dt over 2t.  x1 is
+    replaced by c^2 x1^(2m), whose square root c t^(2m) sympy then uses."""
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ring, _t, _x2, _x3 = sympy.ring("t,x2,x3", sympy.QQ)
+    field = ring.to_field()
+    t, x2, x3 = field.gens
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    exponents = st.tuples(st.sampled_from([0, 1, 2, Q(1, 2), Q(-1, 2), Q(3, 2)]),
+                          st.integers(0, 2), st.integers(0, 2))
+    scalars = st.lists(st.tuples(fractions, exponents), min_size=1, max_size=3).map(
+        lambda terms: ScalarExpr(3, {e: c for c, e in terms}))
+    quotients = st.tuples(scalars, scalars.filter(lambda d: not d.is_constant)).map(
+        lambda nd: RationalExpr(*nd))
+    rationals = st.one_of(scalars.map(RationalExpr), quotients)
+    roots = st.tuples(st.fractions(min_value=Q(1, 3), max_value=3, max_denominator=3),
+                      st.sampled_from([Q(1, 2), 1, Q(-1, 2), Q(3, 2)]))
+
+    def to_sympy(e):
+        """e with x1 = t^2 in sympy's field: one polynomial over a power of t."""
+        if isinstance(e, RationalExpr):
+            return to_sympy(e.num) / to_sympy(e.den)
+        terms = {(int(2 * k1), int(k2), int(k3)): c for (k1, k2, k3), c in e.terms.items()}
+        shift = -min([0] + [k[0] for k in terms])
+        poly = ring.from_dict({(k1 + shift, k2, k3): sympy.Rational(c.numerator, c.denominator)
+                               for (k1, k2, k3), c in terms.items()})
+        return field(poly) / t ** shift
+
+    def composed(e, root, y2, y3):
+        """e with x1 = root^2, x2 = y2 and x3 = y3, summed term by term."""
+        if isinstance(e, RationalExpr):
+            return composed(e.num, root, y2, y3) / composed(e.den, root, y2, y3)
+        total = field(0)
+        for (k1, k2, k3), c in e.terms.items():
+            term = field(sympy.Rational(c.numerator, c.denominator))
+            for y, k in ((root, 2 * k1), (y2, k2), (y3, k3)):
+                if k:  # sympy refuses 0**0
+                    term *= y ** int(k)
+            total += term
+        return total
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(scalars, scalars, rationals, quotients, roots, rationals, rationals)
+    def check(sa, sb, ra, rb, root, c2, c3):
+        for a, b in ((sa, sb), (ra, rb)):
+            fa, fb = to_sympy(a), to_sympy(b)
+            assert to_sympy(a * b) == fa * fb and to_sympy(a + b) == fa + fb, (a, b)
+            derivatives = (fa.diff(t) / (2 * t), fa.diff(x2), fa.diff(x3))
+            for i, d in enumerate(derivatives, start=1):
+                assert to_sympy(a.partial(i)) == d and to_sympy(a.partial(i, -1)) == -d, (a, i)
+        c, m = root
+        c1 = RationalExpr(ScalarExpr.monomial(3, c * c, (2 * m, 0, 0)))
+        try:
+            got = ra.substitute([c1, c2, c3])
+        except DivisionByZero:
+            return
+        want = composed(ra, sympy.Rational(c.numerator, c.denominator) * t ** int(2 * m),
+                        to_sympy(c2), to_sympy(c3))
+        assert to_sympy(got) == want, (ra, c1, c2, c3)
+
+    check()
