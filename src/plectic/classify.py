@@ -43,6 +43,7 @@ from .errors import (
 from .exterior import (
     _accumulate,
     _cleared,
+    _constant_form,
     _contraction_columns,
     _vector_fields,
     Chart,
@@ -313,7 +314,7 @@ def _trace_sq(rows: Sequence[Sequence], zero):
 
 
 def hitchin_endomorphism(w: DiffForm, vol: DiffForm) -> EndField:
-    """The unique J with (i_v w) ^ w = i_{J(v)} vol."""
+    """The unique J with (i_v w) ^ w = i_{J(v)} vol; g*J is divided by g unless g is 1."""
     chart = w.chart
     if chart.dim != 6 or w.degree != 3:
         raise ShapeError("endomorphism extraction needs a 3-form in dimension 6")
@@ -323,7 +324,11 @@ def hitchin_endomorphism(w: DiffForm, vol: DiffForm) -> EndField:
         raise SingularVolume("volume must be a nonzero top-degree form")
     (g,) = vol.coeffs.values()  # at (1, ..., 6), and nonzero: a form drops zeros
     gj = _volume_times_j(w.coeffs, RationalExpr.const(6, 0))
-    return EndField(chart, tuple(tuple(v / g if v else v for v in row) for row in gj))
+    if _constant_coeff(g) != 1:
+        gj = [[v / g if v else v for v in row] for row in gj]
+    J = object.__new__(EndField)  # its entries are RationalExprs on the chart already
+    Record.__init__(J, chart, tuple(map(tuple, gj)))
+    return J
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +351,7 @@ def _require_closed_3form_dim6(w: DiffForm):
         raise ShapeError("classification needs a 3-form on a 6-dimensional chart")
     for x in (v for c in w.coeffs.values() for p in (c.num, c.den) for v in p.terms.values()):
         _as_fraction(x)  # a non-real coefficient raises ShapeError
-    if ext_d(w):
+    if w.coeffs and ext_d(w):  # d of the zero form is zero
         raise NotClosed("the form is not closed")
 
 
@@ -364,26 +369,31 @@ def _rank_at_least_two(rows: Sequence[Sequence[int]]) -> bool:
 def classify6(w: DiffForm, point: Sequence) -> TypeReport:
     """Linear type of a closed 3-form on a 6-chart at a point.
 
-    Each constant coefficient is read once, and only the others are checked
-    for closedness (d of a constant is zero) and evaluated.  The values are
-    cleared of denominators by their lcm D, so J (for the standard volume) is
-    built in Python int, scaled by D^2, and trace(J^2) comes out scaled by
-    D^4 > 0.  The sign of trace(J^2) separates product (+) and complex (-)
-    type.  At trace zero, w is tangent exactly when J has rank >= 2: if w is
-    degenerate, some v != 0 has i_v w = 0, so w is pulled back from the
-    5-dimensional V/<v>, every (i_u w) ^ w lies in the line of 5-forms of
-    that quotient, and J has rank <= 1; a non-degenerate w with trace zero is
-    GL(6)-conjugate to ``catalog.tangent6``, whose J has rank 3.
+    A real all-constant form is read in one walk (``_constant_form``) and is
+    closed; otherwise each constant coefficient is read once, and only the
+    others are checked for closedness and evaluated.  The values are cleared
+    of denominators by their lcm D, so J (for the standard volume) is built in
+    Python int, scaled by D^2, and trace(J^2) comes out scaled by D^4 > 0.
+    The sign of trace(J^2) separates product (+) and complex (-) type.  At
+    trace zero, w is tangent exactly when J has rank >= 2: if w is degenerate,
+    some v != 0 has i_v w = 0, so w is pulled back from the 5-dimensional
+    V/<v>, every (i_u w) ^ w lies in the line of 5-forms of that quotient, and
+    J has rank <= 1; a non-degenerate w with trace zero is GL(6)-conjugate to
+    ``catalog.tangent6``, whose J has rank 3.
     """
-    constants = {idx: v for idx, c in w.coeffs.items()
-                 if (v := _constant_coeff(c)) is not None}
-    varying = {idx: c for idx, c in w.coeffs.items() if idx not in constants}
-    _require_closed_3form_dim6(DiffForm._raw(w.chart, w.degree, varying))
-    pt = w.chart.check_point(point)
-    values = {idx: _as_fraction(v) for idx, v in constants.items()}
-    values.update((idx, _as_fraction(c.eval(pt))) for idx, c in varying.items())
-    _, values = _cleared(values)
-    gj = _volume_times_j(values, 0)
+    if (read := _constant_form(w.coeffs)) and all(type(v) is int for v in read[1].values()):
+        _require_closed_3form_dim6(DiffForm._raw(w.chart, w.degree, {}))
+        w.chart.check_point(point)
+    else:
+        constants = {idx: v for idx, c in w.coeffs.items()
+                     if (v := _constant_coeff(c)) is not None}
+        varying = {idx: c for idx, c in w.coeffs.items() if idx not in constants}
+        _require_closed_3form_dim6(DiffForm._raw(w.chart, w.degree, varying))
+        pt = w.chart.check_point(point)
+        values = {idx: _as_fraction(v) for idx, v in constants.items()}
+        values.update((idx, _as_fraction(c.eval(pt))) for idx, c in varying.items())
+        read = _cleared(values)
+    gj = _volume_times_j(read[1], 0)
     tv = _trace_sq(gj, 0)  # trace(J^2) times D^4 > 0: the sign is exact
     if tv > 0:
         linear_type, sign = PRODUCT, "+"

@@ -602,13 +602,14 @@ def pullback(f: SmoothMap, a: DiffForm) -> DiffForm:
 
 @lru_cache(maxsize=None)
 def _laplace_plan(dim: int, deg: int) -> Tuple[Tuple[Tuple[int, int, bool], ...], ...]:
-    """How each deg x deg minor expands along its first row: for every
-    increasing tuple K of deg columns in 0..dim-1 (``combinations`` order),
-    the triples (column k of K, position of the minor on K without k among
-    the (deg-1)-tuples, whether the term is subtracted)."""
+    """How each deg x deg minor expands along its first row, by that row's
+    column k in 0..dim-1: for every increasing tuple K of deg columns holding k
+    (``combinations`` order), the triples (position of K, position of the minor
+    on K without k among the (deg-1)-tuples, whether the term is subtracted)."""
     position = {K: n for n, K in enumerate(combinations(range(dim), deg - 1))}
-    return tuple(tuple((k, position[K[:j] + K[j + 1:]], j % 2 == 1) for j, k in enumerate(K))
-                 for K in combinations(range(dim), deg))
+    tuples = list(enumerate(combinations(range(dim), deg)))
+    return tuple(tuple((t, position[K[:j] + K[j + 1:]], j % 2 == 1)
+                       for t, K in tuples if k in K for j in (K.index(k),)) for k in range(dim))
 
 
 def _minor_sums(coeffs: Mapping[IndexTuple, object], M: Sequence[Sequence],
@@ -622,24 +623,20 @@ def _minor_sums(coeffs: Mapping[IndexTuple, object], M: Sequence[Sequence],
 
     For each I the minors are built from its last row up: the entries of
     that row are its 1 x 1 minors, and the minors on the last n rows expand
-    along their first row into those on the last n - 1 (``_laplace_plan``),
-    skipping zero products."""
-    plans = [_laplace_plan(dim, n) for n in range(2, deg + 1)]
+    along their first row into those on the last n - 1 (``_laplace_plan``), by
+    column: a zero entry is skipped once, and each minor adds in column order."""
+    plans = [(_laplace_plan(dim, n), comb(dim, n)) for n in range(2, deg + 1)]
     sums = [zero] * comb(dim, deg)
     for I, cv in coeffs.items():
         minors = M[I[-1] - 1]
-        for i, plan in zip(reversed(I[:-1]), plans):
-            row = M[i - 1]
-            expanded = []
-            for terms in plan:
-                acc = zero
-                for k, sub, subtract in terms:
-                    a = row[k]
-                    if a:
+        for i, (plan, size) in zip(reversed(I[:-1]), plans):
+            expanded = [zero] * size
+            for a, terms in zip(M[i - 1], plan):
+                if a:
+                    for t, sub, subtract in terms:
                         b = minors[sub]
                         if b:
-                            acc = acc - a * b if subtract else acc + a * b
-                expanded.append(acc)
+                            expanded[t] = expanded[t] - a * b if subtract else expanded[t] + a * b
             minors = expanded
         for n, m in enumerate(minors):
             if m:
@@ -651,34 +648,47 @@ def _cleared(values: Mapping[IndexTuple, object]) -> Tuple[int, Dict[IndexTuple,
     """(E, {idx: E * value}) with E the lcm of the values' denominators: a
     Fraction becomes a Python int, a GaussianRational a Gaussian integer."""
     E = lcm(*(v.denominator for v in values.values()))
-    return E, {idx: v.numerator * (E // v.denominator) if type(v) is Fraction else v * E
-               for idx, v in values.items()}
+    return E, {idx: v * E if type(v) is not Fraction else v.numerator if E == 1
+               else v.numerator * (E // v.denominator) for idx, v in values.items()}
+
+
+def _constant_form(coeffs: Mapping[IndexTuple, RationalExpr]):
+    """``_cleared`` of the values of ``coeffs``, read in one walk, or None if one varies."""
+    values = {}
+    for idx, c in coeffs.items():
+        if (v := _constant_coeff(c)) is None:
+            return None
+        values[idx] = v
+    return _cleared(values)
 
 
 def constant_linear_pullback(a: DiffForm, matrix: Sequence[Sequence[Fraction]]) -> DiffForm:
     """Pullback of a constant-coefficient form along x -> M x (fast path).
 
     Both sides are cleared of denominators first: the form's coefficients by
-    their lcm E, the matrix by the lcm D of its entries' denominators.  The
-    minor sums of the integer form along D M then run in Python int (a
-    Gaussian coefficient stays a Gaussian integer), and each is divided once
-    by E * D^deg, as a degree-deg form picks up D^deg from the minors.
+    their lcm E (``_constant_form``; one that varies raises ShapeError), the
+    matrix by the lcm D of its entries' denominators (at D = 1 it is read as
+    it is).  The minor sums of the integer form along D M then run in Python
+    int (a Gaussian coefficient stays a Gaussian integer), and each is divided
+    once by E * D^deg (at 1, with no gcd), as a degree-deg form picks up D^deg.
     """
     dim, deg = a.chart.dim, a.degree
     if not deg:
         return a
     D = lcm(*(v.denominator for row in matrix for v in row))  # an int's is 1
-    m = [[v.numerator * (D // v.denominator) for v in row] for row in matrix]
-    E, vals = _cleared({I: c.constant_value() for I, c in a.coeffs.items()})
-    scale = E * D ** deg
+    m = [[D // v.denominator * v.numerator if D > 1 else v.numerator for v in r] for r in matrix]
+    if (read := _constant_form(a.coeffs)) is None:
+        raise ShapeError("expression is not constant")
+    scale = read[0] * D ** deg
     # Fraction(v, scale) and a Gaussian division reduce, so each value is
     # already a normal-form coefficient (nonzero, as _minor_sums drops zeros).
     origin = (0,) * dim
     one = ScalarExpr._raw(dim, {origin: Fraction(1)})
     return DiffForm._raw(a.chart, deg, {
-        K: RationalExpr._raw(ScalarExpr._raw(dim, {
-            origin: Fraction(v, scale) if type(v) is int else v / scale}), one)
-        for K, v in _minor_sums(vals, m, dim, deg, 0).items()})
+        K: RationalExpr._raw(ScalarExpr._raw(dim, {origin: v / scale if type(v) is not int
+                                                   else Fraction(v, scale) if scale > 1
+                                                   else Fraction(v)}), one)
+        for K, v in _minor_sums(read[1], m, dim, deg, 0).items()})
 
 
 def pushforward_at(f: SmoothMap, X: MultiVec, point: Sequence) -> MultiVec:

@@ -20,6 +20,7 @@ from plectic.classify import (
     UNDETERMINED,
     EndField,
     SignReport,
+    TypeReport,
     classify6,
     extract_acs,
     flatness_report,
@@ -34,6 +35,7 @@ from plectic.classify import (
 )
 from plectic.errors import (
     DependentFrame,
+    DomainViolation,
     IrrationalScale,
     IrrationalValue,
     NotAlmostComplex,
@@ -58,6 +60,7 @@ from plectic.exterior import (
 from plectic.hdw import multiphase_forms
 from plectic.linalg import det
 from plectic.scalar import GaussianRational, RationalExpr, ScalarExpr, parse_expression
+from conjugate_reference import reference_classify6
 from hitchin_reference import reference_volume_times_j
 from util import rand_form, rand_poly, rand_rational_gl
 
@@ -302,6 +305,42 @@ def test_classify_requires_closed():
         classify6(w, ORIGIN6)
 
 
+@pytest.mark.parametrize("w,point,error", [
+    (form(chart(6), 2, {(1, 2): 1, (3, 4): Q(1, 2)}), ORIGIN6, ShapeError),
+    (form(chart(7), 3, {(1, 2, 3): 1, (4, 5, 6): 1}), [0] * 7, ShapeError),
+    (form(C6, 3, {(1, 2, 3): GaussianRational(1, 1), (4, 5, 6): 1}), ORIGIN6, ShapeError),
+    (catalog.product6(), [0] * 5, ShapeError),
+    (form(catalog.half_space6(), 3, {(1, 2, 3): 1, (4, 5, 6): -2}), ORIGIN6, DomainViolation),
+    (form(catalog.half_space6(), 3, {(1, 2, 3): 1}), [1, Q(-1, 2), 0, 0, 0, 0],
+     DomainViolation),
+    (form(C6, 3, {(1, 2, 3): 1, (4, 5, 6): "x1", (1, 4, 5): Q(-3, 4)}), ORIGIN6, NotClosed),
+], ids=["degree", "dim", "gaussian", "point length", "zero on a positive chart",
+        "negative on a positive chart", "varying, not closed"])
+def test_classify6_checks_the_form_and_the_point(w, point, error):
+    """An all-constant form skips the closedness check and the evaluation,
+    but not the checks of its shape, of a real value and of the point; a
+    varying form is still checked for closedness."""
+    with pytest.raises(error):
+        classify6(w, point)
+
+
+@pytest.mark.parametrize("name,w,g", TRACE_FORMS, ids=[n for n, _w, _g in TRACE_FORMS])
+def test_hitchin_endomorphism_is_g_j_divided_by_g(name, w, g):
+    """J, which is not divided by a unit volume coefficient, equals and
+    prints as g*J divided entry by entry by g, for that volume and for
+    constant volumes 2 and -3/2, whose division must still happen."""
+    for g in (g, "2", "-3/2"):
+        vol = form(w.chart, 6, {tuple(range(1, 7)): g})
+        (gv,) = vol.coeffs.values()
+        want = EndField(w.chart, [[v / gv if v else v for v in row]
+                                  for row in _volume_times_j(w.coeffs, RationalExpr.const(6, 0))])
+        J = hitchin_endomorphism(w, vol)
+        assert J == want
+        assert [[str(v) for v in row] for row in J.matrix] == \
+            [[str(v) for v in row] for row in want.matrix]
+        assert all(type(v) is RationalExpr for row in J.matrix for v in row)
+
+
 def rand_gl6(rng):
     while True:
         M = [[Q(rng.randint(-2, 2)) for _ in range(6)] for _ in range(6)]
@@ -320,6 +359,61 @@ def test_classification_gl_invariant(seed):
     ]:
         moved = constant_linear_pullback(w, M)
         assert classify6(moved, ORIGIN6).linear_type == expected
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except PlecticError as e:
+        return type(e), str(e)
+
+
+def test_property_classify6_matches_the_reference():
+    """classify6 gives the report (or the error, with its message) of the
+    reading in ``conjugate_reference``: on all-constant forms (int, Fraction,
+    real and non-real Gaussian coefficients, GL(6) conjugates of the normal
+    forms among them) and on forms that mix constants with coefficients in
+    x_i, closed or not, at rational points of charts with positive
+    coordinates."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    constants = st.one_of(st.integers(-3, 3), rationals,
+                          st.builds(GaussianRational, rationals),
+                          st.builds(GaussianRational, rationals, rationals.filter(bool)))
+    normal = (catalog.product6(), catalog.complex6(), catalog.tangent6())
+
+    @st.composite
+    def cases(draw):
+        positive = draw(st.sets(st.integers(1, 6), max_size=2))
+        if draw(st.booleans()):
+            entries = st.integers(-2, 2) if draw(st.booleans()) else rationals
+            w = constant_linear_pullback(draw(st.sampled_from(normal)), draw(
+                st.lists(st.lists(entries, min_size=6, max_size=6), min_size=6, max_size=6)))
+            coeffs = dict(w.coeffs)
+        else:
+            triples = draw(st.lists(st.sampled_from(TRIPLES6), unique=True, min_size=1,
+                                    max_size=8))
+            coeffs = {t: draw(constants) for t in triples}
+        for t in draw(st.lists(st.sampled_from(TRIPLES6), unique=True, max_size=3)):
+            i = draw(st.sampled_from(t + (draw(st.integers(1, 6)),)))  # i outside t: not closed
+            coeffs[t] = (RationalExpr.variable(6, i) * RationalExpr.const(6, draw(rationals))
+                         + draw(rationals))
+        point = [draw(rationals) for _ in range(6)]
+        return form(chart(6, positive), 3, coeffs), point
+
+    paths = set()
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        w, point = case
+        got = _outcome(classify6, w, point)
+        assert got == _outcome(reference_classify6, w, point)
+        paths.add((all(c.is_constant for c in w.coeffs.values()), type(got)))
+
+    check()
+    assert {(True, TypeReport), (False, TypeReport), (True, tuple), (False, tuple)} <= paths
 
 
 def _sign(q) -> str:

@@ -12,6 +12,7 @@ from plectic.errors import (
     DegreeError,
     DomainViolation,
     HomotopyPole,
+    ShapeError,
 )
 from plectic.exterior import (
     _minor_sums,
@@ -40,6 +41,7 @@ from plectic.exterior import (
 )
 from plectic.hdw import ham_vector_field
 from plectic.scalar import GaussianRational, RationalExpr, ScalarExpr, parse_expression
+from conjugate_reference import reference_constant_linear_pullback, reference_minor_sums
 from util import (
     det_minor_sums,
     ext_d_all_variables,
@@ -712,6 +714,120 @@ def test_constant_linear_pullback_matches_sympy_minors():
                 want[K] = Q(int(total.p), int(total.q))
         got = constant_linear_pullback(f(c6, 3, coeffs), M)
         assert {K: c.constant_value() for K, c in got.coeffs.items()} == want
+
+
+def _printed(w):
+    """What a constant form prints, term by term and in order, with the type
+    of each coefficient's value."""
+    return repr(w), [(K, str(c), type(c.constant_value())) for K, c in w.coeffs.items()]
+
+
+def test_property_constant_linear_pullback_matches_the_reference():
+    """The one-walk reader, the scale-1 pullback and the column-walked minors
+    give the pullback of ``conjugate_reference``, equal and printed alike,
+    for int, Fraction and Gaussian (real and not) coefficients, integer and
+    rational matrices (so the scale is 1 or not), dims 2 to 7, every degree."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    coefficients = st.one_of(st.integers(-3, 3).filter(bool), rationals.filter(bool),
+                             st.builds(GaussianRational, rationals.filter(bool)),
+                             st.builds(GaussianRational, rationals, rationals.filter(bool)))
+    entries = st.one_of(st.integers(-2, 2), st.integers(-2, 2).map(Q), rationals)
+
+    @st.composite
+    def cases(draw):
+        dim = draw(st.integers(2, 7))
+        p = draw(st.integers(0, dim))
+        tuples = list(combinations(range(1, dim + 1), p))
+        keys = draw(st.lists(st.sampled_from(tuples), min_size=1, max_size=5, unique=True))
+        integral = draw(st.booleans())
+        w = form(chart(dim), p, {k: draw(st.integers(-3, 3).filter(bool) if integral
+                                         else coefficients) for k in keys})
+        M = [[draw(st.integers(-2, 2) if integral else entries) for _ in range(dim)]
+             for _ in range(dim)]
+        return w, M
+
+    scale_one = set()
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        w, M = case
+        got, want = constant_linear_pullback(w, M), reference_constant_linear_pullback(w, M)
+        assert got == want
+        assert _printed(got) == _printed(want)
+        scale_one.add(all(c.constant_value().denominator == 1 for c in w.coeffs.values())
+                      and all(v.denominator == 1 for row in M for v in row))
+
+    check()
+    assert scale_one == {True, False}
+
+
+class _Spelled(str):
+    """A ring element spelled as the operations that made it, so that a sum
+    made in another order is another element; "0" is its zero."""
+
+    def __add__(self, other):
+        return _Spelled(f"({self} + {other})")
+
+    def __sub__(self, other):
+        return _Spelled(f"({self} - {other})")
+
+    def __mul__(self, other):
+        return _Spelled(f"{self}*{other}")
+
+    def __bool__(self):
+        return self != "0"
+
+
+def test_property_minor_sums_match_the_reference():
+    """Column-walked minor sums equal, and print as, the minor-by-minor
+    expansion of ``conjugate_reference`` over Fraction and RationalExpr rows
+    with zero entries (``pushforward_at`` and ``hdw`` sum in these rings),
+    and make the same sums in the same order (spelled entries)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+    @st.composite
+    def cases(draw):
+        ring = draw(st.sampled_from(["fraction", "expression", "spelled"]))
+        dim = draw(st.integers(2, 4 if ring == "expression" else 5))
+        deg = draw(st.integers(1, dim))
+        if ring == "expression":
+            x = [RationalExpr.variable(dim, i) for i in range(1, dim + 1)]
+            zero = RationalExpr.const(dim, 0)
+            linear = st.tuples(st.integers(0, dim - 1), small).map(
+                lambda t: x[t[0]] * RationalExpr.const(dim, t[1]) + 1)
+            entry = st.one_of(st.just(zero), small.map(lambda q: RationalExpr.const(dim, q)),
+                              linear, linear.map(lambda p: RationalExpr.const(dim, 1) / p))
+        elif ring == "fraction":
+            zero, entry = Q(0), st.one_of(st.just(Q(0)), small)
+        else:
+            zero, names = _Spelled("0"), iter(range(10 ** 6))
+            entry = st.booleans().map(lambda nonzero: _Spelled(f"a{next(names)}" if nonzero
+                                                               else "0"))
+        tuples = list(combinations(range(1, dim + 1), deg))
+        keys = draw(st.lists(st.sampled_from(tuples), min_size=1, max_size=4, unique=True))
+        coeffs = {k: draw(entry) for k in keys}
+        M = [[draw(entry) for _ in range(dim)] for _ in range(dim)]
+        return coeffs, M, dim, deg, zero
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        got, want = _minor_sums(*case), reference_minor_sums(*case)
+        assert got == want
+        assert [(K, str(v)) for K, v in got.items()] == [(K, str(v)) for K, v in want.items()]
+
+    check()
+
+
+def test_constant_linear_pullback_rejects_a_varying_coefficient():
+    w = f(chart(6), 3, {(1, 2, 3): 1, (4, 5, 6): "x1"})
+    with pytest.raises(ShapeError):
+        constant_linear_pullback(w, [[int(i == j) for j in range(6)] for i in range(6)])
 
 
 def _three_form_along(wv, P):
