@@ -28,26 +28,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .classify import (
-    classify6,
-    flatness_report,
-    involutive,
-    nondegenerate,
-    verify_standard_subspace,
-)
+# modules, not names: a call loads only the layers its command runs (see __init__)
+from . import classify, hdw, liesym, linfty, mover
 from .errors import NotHamiltonian, PlecticError, SchemaError
 from .exterior import ext_d, lie_derivative
-from .hdw import (
-    SIGN_FIN1,
-    SIGN_HDW,
-    ham_curve_check,
-    ham_vector_field,
-    hamilton_volterra_residual,
-    hdw_residual,
-    multiphase_dim,
-    multiphase_forms,
-    plectic_order,
-)
 from .jsonio import (
     DIM_MAX,
     _expect,
@@ -69,21 +53,6 @@ from .jsonio import (
     type_report_to_json,
     vector_from_json,
 )
-from .liesym import (
-    ComomentData,
-    comoment_from_potential,
-    comoment_verify,
-    conserved_classify,
-    killing_form,
-    obstruction_cochain,
-)
-from .linfty import (
-    jacobiator_identity_residual,
-    l_k,
-    linfty_relation_residual,
-    make_observable,
-)
-from .mover import jacobian_determinant, move_points, realify_and_check
 from .scalar import RationalExpr, ScalarExpr, format_rational
 
 Q = Fraction
@@ -132,9 +101,9 @@ def parse_request(raw: bytes, command: str,
     _expect(command in COMMANDS, "$.command",
             f"must be one of {', '.join(COMMANDS)}")
     _expect(isinstance(payload, dict), "$.payload", "must be an object")
-    sign = opts.get("sign_convention", SIGN_HDW)
-    _expect(sign in (SIGN_HDW, SIGN_FIN1), "$.options.sign_convention",
-            f"must be '{SIGN_HDW}' or '{SIGN_FIN1}'")
+    sign = opts.get("sign_convention", hdw.SIGN_HDW)
+    _expect(sign in (hdw.SIGN_HDW, hdw.SIGN_FIN1), "$.options.sign_convention",
+            f"must be '{hdw.SIGN_HDW}' or '{hdw.SIGN_FIN1}'")
     seed = read_int(opts.get("seed", 0), "$.options.seed", None, msg="must be an integer")
     fields = COMMANDS[command][0]
     parsed = fields(payload) if callable(fields) else _fields(payload, fields)
@@ -170,13 +139,13 @@ def _list_of(item, msg: str, least: int):
 
 def _parse_multiphase(p):
     n, N = (read_int(_get(p, key, "$"), f"$.{key}") for key in ("n", "N"))
-    _expect(multiphase_dim(n, N) <= DIM_MAX, "$", f"n + N + nN + 1 must be at most {DIM_MAX}")
+    _expect(hdw.multiphase_dim(n, N) <= DIM_MAX, "$", f"n + N + nN + 1 must be at most {DIM_MAX}")
     return {"n": n, "N": N}
 
 
 def _parse_volterra(p):
     n, N = _parse_multiphase(p).values()
-    model = multiphase_forms(n, N)
+    model = hdw.multiphase_forms(n, N)
     ham = expr_from_json(_get(p, "hamiltonian", "$"), "$.hamiltonian",
                          model.restricted_chart.dim)
     section = _get(p, "section", "$")
@@ -210,7 +179,7 @@ def _parse_comoment(p):
     mode = out["mode"] = _get(p, "mode", "$")
     _expect(mode in ("from-potential", "verify"), "$.mode",
             "must be 'from-potential' or 'verify'")
-    n = plectic_order(w, "a comoment")  # in both modes, before the maps are counted
+    n = hdw.plectic_order(w, "a comoment")  # in both modes, before the maps are counted
     if mode == "from-potential":
         out["potential"] = form_from_json(_get(p, "potential", "$"), "$.potential", w.chart)
         sign = out["potential_sign"] = p.get("potential_sign", 1)
@@ -260,7 +229,7 @@ def _parse_verify(p):
     return out
 
 
-def _comoment_from_json(obj, algebra, n, chart_hint) -> ComomentData:
+def _comoment_from_json(obj, algebra, n, chart_hint) -> liesym.ComomentData:
     d = algebra.dim
     maps = []
     comps = read_list(obj, "$.maps", f"must list {n} components", size=n)
@@ -282,7 +251,7 @@ def _comoment_from_json(obj, algebra, n, chart_hint) -> ComomentData:
         _expect(not missing, cp,
                 f"must list every {i}-subset of 1..{d}; missing {missing}")
         maps.append(entries)
-    return ComomentData(algebra, n, tuple(maps))
+    return liesym.ComomentData(algebra, n, tuple(maps))
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +260,19 @@ def _comoment_from_json(obj, algebra, n, chart_hint) -> ComomentData:
 
 
 def _cmd_classify(req: Request):
-    rep = classify6(req.parsed["omega"], req.parsed["point"])
+    rep = classify.classify6(req.parsed["omega"], req.parsed["point"])
     return type_report_to_json(rep), EXIT_OK
 
 
 def _cmd_flat(req: Request):
-    rep = flatness_report(req.parsed["omega"])
+    rep = classify.flatness_report(req.parsed["omega"])
     return type_report_to_json(rep), EXIT_OK
 
 
 def _cmd_hamvf(req: Request):
     a = req.parsed
     try:
-        X = ham_vector_field(a["omega"], a["hamiltonian"], req.sign_convention)
+        X = hdw.ham_vector_field(a["omega"], a["hamiltonian"], req.sign_convention)
     except NotHamiltonian as exc:
         return {"verdict": "NotHamiltonian", "detail": str(exc)}, EXIT_OK
     return {"verdict": "Hamiltonian", "field": form_to_json(X)}, EXIT_OK
@@ -311,8 +280,7 @@ def _cmd_hamvf(req: Request):
 
 def _cmd_hdw_residual(req: Request):
     a = req.parsed
-    res = hdw_residual(a["omega"], a["field"], a["hamiltonian"],
-                       req.sign_convention)
+    res = hdw.hdw_residual(a["omega"], a["field"], a["hamiltonian"], req.sign_convention)
     ok = res.is_zero
     return ({"residual": form_to_json(res), "zero": ok},
             EXIT_OK if ok else EXIT_FAILED_CHECK)
@@ -320,8 +288,8 @@ def _cmd_hdw_residual(req: Request):
 
 def _cmd_multiphase(req: Request):
     a = req.parsed
-    model = multiphase_forms(a["n"], a["N"])
-    nd = nondegenerate(model.omega)
+    model = hdw.multiphase_forms(a["n"], a["N"])
+    nd = classify.nondegenerate(model.omega)
     return {
         "chart": chart_to_json(model.chart),
         "labels": list(model.labels),
@@ -334,8 +302,7 @@ def _cmd_multiphase(req: Request):
 
 def _cmd_volterra(req: Request):
     a = req.parsed
-    residuals = hamilton_volterra_residual(a["model"], a["hamiltonian"],
-                                           a["section"])
+    residuals = hdw.hamilton_volterra_residual(a["model"], a["hamiltonian"], a["section"])
     ok = all(r.is_zero for r in residuals)
     return ({
         "residuals": [format_rational(r) for r in residuals],
@@ -345,7 +312,7 @@ def _cmd_volterra(req: Request):
 
 def _cmd_curve_check(req: Request):
     a = req.parsed
-    results = ham_curve_check(a["map"], a["gamma"], a["field"], a["points"])
+    results = hdw.ham_curve_check(a["map"], a["gamma"], a["field"], a["points"])
     ok = all(results)
     return ({"results": results, "all": ok},
             EXIT_OK if ok else EXIT_FAILED_CHECK)
@@ -354,8 +321,8 @@ def _cmd_curve_check(req: Request):
 def _cmd_bracket(req: Request):
     a = req.parsed
     w = a["omega"]
-    obs = [make_observable(w, f) for f in a["args"]]
-    result = l_k(w, obs)
+    obs = [linfty.make_observable(w, f) for f in a["args"]]
+    result = linfty.l_k(w, obs)
     return {"k": len(obs), "result": form_to_json(result)}, EXIT_OK
 
 
@@ -363,7 +330,7 @@ def _cmd_lie_validate(req: Request):
     a = req.parsed
     if a["violation"] is not None:
         return {"valid": False, "detail": a["violation"]}, EXIT_FAILED_CHECK
-    K = killing_form(a["algebra"])
+    K = liesym.killing_form(a["algebra"])
     return {
         "valid": True,
         "killing": [[str(v) for v in row] for row in K.matrix],
@@ -371,7 +338,7 @@ def _cmd_lie_validate(req: Request):
     }, EXIT_OK
 
 
-def _comoment_to_json(cm: ComomentData) -> dict:
+def _comoment_to_json(cm: liesym.ComomentData) -> dict:
     return {
         "n": cm.n,
         "maps": [
@@ -386,14 +353,14 @@ def _cmd_comoment(req: Request):
     a = req.parsed
     act, w = a["action"], a["omega"]
     if a["mode"] == "from-potential":
-        cm = comoment_from_potential(act, a["potential"], w,
-                                     potential_sign=a["potential_sign"])
-        rep = comoment_verify(act, w, cm)
+        cm = liesym.comoment_from_potential(act, a["potential"], w,
+                                            potential_sign=a["potential_sign"])
+        rep = liesym.comoment_verify(act, w, cm)
         return {
             "comoment": _comoment_to_json(cm),
             "verified": rep.all_zero,
         }, EXIT_OK
-    rep = comoment_verify(act, w, a["maps"])
+    rep = liesym.comoment_verify(act, w, a["maps"])
     out = {
         "verified": rep.all_zero,
         "lifting_residuals": {
@@ -412,7 +379,7 @@ def _cmd_comoment(req: Request):
 
 def _cmd_obstruction(req: Request):
     a = req.parsed
-    rep = obstruction_cochain(a["action"], a["omega"], a["i"])
+    rep = liesym.obstruction_cochain(a["action"], a["omega"], a["i"])
     out: Dict[str, Any] = {
         "i": rep.index,
         "cochain": [
@@ -434,15 +401,15 @@ def _cmd_obstruction(req: Request):
 
 def _cmd_conserved(req: Request):
     a = req.parsed
-    obs = make_observable(a["omega"], a["hamiltonian"])
-    verdict = conserved_classify(a["omega"], obs, a["alpha"])
+    obs = linfty.make_observable(a["omega"], a["hamiltonian"])
+    verdict = liesym.conserved_classify(a["omega"], obs, a["alpha"])
     L = lie_derivative(obs.ham_field, a["alpha"])
     return {"class": verdict, "lie_derivative": form_to_json(L)}, EXIT_OK
 
 
 def _cmd_move(req: Request):
     a = req.parsed
-    auto = move_points(a["src"], a["dst"], a["n"])
+    auto = mover.move_points(a["src"], a["dst"], a["n"])
     table = []
     for s, d in zip(a["src"], a["dst"]):
         out_pt = auto.apply(s)
@@ -452,8 +419,8 @@ def _cmd_move(req: Request):
             "dst": gaussian_point_to_json(d),
             "match": list(out_pt) == list(d),
         })
-    jac = jacobian_determinant(auto)
-    _realified, preserved = realify_and_check(auto)
+    jac = mover.jacobian_determinant(auto)
+    _realified, preserved = mover.realify_and_check(auto)
     return {
         "auto": auto_to_json(auto),
         "eval": table,
@@ -493,18 +460,18 @@ def _cmd_verify(req: Request):
         out = _verify_ring_laws(a, req.seed)
     elif check in ("linfty-relation", "jacobiator"):
         w = a["omega"]
-        obs = [make_observable(w, f) for f in a["args"]]
-        res = (linfty_relation_residual(w, a["k"], obs) if check == "linfty-relation"
-               else jacobiator_identity_residual(w, *obs))
+        obs = [linfty.make_observable(w, f) for f in a["args"]]
+        res = (linfty.linfty_relation_residual(w, a["k"], obs) if check == "linfty-relation"
+               else linfty.jacobiator_identity_residual(w, *obs))
         out = {"ok": res.is_zero, "residual": form_to_json(res)}
     elif check == "involutive":
-        rep = involutive(a["frame"])
+        rep = classify.involutive(a["frame"])
         out = {"ok": rep.involutive}
         if not rep.involutive:
             out["witness_pair"] = list(rep.witness_pair)
             out["witness_bracket"] = form_to_json(rep.witness_bracket)
     else:  # standard-subspace
-        rep = verify_standard_subspace(a["omega"], a["frame"])
+        rep = classify.verify_standard_subspace(a["omega"], a["frame"])
         out = {
             "ok": rep.ok,
             "pairwise_isotropic": rep.pairwise_isotropic,
@@ -580,8 +547,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="exact multisymplectic geometry workbench",
     )
     parser.error = _argv_error
-    parser.add_argument("--sign", choices=(SIGN_HDW, SIGN_FIN1),
-                        default=SIGN_HDW, dest="sign_convention")
+    parser.add_argument("--sign", choices=(hdw.SIGN_HDW, hdw.SIGN_FIN1),
+                        default=hdw.SIGN_HDW, dest="sign_convention")
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:

@@ -19,11 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence
 
-from .classify import TypeReport
+# modules, not names: a payload of another command does not load these layers
+from . import classify, liesym, mover
 from .errors import SchemaError
 from .exterior import Chart, DiffForm, MultiVec, SmoothMap, chart
-from .liesym import LieAction, LieAlgebraData
-from .mover import LinearStep, Poly, PolyAuto
 from .scalar import (
     GaussianRational,
     RationalExpr,
@@ -230,7 +229,7 @@ def gaussian_point_to_json(pt: Sequence[GaussianRational]) -> List[str]:
 # -- Lie data ----------------------------------------------------------------
 
 
-def algebra_from_json(obj, path: str = "algebra") -> LieAlgebraData:
+def algebra_from_json(obj, path: str = "algebra") -> liesym.LieAlgebraData:
     _expect(isinstance(obj, dict), path, "must be an object")
     dim = read_positive(_get(obj, "dim", path), f"{path}.dim")
 
@@ -243,10 +242,10 @@ def algebra_from_json(obj, path: str = "algebra") -> LieAlgebraData:
 
     c = read_list(_get(obj, "c", path), f"{path}.c", f"must be a {dim}^3 nested array",
                   row, size=dim)
-    return built(path, LieAlgebraData, dim, tuple(c))
+    return built(path, liesym.LieAlgebraData, dim, tuple(c))
 
 
-def action_from_json(obj, path: str = "action") -> LieAction:
+def action_from_json(obj, path: str = "action") -> liesym.LieAction:
     _expect(isinstance(obj, dict), path, "must be an object")
     algebra = algebra_from_json(_get(obj, "algebra", path), f"{path}.algebra")
     gens = read_list(_get(obj, "generators", path), f"{path}.generators",
@@ -254,13 +253,13 @@ def action_from_json(obj, path: str = "action") -> LieAction:
                      size=algebra.dim)
     surrogate = obj.get("surrogate", False)
     _expect(isinstance(surrogate, bool), f"{path}.surrogate", "must be boolean")
-    return built(path, LieAction, algebra, gens, surrogate)
+    return built(path, liesym.LieAction, algebra, gens, surrogate)
 
 
 # -- reports -----------------------------------------------------------------
 
 
-def type_report_to_json(rep: TypeReport) -> dict:
+def type_report_to_json(rep: classify.TypeReport) -> dict:
     out: Dict[str, Any] = {
         "type": rep.linear_type,
         "trace_sign": rep.trace_sign,
@@ -280,13 +279,13 @@ def type_report_to_json(rep: TypeReport) -> dict:
 # -- mover steps --------------------------------------------------------------
 
 
-def _poly_to_json(p: Poly) -> List[str]:
+def _poly_to_json(p: mover.Poly) -> List[str]:
     return [format_gaussian_point(c) for c in p.coeffs]
 
 
 def step_to_json(step) -> dict:
     """A step of a PolyAuto, whose constructor admits only linear steps and shears."""
-    if isinstance(step, LinearStep):
+    if isinstance(step, mover.LinearStep):
         return {
             "kind": "linear",
             "matrix": [[format_gaussian_point(v) for v in row]
@@ -300,5 +299,5 @@ def step_to_json(step) -> dict:
     }
 
 
-def auto_to_json(auto: PolyAuto) -> dict:
+def auto_to_json(auto: mover.PolyAuto) -> dict:
     return {"dim": auto.dim, "steps": [step_to_json(s) for s in auto.steps]}
