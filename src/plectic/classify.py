@@ -482,17 +482,6 @@ def split_product(w: DiffForm, point: Optional[Sequence] = None):
     return _split(w, J, t)
 
 
-def verify_product_decomposition(w: DiffForm, parts: Sequence[DiffForm]) -> bool:
-    """Verify a user-supplied k-part decomposition into decomposable summands.
-
-    The k > 2 search is out of scope; this checks the candidate: the parts
-    sum to w, and each is decomposable of w's degree (``_is_decomposable``).
-    """
-    if not parts or reduce(add, parts) != w:
-        return False
-    return all(p.degree == w.degree and _is_decomposable(p) for p in parts)
-
-
 # ---------------------------------------------------------------------------
 # almost-complex structures
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .errors import (
     HomotopyPole,
     PlecticError,
     ShapeError,
-    SingularVolume,
 )
 from .record import Record
 from .scalar import (
@@ -306,15 +305,6 @@ def form(chart: Chart, degree: int, coeffs=None) -> DiffForm:
     return DiffForm(chart, degree, coeffs or {})
 
 
-def multivec(chart: Chart, degree: int, coeffs=None) -> MultiVec:
-    return MultiVec(chart, degree, coeffs or {})
-
-
-def function_form(chart: Chart, expr) -> DiffForm:
-    """Degree-0 form from an expression (string, scalar or rational)."""
-    return DiffForm(chart, 0, {(): _coerce_coeff(expr, chart.dim)})
-
-
 def coordinate_vector(chart: Chart, index: int) -> MultiVec:
     return MultiVec(chart, 1, {(index,): 1})
 
@@ -324,10 +314,6 @@ def _vector_fields(chart: Chart, vectors) -> tuple:
     or an ``EndField``) as the vector field, unchecked; zero entries are dropped."""
     return tuple(MultiVec._raw(chart, 1, {(k + 1,): v[k] for k in range(chart.dim) if v[k]})
                  for v in vectors)
-
-
-def basis_one_form(chart: Chart, index: int) -> DiffForm:
-    return DiffForm(chart, 1, {(index,): 1})
 
 
 def wedge(a, b):
@@ -523,20 +509,6 @@ class SmoothMap(Record):
 
     def is_polynomial(self) -> bool:
         return all(c.is_polynomial() for c in self.components)
-
-
-def projection(product: Chart, factor: Chart, offset: int) -> SmoothMap:
-    """Projection from a product chart onto a factor starting at offset."""
-    comps = tuple(
-        RationalExpr.variable(product.dim, offset + i)
-        for i in range(1, factor.dim + 1)
-    )
-    return SmoothMap(product, factor, comps)
-
-
-def product_chart(a: Chart, b: Chart) -> Chart:
-    pos = frozenset(a.positive) | frozenset(i + a.dim for i in b.positive)
-    return Chart(a.dim + b.dim, pos, a.star_shaped and b.star_shaped)
 
 
 def _times(a, b, sign: int):
@@ -742,31 +714,3 @@ def poincare_homotopy(a: DiffForm) -> DiffForm:
                 _accumulate(out, idx[:pos] + idx[pos + 1:],
                             ScalarExpr.monomial(dim, w if sign > 0 else -w, newexps))
     return DiffForm(chart_, k - 1, {key: RationalExpr(s) for key, s in out.items()})
-
-
-def contraction_solve(vol: DiffForm, beta: DiffForm, m: int) -> MultiVec:
-    """Unique multivector xi of degree m with i_xi vol = beta.
-
-    vol must be a top-degree form with a single nonzero coefficient.
-    """
-    chart_ = vol.chart
-    dim = chart_.dim
-    if vol.degree != dim or len(vol.coeffs) != 1:
-        raise SingularVolume("volume form must be top-degree with one term")
-    if beta.chart != chart_:
-        raise ChartMismatch("target form lives on a different chart")
-    if beta.degree != dim - m:
-        raise DegreeError("target degree inconsistent with multivector degree")
-    g = vol.coeffs[tuple(range(1, dim + 1))]
-    out = {}
-    for I in combinations(range(1, dim + 1), m):
-        test = interior(MultiVec(chart_, m, {I: 1}), vol)
-        ((comp, coeff),) = test.coeffs.items()
-        target = beta.coeffs.get(comp)
-        if target is None:
-            continue
-        out[I] = target / coeff
-    xi = MultiVec(chart_, m, out)
-    if interior(xi, vol) != beta:
-        raise ShapeError("contraction solve failed to verify")  # pragma: no cover
-    return xi

@@ -10,9 +10,8 @@ coordinates (x^1..x^n, q^1..q^N, p^mu_a, p).
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from . import linalg
 from .errors import (
@@ -20,11 +19,9 @@ from .errors import (
     DegreeError,
     DegenerateForm,
     NotHamiltonian,
-    PlecticError,
     ShapeError,
 )
 from .exterior import (
-    _minor_sums,
     _vector_fields,
     Chart,
     DiffForm,
@@ -38,8 +35,6 @@ from .exterior import (
     pushforward_at,
 )
 from .scalar import RationalExpr
-
-Q = Fraction
 
 SIGN_HDW = "hdw"
 SIGN_FIN1 = "fin1thm"
@@ -218,60 +213,18 @@ def hamilton_volterra_residual(model: MultiphaseModel, hamiltonian: RationalExpr
     return residuals
 
 
-def free_field_section(model: MultiphaseModel,
-                       slopes: Sequence[Sequence]) -> Tuple[RationalExpr, SmoothMap]:
-    """Free-field Hamiltonian sum (p^mu_a)^2 / 2 with an exact linear solution.
-
-    slopes[a-1][mu-1] = c gives q^a = sum_mu c x^mu and p^mu_a = -c.
-    """
-    n, N = model.n, model.fiber
-    pdim = model.restricted_chart.dim
-    ham = RationalExpr.const(pdim, 0)
-    for a in range(1, N + 1):
-        for mu in range(1, n + 1):
-            p = RationalExpr.variable(pdim, model.p_index(mu, a))
-            ham = ham + p * p * RationalExpr.const(pdim, Q(1, 2))
-    x = [RationalExpr.variable(n, mu) for mu in range(1, n + 1)]
-    q = [sum((x[mu] * RationalExpr.const(n, slopes[a][mu]) for mu in range(n)),
-             RationalExpr.const(n, 0)) for a in range(N)]
-    p = [[RationalExpr.const(n, -Fraction(slopes[a][mu])) for mu in range(n)]
-         for a in range(N)]
-    return ham, model.section(q, p)
-
-
-def _curve_operands(psi: SmoothMap, gamma: MultiVec, X: MultiVec) -> None:
-    """The operand rules of both curve checks."""
+def ham_curve_check(psi: SmoothMap, gamma: MultiVec, X: MultiVec,
+                    points: Sequence[Sequence]) -> List[bool]:
+    """Pointwise Hamiltonian-curve test: (psi_*)(gamma) = X o psi at samples."""
     if gamma.chart != psi.source:
         raise ChartMismatch("gamma must live on the map's source chart")
     if X.chart != psi.target:
         raise ChartMismatch("X must live on the map's target chart")
     if gamma.degree != X.degree:
         raise DegreeError("gamma and X must have equal degrees")
-
-
-def ham_curve_check(psi: SmoothMap, gamma: MultiVec, X: MultiVec,
-                    points: Sequence[Sequence]) -> List[bool]:
-    """Pointwise Hamiltonian-curve test: (psi_*)(gamma) = X o psi at samples."""
-    _curve_operands(psi, gamma, X)
     out = []
     for p in points:
         pushed = pushforward_at(psi, gamma, p)
         target = X.eval_at(psi.apply(p))
         out.append(pushed == target)
     return out
-
-
-def ham_curve_check_symbolic(psi: SmoothMap, gamma: MultiVec,
-                             X: MultiVec) -> Optional[bool]:
-    """Best-effort symbolic curve check; None when composition leaves the ring."""
-    _curve_operands(psi, gamma, X)
-    zero = RationalExpr.const(psi.source.dim, 0)
-    try:
-        jac_t = list(zip(*psi.jacobian()))
-        pushed = _minor_sums(gamma.coeffs, jac_t, psi.target.dim, gamma.degree, zero)
-        comps = list(psi.components)
-        return all(pushed.get(K, zero)
-                   == (X.coeffs[K].substitute(comps) if K in X.coeffs else zero)
-                   for K in sorted(set(pushed) | set(X.coeffs)))
-    except PlecticError:
-        return None

@@ -40,7 +40,6 @@ from .exterior import (
     DiffForm,
     MultiVec,
     chart,
-    coordinate_vector,
     ext_d,
     interior,
     lie_derivative,
@@ -105,36 +104,6 @@ class LieAlgebraData(Record):
         """Matrix of ad_{e_i} (1-based) acting on coefficient columns."""
         d = self.dim
         return [[self.c[i - 1][j][k] for j in range(d)] for k in range(d)]
-
-
-def so3() -> LieAlgebraData:
-    """[e_i, e_j] = epsilon_ijk e_k."""
-    d = 3
-    c = [[[Q(0)] * d for _ in range(d)] for _ in range(d)]
-    eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-           (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
-    for (i, j, k), s in eps.items():
-        c[i][j][k] = Q(s)
-    return LieAlgebraData(3, c)
-
-
-def sl2() -> LieAlgebraData:
-    """Basis (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
-    d = 3
-    c = [[[Q(0)] * d for _ in range(d)] for _ in range(d)]
-    c[0][1][1] = Q(2)
-    c[1][0][1] = Q(-2)
-    c[0][2][2] = Q(-2)
-    c[2][0][2] = Q(2)
-    c[1][2][0] = Q(1)
-    c[2][1][0] = Q(-1)
-    return LieAlgebraData(3, c)
-
-
-def abelian(dim: int) -> LieAlgebraData:
-    z = tuple(tuple(tuple(Q(0) for _ in range(dim)) for _ in range(dim))
-              for _ in range(dim))
-    return LieAlgebraData(dim, z)
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +281,6 @@ class LieAction(Record):
 
     def preserves(self, w: DiffForm) -> bool:
         return all(lie_derivative(X, w).is_zero for X in self.generators)
-
-
-def translation_action(g: LieAlgebraData, chart_: Chart,
-                       indices: Sequence[int]) -> LieAction:
-    gens = tuple(coordinate_vector(chart_, i) for i in indices)
-    return LieAction(g, gens)
-
-
-def left_invariant_surrogate(g: LieAlgebraData) -> LieAction:
-    """Constant coordinate frame on R^d standing in for the left-invariant
-    frame of a group; bracket relations are carried by the algebra."""
-    ch = chart(g.dim)
-    gens = tuple(coordinate_vector(ch, i) for i in range(1, g.dim + 1))
-    return LieAction(g, gens, surrogate=True)
 
 
 class ObstructionReport(NamedTuple):
@@ -517,46 +472,3 @@ def conserved_classify(w: DiffForm, H: Observable, alpha: DiffForm) -> str:
     if exact is None:
         return UNDET if w.chart.star_shaped else LOCALLY
     return CONSERVED if exact else LOCALLY
-
-
-# ---------------------------------------------------------------------------
-# invariant observable algebra of a group carried at the algebra level
-# ---------------------------------------------------------------------------
-
-
-class InvariantObservables(NamedTuple):
-    """l_2 and l_3 of the left-invariant observable algebra, via Killing."""
-
-    algebra: LieAlgebraData
-    killing: KillingReport
-
-    def dual_form(self, x: Sequence) -> Tuple[Fraction, ...]:
-        """alpha_x = K(x, .) as a coefficient vector."""
-        d = self.algebra.dim
-        return tuple(
-            self.killing.value(x, [Q(1) if t == j else Q(0) for t in range(d)])
-            for j in range(d)
-        )
-
-    def hamiltonian_check(self, x: Sequence) -> bool:
-        """d_CE(alpha_x) = -i_x omega_e in Lambda^2 g*."""
-        d = self.algebra.dim
-        alpha = {(j + 1,): v for j, v in enumerate(self.dual_form(x)) if v}
-        dalpha = CEOperators(self.algebra).co_differential(alpha, 1)
-        for (a, b) in combinations(range(1, d + 1), 2):
-            br = self.algebra.basis_bracket(a, b)
-            rhs = -self.killing.value(x, br)
-            if dalpha.get((a, b), Q(0)) != rhs:
-                return False
-        return True
-
-    def l2(self, x: Sequence, y: Sequence) -> List[Fraction]:
-        """Under the Killing identification, l_2(alpha_x, alpha_y) = alpha_[x,y]."""
-        return self.algebra.bracket(x, y)
-
-    def l3(self, x: Sequence, y: Sequence, z: Sequence) -> Fraction:
-        return -self.killing.value(x, self.algebra.bracket(y, z))
-
-
-def invariant_observables(g: LieAlgebraData) -> InvariantObservables:
-    return InvariantObservables(g, killing_form(g))

@@ -13,8 +13,9 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 from plectic.classify import _tie_break
-from plectic.exterior import DiffForm, coordinate_vector, full_contract, multivec
+from plectic.exterior import DiffForm, coordinate_vector, full_contract
 from plectic.scalar import RationalExpr
+from util import multivec
 
 
 def reference_split(w, J, s):

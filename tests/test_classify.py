@@ -51,7 +51,6 @@ from plectic.exterior import (
     ext_d,
     form,
     interior,
-    multivec,
     pullback,
     SmoothMap,
     vf_bracket,
@@ -62,7 +61,7 @@ from plectic.linalg import det
 from plectic.scalar import GaussianRational, RationalExpr, ScalarExpr, parse_expression
 from conjugate_reference import reference_classify6
 from hitchin_reference import reference_volume_times_j
-from util import rand_form, rand_poly, rand_rational_gl
+from util import multivec, rand_form, rand_poly, rand_rational_gl
 
 C6 = chart(6)
 HALF = catalog.half_space6()
@@ -594,22 +593,18 @@ def test_split_pointwise_irrational_scale():
         split_product(w, point=[0, 2, 0, 0, 0, 0])  # sqrt(8) leaves Q
 
 
-def test_verify_product_decomposition_three_parts():
-    from plectic.classify import verify_product_decomposition
-
+def test_three_disjoint_parts_are_each_decomposable():
     c9 = chart(9)
     parts = [
         form(c9, 3, {(1, 2, 3): 1}),
         form(c9, 3, {(4, 5, 6): 1}),
         form(c9, 3, {(7, 8, 9): 1}),
     ]
-    w = parts[0] + parts[1] + parts[2]
-    assert verify_product_decomposition(w, parts)
     for p in parts:
+        assert classify._is_decomposable(p)
         assert ext_d(p).is_zero
-    bad = [parts[0] + parts[1], parts[2]]  # first candidate not decomposable
-    assert not verify_product_decomposition(w, bad)
-    assert not verify_product_decomposition(w, parts[:2])  # wrong sum
+    assert not classify._is_decomposable(parts[0] + parts[1])
+    assert not classify._is_decomposable(parts[0] + parts[1] + parts[2])
 
 
 def test_split_tie_break_swaps_pair_only():
@@ -687,17 +682,15 @@ def test_split_of_linear_pullbacks_is_the_pulled_back_pair():
 
 
 def test_decomposability_in_even_and_odd_degree():
-    from plectic.classify import verify_product_decomposition
-
     c4, c5 = chart(4), chart(5)
     dx12, dx34 = form(c4, 2, {(1, 2): 1}), form(c4, 2, {(3, 4): 1})
-    assert verify_product_decomposition(dx12 + dx34, [dx12, dx34])
-    assert not verify_product_decomposition(dx12 + dx34, [dx12 + dx34])
+    assert classify._is_decomposable(dx12) and classify._is_decomposable(dx34)
+    assert not classify._is_decomposable(dx12 + dx34)
     dx123, dx145 = form(c5, 3, {(1, 2, 3): 1}), form(c5, 3, {(1, 4, 5): 1})
     odd = dx123 + dx145
     assert wedge(odd, odd).is_zero  # only the contraction rank (5, not 3) rejects it
-    assert verify_product_decomposition(odd, [dx123, dx145])
-    assert not verify_product_decomposition(odd, [odd])
+    assert classify._is_decomposable(dx123) and classify._is_decomposable(dx145)
+    assert not classify._is_decomposable(odd)
 
 
 # -- almost-complex structures ----------------------------------------------------

@@ -18,6 +18,7 @@ from plectic.cli import (
 )
 from plectic.errors import SchemaError
 from plectic.jsonio import DIM_MAX
+from plectic.scalar import EXPONENT_MAX
 
 
 def go(cmd, payload, **opts):
@@ -643,6 +644,28 @@ def test_a_multiphase_model_over_the_chart_bound_is_refused_at_once(tmp_path, n,
     got, out, err = run_cli(tmp_path, "multiphase", {"n": n, "N": N})
     assert got == EXIT_ERROR and "Traceback" not in err
     assert json.loads(out) == {"error": {"kind": "SchemaError", "detail": [msg]}}
+
+
+def test_an_exponent_over_the_bound_is_a_schema_error(tmp_path):
+    """The 96-byte flat payload with coefficient x1^123456789 did not end
+    within 60 s before exponents got the bound scalar.EXPONENT_MAX; the
+    parser now refuses it, reported at the coefficient's path."""
+    omega = W6_product()
+    omega["terms"][0]["coeff"] = "x1^123456789"
+    msg = ("$.omega.terms[0].coeff: bad expression: "
+           f"exponent 123456789 is over the bound {EXPONENT_MAX}")
+    start = time.perf_counter()
+    with pytest.raises(SchemaError) as err:
+        go("flat", {"omega": omega})
+    assert time.perf_counter() - start < 0.1
+    assert err.value.violations == [msg]
+    got, out, err = run_cli(tmp_path, "flat", {"omega": omega})
+    assert got == EXIT_ERROR and "Traceback" not in err
+    assert out == json.dumps({"error": {"kind": "SchemaError", "detail": [msg]}},
+                             sort_keys=True) + "\n"
+    omega["terms"][0]["coeff"] = f"x1^{EXPONENT_MAX}"
+    rep, code = go("flat", {"omega": omega})
+    assert code == EXIT_OK and rep["type"] == "ProductType"
 
 
 @pytest.mark.parametrize("n,N", [(3, 3), (1, 7), (7, 1)])

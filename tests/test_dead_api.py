@@ -1,11 +1,14 @@
-"""Every definition in the package has a caller or a test.
+"""Every definition in the package has a caller in the system.
 
-A module-level function, class or constant whose name appears in ``src/``,
-``tests/`` and ``perfbench/`` only where it is defined, or a non-dunder
-method that is never read as an attribute (``obj.name`` in the syntax tree)
-there, is dead API and fails this test.  Methods are matched through
-attribute nodes only, because names such as ``zero`` or ``entry`` occur all
-over as plain words, and a string such as ``"$.coeff"`` is not a use.
+A non-dunder module-level function, class or constant must be named in ``src/``
+or ``perfbench/`` outside its own definition; a name that ``plectic/__init__``
+re-exports is named there, in ``_LAYERS``.  A use in ``tests/`` does not
+count: the library keeps only what the workbench runs, and a fixture that
+only tests call lives in ``tests/util.py``.  A non-dunder method must be read
+as an attribute (``obj.name`` in the syntax tree) somewhere in ``src/``,
+``tests/`` or ``perfbench/``.  Methods are matched through attribute nodes
+only, because names such as ``zero`` or ``entry`` occur all over as plain
+words, and a string such as ``"$.coeff"`` is not a use.
 
 A name that a module binds by an import or an assignment at module level
 must be read in that module or imported from it by name, and no module binds
@@ -21,18 +24,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "plectic"
 SEARCHED = ("src", "tests", "perfbench")
+CALLERS = ("src", "perfbench")  # where a top-level definition's use counts
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def _definitions(tree):
     """(name, line) for each tracked definition of one module."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node.lineno
+            if not _dunder(node.name):
+                yield node.name, node.lineno
         elif isinstance(node, ast.ClassDef):
             yield node.name, node.lineno
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                        and not _dunder(item.name)):
                     yield f"{node.name}.{item.name}", item.lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -41,17 +50,19 @@ def _definitions(tree):
                     yield t.id, node.lineno
 
 
+def _sources(dirs):
+    return [p.read_text(encoding="utf-8") for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
+
+
 def test_every_definition_is_referenced():
     defined = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined += [(path.name, qual, line) for qual, line in _definitions(tree)]
     def_count = Counter(qual.rsplit(".", 1)[-1] for _f, qual, _l in defined)
-    sources = [p.read_text(encoding="utf-8")
-               for d in SEARCHED for p in sorted((ROOT / d).rglob("*.py"))]
-    words = Counter(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", "\n".join(sources)))
-    attributes = Counter(node.attr for src in sources for node in ast.walk(ast.parse(src))
-                         if isinstance(node, ast.Attribute))
+    words = Counter(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", "\n".join(_sources(CALLERS))))
+    attributes = Counter(node.attr for src in _sources(SEARCHED)
+                         for node in ast.walk(ast.parse(src)) if isinstance(node, ast.Attribute))
 
     def referenced(qual):
         if "." in qual:

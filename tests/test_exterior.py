@@ -18,21 +18,15 @@ from plectic.exterior import (
     _minor_sums,
     MultiVec,
     SmoothMap,
-    basis_one_form,
     chart,
     constant_linear_pullback,
     contraction_matrix,
-    contraction_solve,
     coordinate_vector,
     ext_d,
     form,
-    function_form,
     interior,
     lie_derivative,
-    multivec,
     poincare_homotopy,
-    product_chart,
-    projection,
     pullback,
     pushforward_at,
     sort_index_tuple,
@@ -43,9 +37,14 @@ from plectic.hdw import ham_vector_field
 from plectic.scalar import GaussianRational, RationalExpr, ScalarExpr, parse_expression
 from conjugate_reference import reference_constant_linear_pullback, reference_minor_sums
 from util import (
+    basis_one_form,
     det_minor_sums,
     ext_d_all_variables,
+    function_form,
     linear_map,
+    multivec,
+    product_chart,
+    projection,
     pullback_all_variables,
     rand_form,
     rand_fraction,
@@ -997,19 +996,6 @@ def test_vf_bracket():
     X = coordinate_vector(C3, 1)
     Y = multivec(C3, 1, {(2,): 1, (3,): "x1"})
     assert vf_bracket(X, Y) == multivec(C3, 1, {(3,): 1})
-
-
-def test_contraction_solve_roundtrip():
-    omega = f(C6, 6, {tuple(range(1, 7)): parse_expression("2*x2^(1/2)", 6)})
-    beta = f(C6, 4, {
-        (1, 2, 4, 5): parse_expression("1/4*x2^(-1/2)", 6),
-        (1, 2, 3, 6): parse_expression("1/4*x2^(-3/2)", 6),
-    })
-    xi = contraction_solve(omega, beta, 2)
-    assert xi == multivec(C6, 2, {
-        (3, 6): parse_expression("1/8*x2^(-1)", 6),
-        (4, 5): parse_expression("1/8*x2^(-2)", 6),
-    })
 
 
 def test_product_chart_projection_lift():

@@ -15,28 +15,23 @@ from plectic.errors import (
 )
 from plectic.exterior import (
     SmoothMap,
-    _minor_sums,
     chart,
     coordinate_vector,
     ext_d,
     form,
-    function_form,
     interior,
-    multivec,
     poincare_homotopy,
 )
 from plectic.hdw import (
     SIGN_FIN1,
-    free_field_section,
     ham_curve_check,
-    ham_curve_check_symbolic,
     ham_vector_field,
     hamilton_volterra_residual,
     hdw_residual,
     multiphase_forms,
 )
 from plectic.scalar import RationalExpr, parse_expression
-from util import det_minor_sums, rand_form
+from util import free_field_section, function_form, multivec, rand_form
 
 C2 = chart(2)
 C3 = chart(3)
@@ -325,8 +320,6 @@ def test_ham_curve_check():
     psi_bad = SmoothMap(c1, C2, (parse_expression("x1", 1), parse_expression("5", 1)))
     assert ham_curve_check(psi_bad, gamma, X, pts) == [False] * 4
     assert ham_curve_check(psi, gamma.scale(2), X, pts) == [False] * 4
-    assert ham_curve_check_symbolic(psi, gamma, X) is True
-    assert ham_curve_check_symbolic(psi_bad, gamma, X) is False
 
 
 def _curve_fixtures():
@@ -348,24 +341,9 @@ def _curve_fixtures():
             (surface, tangent.scale("x2"), pushed.scale("x2"))]
 
 
-def test_symbolic_curve_check_pushes_through_the_det_minors():
-    """On RationalExpr entries the transposed Jacobian's minor sums equal
-    the ``linalg.det`` reference, and the symbolic check keeps its verdicts,
-    None included when composition leaves the ring."""
-    for psi, gamma, X in _curve_fixtures():
-        zero = RationalExpr.const(psi.source.dim, 0)
-        jac_t = list(zip(*psi.jacobian()))
-        case = (gamma.coeffs, jac_t, psi.target.dim, gamma.degree, zero)
-        assert _minor_sums(*case) == det_minor_sums(*case)
-    c1, half_plane = chart(1), chart(2, positive=[1])
-    line = SmoothMap(c1, half_plane, (parse_expression("x1 + 1", 1), parse_expression("5", 1)))
-    root = multivec(half_plane, 1, {(1,): "x1^(1/2)"})
-    assert ham_curve_check_symbolic(line, coordinate_vector(c1, 1), root) is None
-
-
-def test_both_curve_checks_reject_the_same_operands():
+def test_curve_check_rejects_mismatched_operands():
     """A field on the wrong chart is a ChartMismatch and unequal degrees a
-    DegreeError in the symbolic check too, not None ("leaves the ring")."""
+    DegreeError."""
     psi, gamma, X = _curve_fixtures()[0]
     cases = [(ChartMismatch, psi, gamma, coordinate_vector(C3, 1)),
              (ChartMismatch, psi, coordinate_vector(C2, 1), X),
@@ -373,16 +351,13 @@ def test_both_curve_checks_reject_the_same_operands():
     for kind, *operands in cases:
         with pytest.raises(kind):
             ham_curve_check(*operands, [[Q(0)]])
-        with pytest.raises(kind):
-            ham_curve_check_symbolic(*operands)
 
 
-def test_symbolic_curve_check_agrees_with_the_pointwise_one():
+def test_pointwise_curve_check_verdicts_on_curves_and_a_surface():
     verdicts = []
     for psi, gamma, X in _curve_fixtures():
         pts = [[Q(t, 3)] + [Q(7, 5)] * (psi.source.dim - 1) for t in (-2, 1, 4)]
         pointwise = ham_curve_check(psi, gamma, X, pts)
-        symbolic = ham_curve_check_symbolic(psi, gamma, X)
-        assert symbolic is all(pointwise) and len(set(pointwise)) == 1
-        verdicts.append(symbolic)
+        assert len(set(pointwise)) == 1
+        verdicts.append(pointwise[0])
     assert verdicts == [True, False, False, True, False, True]

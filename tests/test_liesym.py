@@ -12,14 +12,7 @@ from plectic.errors import (
     NotInvariantPotential,
     NotSymmetryAction,
 )
-from plectic.exterior import (
-    chart,
-    coordinate_vector,
-    ext_d,
-    form,
-    function_form,
-    multivec,
-)
+from plectic.exterior import chart, coordinate_vector, ext_d, form
 from plectic.linfty import l2, make_observable
 from plectic.liesym import (
     CONSERVED,
@@ -29,21 +22,25 @@ from plectic.liesym import (
     CEOperators,
     LieAction,
     LieAlgebraData,
-    abelian,
     canonical_three_form,
     comoment_from_potential,
     comoment_verify,
     conserved_classify,
-    invariant_observables,
     killing_form,
-    left_invariant_surrogate,
     obstruction_cochain,
+)
+from plectic.scalar import RationalExpr, parse_expression
+from ce_reference import reference_bracket, reference_check_jacobi, reference_co_differential
+from util import (
+    abelian,
+    function_form,
+    invariant_observables,
+    left_invariant_surrogate,
+    multivec,
     sl2,
     so3,
     translation_action,
 )
-from plectic.scalar import RationalExpr, parse_expression
-from ce_reference import reference_bracket, reference_check_jacobi, reference_co_differential
 
 C2 = chart(2)
 C3 = chart(3)

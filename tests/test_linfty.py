@@ -6,17 +6,7 @@ from itertools import combinations
 import pytest
 
 from plectic.errors import DegreeError, NotHamiltonian
-from plectic.exterior import (
-    chart,
-    coordinate_vector,
-    form,
-    function_form,
-    interior,
-    multivec,
-    product_chart,
-    projection,
-    pullback,
-)
+from plectic.exterior import chart, coordinate_vector, form, interior, pullback
 from plectic.linfty import (
     Observable,
     TrivialExtensionWarning,
@@ -26,9 +16,16 @@ from plectic.linfty import (
     linfty_relation_residual,
     make_observable,
 )
-from plectic.liesym import invariant_observables, so3
 from plectic.scalar import RationalExpr, parse_expression
-from util import HamiltonianSampler
+from util import (
+    HamiltonianSampler,
+    function_form,
+    invariant_observables,
+    multivec,
+    product_chart,
+    projection,
+    so3,
+)
 
 C2 = chart(2)
 C3 = chart(3)

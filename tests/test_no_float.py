@@ -41,9 +41,10 @@ def test_library_entry_points_reject_a_float_input():
 
     from plectic import catalog, classify, liesym
     from plectic.errors import ShapeError
+    from util import so3 as make_so3
 
     w, point = catalog.omega_f("x2^2+1"), [0.1, 0.3, 0, 0, 0, 0]
-    so3, killing = liesym.so3(), liesym.killing_form(liesym.so3())
+    so3, killing = make_so3(), liesym.killing_form(make_so3())
     calls = [lambda: classify.classify6(w, point), lambda: w.eval_at(point),
              lambda: classify.nondegenerate(w, point),
              lambda: liesym.LieAlgebraData(1, [[[0.1]]]),

@@ -22,18 +22,16 @@ from plectic.hdw import MultiphaseModel
 from plectic.liesym import (
     ComomentData,
     ComomentReport,
-    InvariantObservables,
     KillingReport,
     LieAction,
     LieAlgebraData,
     ObstructionReport,
-    left_invariant_surrogate,
-    so3,
 )
 from plectic.linfty import Observable
 from plectic.mover import LinearStep, Poly, PolyAuto, RealifiedAuto, ShearStep, realify_and_check
 from plectic.record import Record
 from plectic.scalar import GaussianRational, RationalExpr, ScalarExpr, parse_expression
+from util import InvariantObservables, left_invariant_surrogate, so3
 
 C3 = chart(3)
 

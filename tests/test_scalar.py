@@ -17,6 +17,7 @@ from plectic.errors import (
 from plectic.exterior import chart, constant_linear_pullback, form
 from plectic.liesym import LieAlgebraData
 from plectic.scalar import (
+    EXPONENT_MAX,
     GaussianRational,
     RationalExpr,
     ScalarExpr,
@@ -151,6 +152,26 @@ def test_parse_i_only_in_gaussian_mode():
 
 def test_negative_exponent_grammar():
     assert expr("x1^(-2)") * expr("x1^2") == expr("1")
+
+
+def test_exponents_over_the_bound_are_refused_as_read():
+    """|numerator| and denominator of each exponent, and the product of the
+    exponents along a nesting, are at most EXPONENT_MAX.  This bounds the
+    exponents only: the terms a power of a sum multiplies out to stay
+    unbounded."""
+    m = EXPONENT_MAX
+    assert expr(f"x1^{m}") * expr(f"x1^(-{m})") == expr("1")
+    assert expr(f"x2^({m - 1}/{m})") * expr(f"x2^(1/{m})") == expr("x2")
+    assert expr("(x1^16)^16") == expr(f"x1^{m}") and m == 16 * 16
+    assert len(expr(f"(x1+1)^{m}").num.terms) == m + 1
+    for text in (f"x1^{m + 1}", f"x1^(-{m + 1})", f"x2^(1/{m + 1})", "x1^123456789"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"is over the bound {m}$"):
+            expr(text)
+        assert time.perf_counter() - start < 0.1
+    for text in ("(x1^16)^17", "((x1^16)^16)^2", "(x2^(1/16))^(1/17)", "((2^16)^16)^2"):
+        with pytest.raises(ParseError, match=f"^nested exponents multiply to .*over the bound {m}$"):
+            expr(text)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,12 +1,18 @@
-"""Shared generators for the property tests."""
-from fractions import Fraction as Q
+"""Shared generators for the property tests, and the fixtures that only tests
+build: named Lie algebras, sample actions, chart helpers and the free-field
+section."""
+from fractions import Fraction
 from itertools import combinations
+from typing import List, NamedTuple, Sequence, Tuple
 
 from plectic import linalg
 from plectic.exterior import (
+    _coerce_coeff,
+    Chart,
     DiffForm,
     MultiVec,
     SmoothMap,
+    chart,
     coordinate_vector,
     ext_d,
     interior,
@@ -14,7 +20,11 @@ from plectic.exterior import (
     poincare_homotopy,
     sort_index_tuple,
 )
+from plectic.hdw import MultiphaseModel
+from plectic.liesym import CEOperators, KillingReport, LieAction, LieAlgebraData, killing_form
 from plectic.scalar import RationalExpr, ScalarExpr
+
+Q = Fraction
 
 
 def det_minor_sums(coeffs, M, dim, deg, zero):
@@ -187,3 +197,144 @@ class HamiltonianSampler:
         if alpha.is_zero:
             alpha = poincare_homotopy(interior(self.translations[0], self.w)).scale(-1)
         return alpha
+
+
+# ---------------------------------------------------------------------------
+# Fixtures that only tests build: named Lie algebras, sample actions, chart
+# helpers and the free-field section.
+# ---------------------------------------------------------------------------
+
+
+def multivec(chart: Chart, degree: int, coeffs=None) -> MultiVec:
+    return MultiVec(chart, degree, coeffs or {})
+
+
+def function_form(chart: Chart, expr) -> DiffForm:
+    """Degree-0 form from an expression (string, scalar or rational)."""
+    return DiffForm(chart, 0, {(): _coerce_coeff(expr, chart.dim)})
+
+
+def basis_one_form(chart: Chart, index: int) -> DiffForm:
+    return DiffForm(chart, 1, {(index,): 1})
+
+
+def projection(product: Chart, factor: Chart, offset: int) -> SmoothMap:
+    """Projection from a product chart onto a factor starting at offset."""
+    comps = tuple(
+        RationalExpr.variable(product.dim, offset + i)
+        for i in range(1, factor.dim + 1)
+    )
+    return SmoothMap(product, factor, comps)
+
+
+def product_chart(a: Chart, b: Chart) -> Chart:
+    pos = frozenset(a.positive) | frozenset(i + a.dim for i in b.positive)
+    return Chart(a.dim + b.dim, pos, a.star_shaped and b.star_shaped)
+
+
+def so3() -> LieAlgebraData:
+    """[e_i, e_j] = epsilon_ijk e_k."""
+    d = 3
+    c = [[[Q(0)] * d for _ in range(d)] for _ in range(d)]
+    eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+           (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
+    for (i, j, k), s in eps.items():
+        c[i][j][k] = Q(s)
+    return LieAlgebraData(3, c)
+
+
+def sl2() -> LieAlgebraData:
+    """Basis (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
+    d = 3
+    c = [[[Q(0)] * d for _ in range(d)] for _ in range(d)]
+    c[0][1][1] = Q(2)
+    c[1][0][1] = Q(-2)
+    c[0][2][2] = Q(-2)
+    c[2][0][2] = Q(2)
+    c[1][2][0] = Q(1)
+    c[2][1][0] = Q(-1)
+    return LieAlgebraData(3, c)
+
+
+def abelian(dim: int) -> LieAlgebraData:
+    z = tuple(tuple(tuple(Q(0) for _ in range(dim)) for _ in range(dim))
+              for _ in range(dim))
+    return LieAlgebraData(dim, z)
+
+
+def translation_action(g: LieAlgebraData, chart_: Chart,
+                       indices: Sequence[int]) -> LieAction:
+    gens = tuple(coordinate_vector(chart_, i) for i in indices)
+    return LieAction(g, gens)
+
+
+def left_invariant_surrogate(g: LieAlgebraData) -> LieAction:
+    """Constant coordinate frame on R^d standing in for the left-invariant
+    frame of a group; bracket relations are carried by the algebra."""
+    ch = chart(g.dim)
+    gens = tuple(coordinate_vector(ch, i) for i in range(1, g.dim + 1))
+    return LieAction(g, gens, surrogate=True)
+
+
+def free_field_section(model: MultiphaseModel,
+                       slopes: Sequence[Sequence]) -> Tuple[RationalExpr, SmoothMap]:
+    """Free-field Hamiltonian sum (p^mu_a)^2 / 2 with an exact linear solution.
+
+    slopes[a-1][mu-1] = c gives q^a = sum_mu c x^mu and p^mu_a = -c.
+    """
+    n, N = model.n, model.fiber
+    pdim = model.restricted_chart.dim
+    ham = RationalExpr.const(pdim, 0)
+    for a in range(1, N + 1):
+        for mu in range(1, n + 1):
+            p = RationalExpr.variable(pdim, model.p_index(mu, a))
+            ham = ham + p * p * RationalExpr.const(pdim, Q(1, 2))
+    x = [RationalExpr.variable(n, mu) for mu in range(1, n + 1)]
+    q = [sum((x[mu] * RationalExpr.const(n, slopes[a][mu]) for mu in range(n)),
+             RationalExpr.const(n, 0)) for a in range(N)]
+    p = [[RationalExpr.const(n, -Fraction(slopes[a][mu])) for mu in range(n)]
+         for a in range(N)]
+    return ham, model.section(q, p)
+
+
+# ---------------------------------------------------------------------------
+# invariant observable algebra of a group carried at the algebra level
+# ---------------------------------------------------------------------------
+
+
+class InvariantObservables(NamedTuple):
+    """l_2 and l_3 of the left-invariant observable algebra, via Killing."""
+
+    algebra: LieAlgebraData
+    killing: KillingReport
+
+    def dual_form(self, x: Sequence) -> Tuple[Fraction, ...]:
+        """alpha_x = K(x, .) as a coefficient vector."""
+        d = self.algebra.dim
+        return tuple(
+            self.killing.value(x, [Q(1) if t == j else Q(0) for t in range(d)])
+            for j in range(d)
+        )
+
+    def hamiltonian_check(self, x: Sequence) -> bool:
+        """d_CE(alpha_x) = -i_x omega_e in Lambda^2 g*."""
+        d = self.algebra.dim
+        alpha = {(j + 1,): v for j, v in enumerate(self.dual_form(x)) if v}
+        dalpha = CEOperators(self.algebra).co_differential(alpha, 1)
+        for (a, b) in combinations(range(1, d + 1), 2):
+            br = self.algebra.basis_bracket(a, b)
+            rhs = -self.killing.value(x, br)
+            if dalpha.get((a, b), Q(0)) != rhs:
+                return False
+        return True
+
+    def l2(self, x: Sequence, y: Sequence) -> List[Fraction]:
+        """Under the Killing identification, l_2(alpha_x, alpha_y) = alpha_[x,y]."""
+        return self.algebra.bracket(x, y)
+
+    def l3(self, x: Sequence, y: Sequence, z: Sequence) -> Fraction:
+        return -self.killing.value(x, self.algebra.bracket(y, z))
+
+
+def invariant_observables(g: LieAlgebraData) -> InvariantObservables:
+    return InvariantObservables(g, killing_form(g))
